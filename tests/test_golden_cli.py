@@ -1,0 +1,89 @@
+"""Byte-exact CLI output for a fixed corpus of commands.
+
+Each command's exit code and the SHA-256 digest of its stdout are stored in
+golden_cli.json.  Any change to the numbers, their order or their
+formatting shows up here, so engine rewrites can be checked against the
+output of the code they replace.
+
+Regenerate the digests (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from adjstats.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_cli.json")
+
+
+def _corpus():
+    cmds = []
+    for stat in ("mu", "nu"):
+        for k in range(1, 8):
+            for s in range(1, 5):
+                base = ["dist", "--stat", stat, "--k", str(k), "--s", str(s)]
+                cmds.append(base + ["--n", "0..10", "--q=-3/5"])
+                cmds.append(base + ["--n", "0..5", "--verify", "--format", "csv"])
+    cmds += [
+        ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "0..8", "--verify",
+         "--cap", "100"],
+        ["dist", "--stat", "nu", "--k", "4", "--s", "2", "--n", "0..6", "--verify",
+         "--q", "7/3"],
+        ["dist", "--stat", "nu", "--k", "5", "--s", "2", "--n", "6", "--verify"],
+    ]
+    for k in range(1, 7):
+        for s in range(1, 5):
+            cmds.append(["avoid", "--k", str(k), "--s", str(s), "--n", "0..60"])
+    cmds.append(["avoid", "--k", "4", "--s", "2", "--n", "40..60", "--format", "csv"])
+    for k in range(2, 5):
+        for s in (1, 2):
+            for r in (1, 2, 3):
+                cmds.append(["gap", "--k", str(k), "--s", str(s), "--r", str(r),
+                             "--n", "0..12"])
+    for k in range(1, 5):
+        for s in (1, 2, 3):
+            cmds.append(["partition-dist", "--n", "1..7", "--k", str(k), "--s", str(s),
+                         "--q", "7/3"])
+    cmds.append(["partition-dist", "--n", "4..7", "--k", "3", "--s", "2", "--format",
+                 "csv"])
+    for k in range(1, 6):
+        for s in (1, 2, 3):
+            cmds.append(["totals", "--words", "--k", str(k), "--s", str(s), "--n", "0..12"])
+    for s in (2, 3, 4):
+        cmds.append(["totals", "--partitions", "--s", str(s), "--n", "2..10"])
+    cmds.append(["totals", "--partitions", "--k", "3", "--s", "2", "--n", "5..9",
+                 "--format", "csv"])
+    return cmds
+
+
+def _run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"argv": argv, "exit": code,
+            "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    return {" ".join(entry["argv"]): entry for entry in json.loads(GOLDEN.read_text())}
+
+
+def test_golden_corpus_is_the_recorded_one(recorded):
+    assert list(recorded) == [" ".join(argv) for argv in _corpus()]
+
+
+@pytest.mark.parametrize("argv", _corpus(), ids=" ".join)
+def test_cli_output_bytes(argv, recorded):
+    assert _run(argv) == recorded[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps([_run(argv) for argv in _corpus()], indent=1) + "\n")
