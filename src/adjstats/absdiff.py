@@ -12,9 +12,7 @@ k-ary words.  Three alphabet regimes behave differently:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import (
     InternalInvariantViolation,
@@ -26,10 +24,12 @@ from .algebra import (
     chebyshev_u_list,
     mat_mul,
 )
+from .transfer import Transfer, transfer_dp
 
 
 class WrongRegime(ValueError):
-    """The requested formula does not apply to this (k, s) pair."""
+    """The requested formula does not apply to this (k, s) pair; shared
+    with the partition closed forms."""
 
 
 class SingularSpecialization(ValueError):
@@ -50,48 +50,14 @@ def regime(k: int, s: int) -> str:
     return "large"
 
 
-@dataclass(frozen=True)
-class BTable:
-    """Last-letter DP for the absolute-jump statistic; rows[n][i-1] is the
-    distribution over words ending in i, totals[n] the full distribution."""
-
-    k: int
-    s: int
-    regime: str
-    rows: tuple[tuple[QPoly, ...], ...]
-    totals: tuple[QPoly, ...]
-
-
-@lru_cache(maxsize=None)
-def b_table(k: int, s: int, order: int) -> BTable:
-    """Fill the DP up to length `order`.
-
-    Appending i completes a jump exactly when the previous word ends in
-    i - s or i + s; the same update covers all three regimes because the
-    out-of-range neighbors simply do not exist.
-    """
-    q_minus_1 = QPoly((-1, 1))
-    rows = [()]
-    totals = [QPoly((1,))]
-    if order >= 1:
-        rows.append(tuple(QPoly((1,)) for _ in range(k)))
-        totals.append(QPoly((k,)))
-    for _ in range(2, order + 1):
-        prev_row, prev_total = rows[-1], totals[-1]
-        row = []
-        for i in range(1, k + 1):
-            entry = prev_total
-            if i - s >= 1:
-                entry = entry + q_minus_1 * prev_row[i - s - 1]
-            if i + s <= k:
-                entry = entry + q_minus_1 * prev_row[i + s - 1]
-            row.append(entry)
-        total = QPoly()
-        for entry in row:
-            total = total + entry
-        rows.append(tuple(row))
-        totals.append(total)
-    return BTable(k, s, regime(k, s), tuple(rows), tuple(totals))
+def b_table(k: int, s: int, order: int) -> Transfer:
+    """The last-letter DP up to length `order`, every jump (i -/+ s, i)
+    marked by q; one mark set covers all three regimes because the
+    out-of-range neighbors simply do not exist."""
+    regime(k, s)  # rejects k < 1 and s < 1
+    marks = tuple(((j, i), QPoly.var()) for i in range(1, k + 1) for j in (i - s, i + s)
+                  if 1 <= j <= k)
+    return transfer_dp(k, marks, order, QPoly.const(1))
 
 
 def gf_B_small(k: int, s: int) -> RatFunc:

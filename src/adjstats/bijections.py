@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
+from .algebra import InternalInvariantViolation
 from .oracle import words
 
 
@@ -161,7 +162,8 @@ def v_to_w(word) -> tuple[int, ...]:
             out.append(word[i])
             i += 1
     result = tuple(out)
-    assert is_w_word(result), result
+    if not is_w_word(result):
+        raise InternalInvariantViolation(f"v_to_w produced {result}, not a w-word")
     return result
 
 
@@ -185,7 +187,8 @@ def w_to_v(word) -> tuple[int, ...]:
             out.append(word[i])
             i += 1
     result = tuple(out)
-    assert is_v_word(result), result
+    if not is_v_word(result):
+        raise InternalInvariantViolation(f"w_to_v produced {result}, not a v-word")
     return result
 
 

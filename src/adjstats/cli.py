@@ -36,6 +36,8 @@ def _parse_range(text: str) -> range:
         out = range(int(text), int(text) + 1)
     if not out:
         raise argparse.ArgumentTypeError(f"empty range: {text!r}")
+    if out[0] < 0:
+        raise argparse.ArgumentTypeError(f"lengths must be >= 0: {text!r}")
     return out
 
 
@@ -109,7 +111,8 @@ def _cmd_dist(args) -> int:
         rows.append(row)
     _emit({"command": "dist", "stat": args.stat, "k": args.k, "s": args.s, "rows": rows},
           args.format, args.out)
-    if args.verify and not all(r.get("oracle_agrees", True) for r in rows):
+    if args.verify and not all(r.get(key, True) for r in rows
+                               for key in ("oracle_agrees", "closed_form_agrees")):
         return 1
     return 0
 
@@ -141,11 +144,13 @@ def _cmd_avoid(args) -> int:
 
 
 def _cmd_partition_dist(args) -> int:
+    if args.s < 1:
+        raise ValueError("need s >= 1")
     rows = []
     for n in args.n:
         try:
             dist = partitions.p_dist_oracle(n, args.k, args.s, args.cap)
-        except partitions.EnumerationTooLarge as exc:
+        except oracle.EnumerationTooLarge as exc:
             rows.append({"n": n, "warning": f"skipped: {exc}"})
             continue
         row = {"n": n, "dist": _poly_json(dist)}
@@ -365,12 +370,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (oracle.EnumerationTooLarge, partitions.EnumerationTooLarge) as exc:
+    except oracle.EnumerationTooLarge as exc:
         print(f"enumeration too large: {exc}", file=sys.stderr)
         return 2
     except (bijections.InvalidComposition, bijections.InvalidSequence,
             bijections.InvalidWord, oeis.BFileParseError,
-            absdiff.WrongRegime, partitions.WrongRegime, ValueError) as exc:
+            absdiff.WrongRegime, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

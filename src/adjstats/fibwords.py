@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import InternalInvariantViolation, PQPoly, RatFunc, XPoly
+from .transfer import transfer_dp
 
 
 def fib_list(n: int) -> list[int]:
@@ -29,22 +30,11 @@ def lucas_list(n: int) -> list[int]:
 
 
 def j_dist_dp(order: int) -> list[PQPoly]:
-    """Joint (level, ascent) distributions for lengths 0..order, by a
-    last-letter DP; p marks levels and q marks ascents."""
+    """Joint (level, ascent) distributions for lengths 0..order, by the
+    last-letter DP with 1-3 forbidden; p marks levels and q marks ascents."""
     p, q = PQPoly.p(), PQPoly.q()
-    one = PQPoly.const(1)
-    out = [one]
-    if order >= 1:
-        j1 = j2 = j3 = one
-        out.append(j1 + j2 + j3)
-        for _ in range(2, order + 1):
-            j1, j2, j3 = (
-                p * j1 + j2 + j3,
-                q * j1 + p * j2 + j3,
-                q * j2 + p * j3,
-            )
-            out.append(j1 + j2 + j3)
-    return out
+    marks = (((1, 1), p), ((2, 2), p), ((3, 3), p), ((1, 2), q), ((2, 3), q), ((1, 3), 0))
+    return list(transfer_dp(3, marks, order, PQPoly.const(1)).totals)
 
 
 def gf_f(p_val, q_val) -> RatFunc:

@@ -7,9 +7,9 @@ formula, and the reduction of wider gaps to the adjacent case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly
+from .transfer import Transfer, transfer_dp
 
 
 @dataclass(frozen=True)
@@ -37,44 +37,14 @@ class KSParams:
         return (self.k - self.rem) // self.s
 
 
-@dataclass(frozen=True)
-class ATable:
-    """DP table: rows[n][i-1] restricts the distribution to words ending in
-    the letter i; totals[n] is the full distribution for length n."""
-
-    params: KSParams
-    rows: tuple[tuple[QPoly, ...], ...]
-    totals: tuple[QPoly, ...]
+def _rise_marks(params: KSParams, weight) -> tuple:
+    """Every rise (i - s, i) marked with `weight`."""
+    return tuple(((i - params.s, i), weight) for i in range(params.s + 1, params.k + 1))
 
 
-@lru_cache(maxsize=None)
-def a_table(params: KSParams, order: int) -> ATable:
-    """Fill the last-letter DP up to length `order`.
-
-    Appending any i <= s never completes a rise; appending i > s completes
-    one exactly when the previous word ends in i - s, which toggles that
-    slice's weight from 1 to q.
-    """
-    k, s = params.k, params.s
-    q_minus_1 = QPoly((-1, 1))
-    rows = [()]
-    totals = [QPoly((1,))]
-    if order >= 1:
-        row = tuple(QPoly((1,)) for _ in range(k))
-        rows.append(row)
-        totals.append(QPoly((k,)))
-    for _ in range(2, order + 1):
-        prev_row, prev_total = rows[-1], totals[-1]
-        row = tuple(
-            prev_total if i <= s else prev_total + q_minus_1 * prev_row[i - s - 1]
-            for i in range(1, k + 1)
-        )
-        total = QPoly()
-        for entry in row:
-            total = total + entry
-        rows.append(row)
-        totals.append(total)
-    return ATable(params, tuple(rows), tuple(totals))
+def a_table(params: KSParams, order: int) -> Transfer:
+    """The last-letter DP up to length `order`, every rise marked by q."""
+    return transfer_dp(params.k, _rise_marks(params, QPoly.var()), order, QPoly.const(1))
 
 
 def a_rec_alt(params: KSParams, order: int) -> list[QPoly]:
@@ -135,13 +105,13 @@ def gf_A_reduced(params: KSParams) -> RatFunc:
 def avoid_count(params: KSParams, order: int) -> list[int]:
     """Counts of words with no rise by s, for lengths 0..order.
 
-    Computed three ways -- the DP table at q=0, the alternative recurrence
-    at q=0, and the four-term recurrence from the q=0 generating function --
-    which must agree exactly.
+    Computed three ways -- the integer DP with every rise forbidden, the
+    alternative recurrence at q=0, and the four-term recurrence from the
+    q=0 generating function -- which must agree exactly.
     """
     k, s = params.k, params.s
     m = params.steps
-    table_vals = [p(0) for p in a_table(params, order).totals]
+    table_vals = list(transfer_dp(k, _rise_marks(params, 0), order, 1).totals)
 
     alt = list(table_vals[: m + 1])
     for n in range(m + 1, order + 1):
@@ -179,6 +149,8 @@ def gap_distribution(params: KSParams, r: int, n: int) -> QPoly:
     it equals a_{d+1}^t * a_d^(r-t)."""
     if r < 1:
         raise ValueError("gap must be >= 1")
+    if n < 0:
+        raise ValueError("need n >= 0")
     d, t = divmod(n, r)
     totals = a_table(params, d + 1).totals
     return totals[d + 1] ** t * totals[d] ** (r - t)

@@ -11,13 +11,13 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .algebra import PQPoly, QPoly
+from .algebra import InternalInvariantViolation, PQPoly, QPoly
 
 DEFAULT_CAP = 10**8
 
 
 class EnumerationTooLarge(RuntimeError):
-    """The number of words to scan exceeds the configured cap."""
+    """The number of words or growth sequences to scan exceeds the cap."""
 
 
 def _guard(k, n, cap):
@@ -55,7 +55,8 @@ def stat_bundle(word, s) -> StatBundle:
             asc += 1
         else:
             des += 1
-    assert lev + asc + des == max(len(word) - 1, 0)
+    if lev + asc + des != max(len(word) - 1, 0):
+        raise InternalInvariantViolation(f"levels, ascents and descents miscount {word}")
     return StatBundle(mu, nu, lev, asc, des)
 
 

@@ -12,19 +12,12 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+from .absdiff import WrongRegime
 from .algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly
 from .kary import KSParams, gf_A, gf_denominator, unit_column_det
-
-
-class WrongRegime(ValueError):
-    """The closed form does not apply to this (k, s) pair."""
-
+from .oracle import EnumerationTooLarge
 
 DEFAULT_RGF_CAP = 10**8
-
-
-class EnumerationTooLarge(RuntimeError):
-    """The number of growth sequences to scan exceeds the cap."""
 
 
 def bell_list(n: int) -> list[int]:

@@ -1,5 +1,7 @@
 import pytest
 
+from adjstats import bijections
+from adjstats.algebra import InternalInvariantViolation
 from adjstats.bijections import (
     ColoredComposition,
     InvalidComposition,
@@ -89,6 +91,11 @@ class TestRewriting:
             v_to_w((2, 4))
         with pytest.raises(InvalidWord):
             w_to_v((1, 3))
+
+    def test_broken_output_raises_without_assert(self, monkeypatch):
+        monkeypatch.setattr(bijections, "is_w_word", lambda word: False)
+        with pytest.raises(InternalInvariantViolation):
+            v_to_w((1, 1, 3))
 
     def test_length_and_membership_preserved(self):
         for n in range(7):

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from adjstats import kary
+from adjstats.algebra import RatFunc, XPoly
 from adjstats.cli import main
 
 
@@ -48,6 +50,16 @@ class TestDist:
         assert all("dist" in row for row in rows)  # DP values always present
         assert any("warning" in row for row in rows)
         assert any(row.get("oracle_agrees") for row in rows)
+
+    def test_closed_form_disagreement_fails_verify(self, capsys, monkeypatch):
+        monkeypatch.setattr(kary, "gf_A", lambda params: RatFunc(XPoly((2,))))
+        code, out = run(
+            capsys, "dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "0..3", "--verify"
+        )
+        rows = json.loads(out)["rows"]
+        assert all(row["oracle_agrees"] for row in rows)
+        assert not all(row["closed_form_agrees"] for row in rows)
+        assert code == 1
 
 
 class TestFormats:
@@ -169,3 +181,23 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["dist", "--stat", "mu"])  # missing required arguments
     assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "-2"],
+        ["avoid", "--k", "3", "--s", "1", "--n", "-1"],
+        ["gap", "--k", "3", "--s", "1", "--r", "2", "--n", "-1"],
+        ["totals", "--words", "--k", "3", "--s", "1", "--n", "-1"],
+        ["partition-dist", "--n", "3", "--k", "2", "--s", "0"],
+    ],
+    ids=" ".join,
+)
+def test_invalid_input_is_usage_error(capsys, argv):
+    try:
+        code = main(argv)  # any other exception escapes as a traceback
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert capsys.readouterr().out == ""

@@ -155,6 +155,10 @@ class TestGapDistribution:
                 got = gap_distribution(KSParams(k, s), r, n)
                 assert got == distribution_gap(k, s, r, n)
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            gap_distribution(KSParams(3, 1), 2, -1)  # would read totals[-1] silently
+
 
 class TestUnitColumnDeterminant:
     def test_closed_form_matches_expansion(self):
