@@ -2,9 +2,11 @@
 power-series expansion, Chebyshev polynomials of the second kind, and
 division-free determinants.
 
-Everything here is immutable and exact.  Coefficients live in whatever
-ring supports +, -, * and comparison with integers: Python ints,
-fractions.Fraction, QPoly, PQPoly, or nested XPoly values all work.
+Everything here is immutable and exact.  All polynomial ring code lives
+once, on `Poly`; `QPoly`, `PQPoly` and `XPoly` only name its variable.
+Coefficients live in whatever ring supports +, -, * and comparison with
+integers: Python ints, fractions.Fraction, or polynomials in a variable
+of lower rank.
 """
 
 from __future__ import annotations
@@ -50,13 +52,14 @@ def _mul_lists(a, b):
     return out
 
 
-class QPoly:
-    """Dense polynomial in the occurrence-marking variable q.
+class Poly:
+    """Dense polynomial in one variable over an arbitrary coefficient ring.
 
-    coeffs[i] is the (arbitrary-precision integer) coefficient of q^i;
-    trailing zeros are never stored, so the zero polynomial has empty
-    coeffs.  Evaluating a distribution polynomial at q = 1 recovers the
-    size of the underlying set of objects.
+    coeffs[i] is the coefficient of var^i; trailing zeros are never stored,
+    so the zero polynomial has empty coeffs.  A subclass names the variable
+    and sets its `rank` (q = 0, p = 1, x = 2).  A polynomial in a variable
+    of lower rank, like any scalar, is a constant coefficient to one of
+    higher rank, so mixed expressions such as q * x or p + q are defined.
     """
 
     __slots__ = ("coeffs",)
@@ -70,221 +73,7 @@ class QPoly:
 
     @classmethod
     def var(cls):
-        """The polynomial q itself."""
-        return cls((0, 1))
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, QPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, int):
-            return self.coeffs == _trim((other,))
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("QPoly", self.coeffs))
-
-    def __add__(self, other):
-        if isinstance(other, QPoly):
-            return QPoly(_add_lists(self.coeffs, other.coeffs))
-        if isinstance(other, int):
-            return QPoly(_add_lists(self.coeffs, (other,)))
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return QPoly(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other):
-        if isinstance(other, (QPoly, int)):
-            return self + (-other)
-        return NotImplemented
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return (-self) + other
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, QPoly):
-            return QPoly(_mul_lists(self.coeffs, other.coeffs))
-        if isinstance(other, int):
-            return QPoly(tuple(c * other for c in self.coeffs))
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative power of a polynomial")
-        out = QPoly((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __call__(self, value):
-        """Evaluate at a scalar (int or Fraction) by Horner's rule."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
-
-    def derivative(self):
-        return QPoly(tuple(i * c for i, c in enumerate(self.coeffs) if i))
-
-    def __repr__(self):
-        return f"QPoly({list(self.coeffs)})"
-
-
-class PQPoly:
-    """Dense bivariate polynomial in (p, q); grid[i][j] is the coefficient
-    of p^i q^j.  Stored as a rectangular tuple-of-tuples with no trailing
-    zero row or column.
-    """
-
-    __slots__ = ("grid",)
-
-    def __init__(self, grid=()):
-        rows = [list(r) for r in grid]
-        width = 0
-        for r in rows:
-            while r and r[-1] == 0:
-                r.pop()
-            width = max(width, len(r))
-        while rows and not rows[-1]:
-            rows.pop()
-            width = max((len(r) for r in rows), default=0)
-        self.grid = tuple(tuple(r + [0] * (width - len(r))) for r in rows)
-
-    @classmethod
-    def const(cls, c):
-        return cls(((c,),))
-
-    @classmethod
-    def p(cls):
-        return cls(((0,), (1,)))
-
-    @classmethod
-    def q(cls):
-        return cls(((0, 1),))
-
-    def coeff(self, i, j):
-        if 0 <= i < len(self.grid) and 0 <= j < len(self.grid[i]):
-            return self.grid[i][j]
-        return 0
-
-    def _dims(self):
-        h = len(self.grid)
-        w = len(self.grid[0]) if h else 0
-        return h, w
-
-    def __bool__(self):
-        return bool(self.grid)
-
-    def __eq__(self, other):
-        if isinstance(other, PQPoly):
-            return self.grid == other.grid
-        if isinstance(other, int):
-            return self.grid == PQPoly.const(other).grid
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("PQPoly", self.grid))
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = PQPoly.const(other)
-        if not isinstance(other, PQPoly):
-            return NotImplemented
-        h = max(len(self.grid), len(other.grid))
-        w = max(self._dims()[1], other._dims()[1])
-        return PQPoly(
-            [[self.coeff(i, j) + other.coeff(i, j) for j in range(w)] for i in range(h)]
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PQPoly([[-c for c in row] for row in self.grid])
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = PQPoly.const(other)
-        if not isinstance(other, PQPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        if isinstance(other, int):
-            return PQPoly.const(other) + (-self)
-        return NotImplemented
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return PQPoly([[c * other for c in row] for row in self.grid])
-        if not isinstance(other, PQPoly):
-            return NotImplemented
-        ha, wa = self._dims()
-        hb, wb = other._dims()
-        if not (ha and hb):
-            return PQPoly()
-        out = [[0] * (wa + wb - 1) for _ in range(ha + hb - 1)]
-        for i in range(ha):
-            for j in range(wa):
-                c = self.grid[i][j]
-                if c == 0:
-                    continue
-                for u in range(hb):
-                    for v in range(wb):
-                        out[i + u][j + v] += c * other.grid[u][v]
-        return PQPoly(out)
-
-    __rmul__ = __mul__
-
-    def __call__(self, p_val, q_val):
-        acc = 0
-        for i in range(len(self.grid) - 1, -1, -1):
-            row = 0
-            for c in reversed(self.grid[i]):
-                row = row * q_val + c
-            acc = acc * p_val + row
-        return acc
-
-    def deriv_p(self):
-        return PQPoly([[i * c for c in row] for i, row in enumerate(self.grid) if i])
-
-    def deriv_q(self):
-        return PQPoly([[j * c for j, c in enumerate(row) if j] for row in self.grid])
-
-    def __repr__(self):
-        return f"PQPoly({[list(r) for r in self.grid]})"
-
-
-class XPoly:
-    """Dense polynomial in the series variable x over an arbitrary
-    coefficient ring (ints, Fractions, QPoly, PQPoly)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        self.coeffs = _trim(coeffs)
-
-    @classmethod
-    def x(cls):
+        """The variable itself."""
         return cls((0, 1))
 
     @classmethod
@@ -295,8 +84,15 @@ class XPoly:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def coeff(self, i):
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+    def coeff(self, i, *inner):
+        """Coefficient of var^i.  Further indices read into a polynomial
+        coefficient: PQPoly.coeff(i, j) is the coefficient of p^i q^j."""
+        c = self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+        if not inner:
+            return c
+        if isinstance(c, Poly):
+            return c.coeff(*inner)
+        return c if all(j == 0 for j in inner) else 0
 
     def valuation(self):
         """Index of the lowest nonzero coefficient, or None for zero."""
@@ -306,65 +102,71 @@ class XPoly:
         return None
 
     def shift_down(self, m):
-        return XPoly(self.coeffs[m:])
+        return type(self)(self.coeffs[m:])
 
     def map_coeffs(self, fn):
-        return XPoly(tuple(fn(c) for c in self.coeffs))
+        return type(self)(fn(c) for c in self.coeffs)
+
+    def derivative(self):
+        return type(self)(i * c for i, c in enumerate(self.coeffs) if i)
+
+    def _lift(self, other):
+        """The coefficients of `other` as a polynomial in this variable, or
+        NotImplemented when `other` belongs to a larger ring, so that its
+        own (reflected) method runs instead."""
+        if type(other) is type(self):
+            return other.coeffs
+        if isinstance(other, Poly):
+            if other.rank > self.rank:
+                return NotImplemented
+        elif isinstance(other, RatFunc):
+            return NotImplemented
+        return (other,) if other != 0 else ()
 
     def __bool__(self):
         return bool(self.coeffs)
 
     def __eq__(self, other):
-        if isinstance(other, XPoly):
-            a, b = self.coeffs, other.coeffs
-            if len(a) != len(b):
-                return False
-            return all(x == y for x, y in zip(a, b))
-        if isinstance(other, RatFunc):
+        b = self._lift(other)
+        if b is NotImplemented:
             return NotImplemented
-        # scalar: compare against the constant polynomial
-        if not self.coeffs:
-            return other == 0
-        return len(self.coeffs) == 1 and self.coeffs[0] == other
+        return self.coeffs == b
 
     def __hash__(self):
-        return hash(("XPoly", self.coeffs))
+        # a constant equals its value, so it must hash like it
+        if len(self.coeffs) <= 1:
+            return hash(self.coeffs[0] if self.coeffs else 0)
+        return hash(self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, RatFunc):
+        b = self._lift(other)
+        if b is NotImplemented:
             return NotImplemented
-        if not isinstance(other, XPoly):
-            other = XPoly((other,))
-        return XPoly(_add_lists(self.coeffs, other.coeffs))
+        return type(self)(_add_lists(self.coeffs, b))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return XPoly(tuple(-c for c in self.coeffs))
+        return type(self)(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, RatFunc):
-            return NotImplemented
-        if not isinstance(other, XPoly):
-            other = XPoly((other,))
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, RatFunc):
+        b = self._lift(other)
+        if b is NotImplemented:
             return NotImplemented
-        if isinstance(other, XPoly):
-            return XPoly(_mul_lists(self.coeffs, other.coeffs))
-        return XPoly(tuple(c * other for c in self.coeffs))
+        return type(self)(_mul_lists(self.coeffs, b))
 
     __rmul__ = __mul__
 
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = XPoly((1,))
+        out = type(self)((1,))
         base = self
         while n:
             if n & 1:
@@ -373,26 +175,70 @@ class XPoly:
             n >>= 1
         return out
 
+    def __call__(self, value, *inner):
+        """Evaluate at var = value by Horner's rule.  `inner` holds the
+        values of the variables below, highest rank first and q last, as
+        in XPoly(x, q), XPoly(x, p, q) and PQPoly(p, q); each polynomial
+        coefficient is first evaluated at the values of its own rank and
+        below."""
+        acc = 0
+        for c in reversed(self.coeffs):
+            if inner and isinstance(c, Poly):
+                c = c(*inner[-1 - c.rank:])
+            acc = acc * value + c
+        return acc
+
     def __repr__(self):
-        return f"XPoly({list(self.coeffs)})"
+        return f"{type(self).__name__}({list(self.coeffs)})"
+
+
+class QPoly(Poly):
+    """Polynomial in the occurrence-marking variable q.  Evaluating a
+    distribution polynomial at q = 1 recovers the size of the underlying
+    set of objects."""
+
+    __slots__ = ()
+    rank = 0
+
+
+class PQPoly(Poly):
+    """Polynomial in p with QPoly coefficients: a joint distribution in which
+    p marks one statistic and q the other.  poly.coeff(i, j) is the
+    coefficient of p^i q^j, and poly(p, q) evaluates it."""
+
+    __slots__ = ()
+    rank = 1
+
+    @classmethod
+    def p(cls):
+        return cls.var()
+
+    @classmethod
+    def q(cls):
+        return cls((QPoly.var(),))
+
+    deriv_p = Poly.derivative
+
+    def deriv_q(self):
+        return self.map_coeffs(lambda c: c.derivative() if isinstance(c, Poly) else 0)
+
+
+class XPoly(Poly):
+    """Polynomial in the series variable x over an arbitrary coefficient
+    ring (ints, Fractions, QPoly, PQPoly)."""
+
+    __slots__ = ()
+    rank = 2
+
+    @classmethod
+    def x(cls):
+        return cls.var()
 
 
 def _unwrap_const(c):
     """Reduce a degree-0 polynomial coefficient to its underlying scalar."""
-    while isinstance(c, (QPoly, PQPoly, XPoly)):
-        if isinstance(c, QPoly):
-            if c.degree > 0:
-                return c
-            c = c.coeff(0)
-        elif isinstance(c, PQPoly):
-            h, w = c._dims()
-            if h > 1 or w > 1:
-                return c
-            c = c.coeff(0, 0)
-        else:
-            if c.degree > 0:
-                return c
-            c = c.coeff(0)
+    while isinstance(c, Poly) and c.degree <= 0:
+        c = c.coeff(0)
     return c
 
 
@@ -543,10 +389,8 @@ class RatFunc:
 def _as_ratfunc(obj):
     if isinstance(obj, RatFunc):
         return obj
-    if isinstance(obj, XPoly):
+    if isinstance(obj, (int, Fraction, Poly)):
         return RatFunc(obj)
-    if isinstance(obj, (int, Fraction, QPoly, PQPoly)):
-        return RatFunc(XPoly((obj,)))
     return NotImplemented
 
 

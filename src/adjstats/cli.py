@@ -285,7 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--n", type=_parse_range, required=True, help="length or a..b")
     p.add_argument("--q", type=_parse_rational, default=None,
-                   help="also evaluate at this exact rational, e.g. 7/3")
+                   help="also evaluate at this exact rational, e.g. 7/3; "
+                   "write a negative one as --q=-3/5")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against enumeration and closed forms")
     p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)

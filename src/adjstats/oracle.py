@@ -110,7 +110,7 @@ def _joint(n, second_stat, cap):
     for w in ternary_no_13_words(n):
         b = stat_bundle(w, 1)
         grid[b.lev][second_stat(b)] += 1
-    return PQPoly(grid)
+    return PQPoly(QPoly(row) for row in grid)
 
 
 @lru_cache(maxsize=None)

@@ -21,6 +21,11 @@ from adjstats.algebra import (
 )
 
 small_ints = st.lists(st.integers(-9, 9), max_size=6)
+qpolys = st.lists(st.integers(-5, 5), max_size=4).map(QPoly)
+# x-polynomials whose coefficients mix plain integers and q-polynomials
+xpolys = st.lists(st.one_of(st.integers(-5, 5), qpolys), max_size=4).map(XPoly)
+pqpolys = st.lists(qpolys, max_size=4).map(PQPoly)
+points = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 class TestQPoly:
@@ -75,6 +80,69 @@ class TestPQPoly:
         a = 1 + 2 * p + q
         b = p - q
         assert (a * b)(3, 5) == a(3, 5) * b(3, 5)
+
+
+class TestHashAgreesWithEquality:
+    def test_constants_hash_like_their_value(self):
+        assert QPoly.const(1) == 1
+        assert 1 in {QPoly.const(1)}
+        assert hash(XPoly((QPoly((2,)),))) == hash(2)
+        table = {PQPoly.const(3): "three"}
+        assert table[3] == "three"
+        assert QPoly() in {0}
+
+    @given(xpolys)
+    @settings(max_examples=60, deadline=None)
+    def test_equal_polynomials_hash_equal(self, a):
+        # the same polynomial with each integer coefficient as a constant QPoly
+        b = a.map_coeffs(lambda c: c if isinstance(c, QPoly) else QPoly.const(c))
+        assert a == b
+        assert hash(a) == hash(b)
+
+
+class TestMixedVariables:
+    """Evaluation is a ring homomorphism, whichever operand is outer."""
+
+    @given(qpolys, xpolys, xpolys, st.integers(-5, 5), points, points)
+    @settings(max_examples=80, deadline=None)
+    def test_x_over_q(self, a, A, B, c, x, q):
+        assert (A * B)(x, q) == A(x, q) * B(x, q)
+        assert (A + B)(x, q) == A(x, q) + B(x, q)
+        assert (A - B)(x, q) == A(x, q) - B(x, q)
+        assert (A + a)(x, q) == A(x, q) + a(q)
+        assert (a - A)(x, q) == a(q) - A(x, q)
+        assert (a * A)(x, q) == a(q) * A(x, q)
+        assert (A * c + c)(x, q) == A(x, q) * c + c
+        assert a + A == A + a
+        assert a * A == A * a
+        assert (A**2)(x, q) == A(x, q) ** 2
+
+    @given(qpolys, pqpolys, pqpolys, points, points)
+    @settings(max_examples=80, deadline=None)
+    def test_p_over_q(self, a, P, R, p, q):
+        assert (P * R)(p, q) == P(p, q) * R(p, q)
+        assert (P + R)(p, q) == P(p, q) + R(p, q)
+        assert (P + a)(p, q) == P(p, q) + a(q)
+        assert (a - P)(p, q) == a(q) - P(p, q)
+        assert (a * P)(p, q) == a(q) * P(p, q)
+        assert a + P == P + a
+        assert a * P == P * a
+
+    @given(pqpolys, xpolys, points, points, points)
+    @settings(max_examples=40, deadline=None)
+    def test_x_over_p_over_q(self, P, A, x, p, q):
+        # an XPoly whose coefficients mix q- and (p, q)-polynomials
+        mixed = A * P + XPoly.x() * P + A
+        assert mixed(x, p, q) == A(x, q) * P(p, q) + x * P(p, q) + A(x, q)
+        assert P * A == A * P
+
+    def test_higher_rank_operand_runs_its_reflected_method(self):
+        q, x = QPoly.var(), XPoly.x()
+        assert type(q * x) is XPoly
+        assert type(x * q) is XPoly
+        assert type(PQPoly.p() + q) is PQPoly
+        assert type(q + PQPoly.p()) is PQPoly
+        assert isinstance(q + RatFunc(x), RatFunc)
 
 
 class TestSeries:

@@ -184,3 +184,8 @@ class TestShiftBandDeterminant:
 
     def test_step_one_gives_pure_power(self):
         assert det_exact(SquareMatrix(shift_band_matrix(5, 1))) == QPoly((0,) * 5 + (1,))
+
+
+def test_readme_example():
+    assert repr(a_table(KSParams(3, 1), 2).totals[2]) == "QPoly([7, 2])"
+    assert specialize_q(gf_A(KSParams(3, 2)), 0).series(4) == [1, 3, 8, 21, 55]
