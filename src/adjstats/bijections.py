@@ -11,6 +11,9 @@ sequence (1, 4, 14, 48, 164, ...):
 plus the separate bijection from ternary words (no 1-3, no equal
 neighbors, first letter 2) onto square-and-domino tilings.
 
+Each word family is an alphabet size and a set of banned adjacent pairs,
+streamed by the oracle's pruned walk and tested against the same data.
+
 A colored composition is drawn as a row of dots separated by bars, with
 the colored cells circled; every gap between bars holds at least one
 circled dot.  The four moves grow such a picture one dot at a time:
@@ -34,7 +37,7 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import InternalInvariantViolation
-from .oracle import words
+from .oracle import _walk
 
 
 class InvalidComposition(ValueError):
@@ -115,26 +118,31 @@ def maneuvers_to_v_word(ops) -> tuple[int, ...]:
     """A move sequence read letter-for-letter as a 4-ary word; valid
     sequences are exactly the words avoiding adjacent 2-4 and 3-4."""
     ops = tuple(ops)
-    if not all(op in (1, 2, 3, 4) for op in ops):
-        raise InvalidSequence(f"moves must be in 1..4, got {ops}")
-    for a, b in itertools.pairwise(ops):
-        if b == 4 and a in (2, 3):
-            raise InvalidSequence(f"move 4 directly follows {a} in {ops}")
+    if not is_v_word(ops):
+        raise InvalidSequence(f"moves must be in 1..4, with no 4 right after a 2 or 3: {ops}")
     return ops
+
+
+# Each word family: alphabet 1..k and its banned adjacent pairs, where a
+# pair (0, b) bars b as the first letter.
+_V_FAMILY = {"k": 4, "banned": frozenset({(2, 4), (3, 4)})}
+_W_FAMILY = {"k": 4, "banned": frozenset({(1, 3), (2, 4)})}
+_JPP_FAMILY = {"k": 3, "banned": frozenset({(1, 1), (2, 2), (3, 3), (1, 3), (0, 1), (0, 3)})}
+
+
+def _in_family(word, k, banned) -> bool:
+    word = tuple(word)
+    return set(word) <= set(range(1, k + 1)) and banned.isdisjoint(zip((0,) + word, word))
 
 
 def is_v_word(word) -> bool:
     """Member of the family avoiding adjacent 2-4 and 3-4."""
-    return all(1 <= c <= 4 for c in word) and not any(
-        (a, b) in ((2, 4), (3, 4)) for a, b in itertools.pairwise(word)
-    )
+    return _in_family(word, **_V_FAMILY)
 
 
 def is_w_word(word) -> bool:
     """Member of the family avoiding adjacent 1-3 and 2-4."""
-    return all(1 <= c <= 4 for c in word) and not any(
-        (a, b) in ((1, 3), (2, 4)) for a, b in itertools.pairwise(word)
-    )
+    return _in_family(word, **_W_FAMILY)
 
 
 def v_to_w(word) -> tuple[int, ...]:
@@ -194,12 +202,7 @@ def w_to_v(word) -> tuple[int, ...]:
 
 def is_level_free_no13_start2(word) -> bool:
     """Ternary, no adjacent equal letters, no adjacent 1-3, first letter 2."""
-    word = tuple(word)
-    if not all(1 <= c <= 3 for c in word):
-        return False
-    if word and word[0] != 2:
-        return False
-    return not any(a == b or (a, b) == (1, 3) for a, b in itertools.pairwise(word))
+    return _in_family(word, **_JPP_FAMILY)
 
 
 def jpp_to_tiling(word) -> tuple[int, ...]:
@@ -252,15 +255,11 @@ def colored_compositions(total: int):
     if total < 1:
         raise ValueError("need total >= 1")
 
-    def split(remaining):
-        if remaining == 0:
-            yield ()
-            return
-        for size in range(1, remaining + 1):
-            for rest in split(remaining - size):
-                yield (size,) + rest
-
-    for sizes in split(total):
+    # the part sizes, as a word over {1, 2} saying after each of the first
+    # total - 1 cells whether a part ends (1) or goes on (2)
+    for cuts, _, _ in _walk(2, total - 1):
+        ends = [i + 1 for i, c in enumerate(cuts + (1,)) if c == 1]
+        sizes = [b - a for a, b in zip([0] + ends, ends)]
         color_menus = []
         for size in sizes:
             menu = [
@@ -275,17 +274,17 @@ def colored_compositions(total: int):
 
 def v_words(n: int):
     """All 4-ary words of length n avoiding adjacent 2-4 and 3-4."""
-    return (w for w in words(4, n) if is_v_word(w))
+    return (w for w, _, _ in _walk(n=n, **_V_FAMILY))
 
 
 def w_words(n: int):
     """All 4-ary words of length n avoiding adjacent 1-3 and 2-4."""
-    return (w for w in words(4, n) if is_w_word(w))
+    return (w for w, _, _ in _walk(n=n, **_W_FAMILY))
 
 
 def jpp_words(n: int):
     """All level-free no-1-3 ternary words of length n starting with 2."""
-    return (w for w in words(3, n) if is_level_free_no13_start2(w))
+    return (w for w, _, _ in _walk(n=n, **_JPP_FAMILY))
 
 
 def tilings(n: int):

@@ -41,6 +41,12 @@ def _parse_range(text: str) -> range:
     return out
 
 
+def _nonnegative(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+    return int(text)
+
+
 def _parse_word(text: str) -> tuple[int, ...]:
     if not text.isdigit():
         raise argparse.ArgumentTypeError(f"words are digit strings, got {text!r}")
@@ -315,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition-dist",
                        help="distribution of (a, a+s) on k-block partitions")
     p.add_argument("--n", type=_parse_range, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=_nonnegative, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--q", type=_parse_rational, default=None)
     p.add_argument("--cap", type=int, default=partitions.DEFAULT_RGF_CAP)
@@ -332,9 +338,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a cross-validation suite")
     p.add_argument("--suite", choices=sorted(verify.SUITES) + ["all"], required=True)
-    p.add_argument("--kmax", type=int, default=None)
-    p.add_argument("--nmax", type=int, default=None)
-    p.add_argument("--smax", type=int, default=None)
+    p.add_argument("--kmax", type=_nonnegative, default=None)
+    p.add_argument("--nmax", type=_nonnegative, default=None)
+    p.add_argument("--smax", type=_nonnegative, default=None)
     p.add_argument("--full-report", action="store_true",
                    help="list every check, not only failures")
     _add_common(p)

@@ -1,14 +1,16 @@
 """Brute-force ground truth for word statistics.
 
-Every function here enumerates k-ary words one by one and counts; nothing
-is derived from a recurrence or closed form, so these values are the
+One depth-first walk, `_walk`, visits every sequence of a family and
+carries its difference profile.  The profiles of one length are tallied
+once and every statistic is read off the tally.  Nothing comes from a
+recurrence, a closed form or a DP table, so these values are the
 independent reference that every other module is checked against.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import Counter
 from functools import lru_cache
 
 from .algebra import InternalInvariantViolation, PQPoly, QPoly
@@ -20,113 +22,115 @@ class EnumerationTooLarge(RuntimeError):
     """The number of words or growth sequences to scan exceeds the cap."""
 
 
-def _guard(k, n, cap):
-    if k**n > cap:
-        raise EnumerationTooLarge(f"{k}^{n} words exceed enumeration cap {cap}")
-
-
 def words(k, n):
     """All k-ary words of length n, streamed in lexicographic order."""
     return itertools.product(range(1, k + 1), repeat=n)
 
 
-@dataclass(frozen=True)
-class StatBundle:
-    """All adjacency statistics of one word, computed in a single pass."""
-
-    mu: int  # indices with w[i+1] - w[i] = s
-    nu: int  # indices with |w[i+1] - w[i]| = s
-    lev: int
-    asc: int
-    des: int
-
-
-def stat_bundle(word, s) -> StatBundle:
-    mu = nu = lev = asc = des = 0
-    for a, b in itertools.pairwise(word):
-        d = b - a
-        if d == s:
-            mu += 1
-        if abs(d) == s:
-            nu += 1
-        if d == 0:
-            lev += 1
-        elif d > 0:
-            asc += 1
+def _walk(k, n, banned=frozenset(), gap=1, growth=False):
+    """Every word of length n over 1..k with no adjacent pair in `banned`
+    (a pair (0, b) bars b as first letter), in lexicographic order, as
+    (word, key, top).  With `growth`, each letter is at most one above the
+    running maximum `top`, which gives the restricted growth functions.
+    `key` packs the difference profile: its base-max(n, 2) digit d + k - 1
+    counts the i with w[i+gap] - w[i] = d."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    if n == 0:
+        yield (), 0, 0
+        return
+    k = max(k, 0)
+    base = max(n, 2)
+    # step[a][b]: what a pair (a, b) adds to the key; row 0 is "no pair yet"
+    step = [[base ** (b - a + k - 1) if a and b else 0 for b in range(k + 1)]
+            for a in range(k + 1)]
+    # after[a][top]: the letters that may follow a when the maximum is top
+    after = [[tuple(b for b in range(1, (min(top + 1, k) if growth else k) + 1)
+                    if (a, b) not in banned) for top in range(k + 1)]
+             for a in range(k + 1)]
+    last = n - 1
+    stack = [((), 0, 0)]
+    while stack:
+        word, key, top = stack.pop()
+        i = len(word)
+        row = step[word[i - gap] if i >= gap else 0]
+        letters = after[word[-1] if word else 0][top]
+        if i == last:
+            for c in letters:
+                yield word + (c,), key + row[c], top if top >= c else c
         else:
-            des += 1
-    if lev + asc + des != max(len(word) - 1, 0):
-        raise InternalInvariantViolation(f"levels, ascents and descents miscount {word}")
-    return StatBundle(mu, nu, lev, asc, des)
+            for c in reversed(letters):
+                stack.append((word + (c,), key + row[c], top if top >= c else c))
+
+
+def _unpack(key, k, n):
+    """The difference profile packed in a key of `_walk`."""
+    return tuple(key // max(n, 2) ** i % max(n, 2) for i in range(2 * k - 1))
+
+
+def _at(profile, d):
+    """How many pairs of a profile have difference d."""
+    return profile[d + len(profile) // 2] if 2 * abs(d) < len(profile) else 0
 
 
 @lru_cache(maxsize=None)
+def _tally(n, k, banned, gap):
+    """{profile: number of words} over the words of `_walk(k, n, banned, gap)`."""
+    counts = Counter(key for _, key, _ in _walk(k, n, banned, gap))
+    if not banned and counts.total() != max(k, 0) ** n:
+        raise InternalInvariantViolation(f"walk visited {counts.total()} of {k}^{n} words")
+    return {_unpack(key, k, n): count for key, count in counts.items()}
+
+
+def _profiles(k, n, cap, banned=frozenset(), gap=1):
+    if k**n > cap:
+        raise EnumerationTooLarge(f"{k}^{n} words exceed enumeration cap {cap}")
+    return _tally(n, k, banned, gap)
+
+
+def _poly(tally, stat):
+    """Sum of count * q^stat(profile) over a tally."""
+    coeffs = Counter()
+    for profile, count in tally.items():
+        coeffs[stat(profile)] += count
+    return QPoly(coeffs[m] for m in range(max(coeffs, default=-1) + 1))
+
+
 def distribution_mu(k, s, n, cap=DEFAULT_CAP) -> QPoly:
     """Distribution of the count of rises by exactly s (pairs a, a+s)."""
-    _guard(k, n, cap)
-    counts = [0] * max(n, 1)
-    for w in words(k, n):
-        m = sum(b - a == s for a, b in itertools.pairwise(w))
-        counts[m] += 1
-    return QPoly(counts)
+    return _poly(_profiles(k, n, cap), lambda p: _at(p, s))
 
 
-@lru_cache(maxsize=None)
 def distribution_nu(k, s, n, cap=DEFAULT_CAP) -> QPoly:
     """Distribution of the count of jumps of absolute size s."""
-    _guard(k, n, cap)
-    counts = [0] * max(n, 1)
-    for w in words(k, n):
-        m = sum(abs(b - a) == s for a, b in itertools.pairwise(w))
-        counts[m] += 1
-    return QPoly(counts)
+    sizes = {s, -s} if s >= 0 else ()
+    return _poly(_profiles(k, n, cap), lambda p: sum(_at(p, d) for d in sizes))
 
 
-@lru_cache(maxsize=None)
 def distribution_gap(k, s, r, n, cap=DEFAULT_CAP) -> QPoly:
     """Distribution of the count of indices i with w[i+r] - w[i] = s."""
     if r < 1:
         raise ValueError("gap must be >= 1")
-    _guard(k, n, cap)
-    counts = [0] * max(n, 1)
-    for w in words(k, n):
-        m = sum(w[i + r] - w[i] == s for i in range(n - r))
-        counts[m] += 1
-    return QPoly(counts)
-
-
-def ternary_no_13_words(n):
-    """The 3-ary words of length n with no adjacent pair (1, 3)."""
-    for w in words(3, n):
-        if any(a == 1 and b == 3 for a, b in itertools.pairwise(w)):
-            continue
-        yield w
+    return _poly(_profiles(k, n, cap, gap=r), lambda p: _at(p, s))
 
 
 def _joint(n, second_stat, cap):
-    _guard(3, n, cap)
-    size = max(n, 1)
-    grid = [[0] * size for _ in range(size)]
-    for w in ternary_no_13_words(n):
-        b = stat_bundle(w, 1)
-        grid[b.lev][second_stat(b)] += 1
-    return PQPoly(QPoly(row) for row in grid)
+    tally = _profiles(3, n, cap, frozenset({(1, 3)}))
+    return PQPoly(_poly({p: c for p, c in tally.items() if _at(p, 0) == lev}, second_stat)
+                  for lev in range(max(n, 1)))
 
 
-@lru_cache(maxsize=None)
 def joint_lev_asc(n, cap=DEFAULT_CAP) -> PQPoly:
     """Joint (level, ascent) distribution over 3-ary words avoiding 1-3,
     as a bivariate polynomial with p marking levels and q marking ascents."""
-    return _joint(n, lambda b: b.asc, cap)
+    return _joint(n, lambda p: _at(p, 1) + _at(p, 2), cap)
 
 
-@lru_cache(maxsize=None)
 def joint_lev_des(n, cap=DEFAULT_CAP) -> PQPoly:
     """Joint (level, descent) distribution over 3-ary words avoiding 1-3."""
-    return _joint(n, lambda b: b.des, cap)
+    return _joint(n, lambda p: _at(p, -1) + _at(p, -2), cap)
 
 
-@lru_cache(maxsize=None)
 def count_avoiders(k, n, forbidden, cap=DEFAULT_CAP) -> int:
     """Number of k-ary words of length n with no adjacent pair from
     `forbidden` (a collection of ordered (first, second) pairs)."""
@@ -134,15 +138,9 @@ def count_avoiders(k, n, forbidden, cap=DEFAULT_CAP) -> int:
     for a, b in bad:
         if not (1 <= a <= k and 1 <= b <= k):
             raise ValueError(f"forbidden pair {(a, b)} outside alphabet [1, {k}]")
-    _guard(k, n, cap)
-    total = 0
-    for w in words(k, n):
-        if not any((a, b) in bad for a, b in itertools.pairwise(w)):
-            total += 1
-    return total
+    return sum(_profiles(k, n, cap, bad).values())
 
 
 def total_mu_oracle(k, s, n, cap=DEFAULT_CAP) -> int:
-    """Summed count of (a, a+s) adjacencies over all k-ary words of length n,
-    read off the distribution as its derivative at q = 1."""
-    return distribution_mu(k, s, n, cap).derivative()(1)
+    """Summed count of (a, a+s) adjacencies over all k-ary words of length n."""
+    return sum(_at(p, s) * count for p, count in _profiles(k, n, cap).items())

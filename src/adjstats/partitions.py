@@ -3,11 +3,14 @@ functions) and the statistic counting adjacent pairs (a, a+s):
 brute-force enumeration, the closed-form generating function for a fixed
 block count, total-occurrence formulas in Stirling numbers, and the
 Bell-number formulas for the grand totals at s = 2, 3, 4.
+
+Growth sequences come from the oracle's walk under the growth rule; those
+of one length are tallied once by (maximum letter, difference profile).
 """
 
 from __future__ import annotations
 
-import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -15,7 +18,7 @@ from math import comb
 from .absdiff import WrongRegime
 from .algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly
 from .kary import KSParams, gf_A, gf_denominator, unit_column_det
-from .oracle import EnumerationTooLarge
+from .oracle import EnumerationTooLarge, _at, _poly, _unpack, _walk
 
 DEFAULT_RGF_CAP = 10**8
 
@@ -46,48 +49,40 @@ def stirling_table(n: int) -> list[list[int]]:
 def enumerate_rgf(n: int, k: int | None = None, cap: int = DEFAULT_RGF_CAP):
     """All restricted growth functions of length n (first letter 1, each
     letter at most one above the running maximum), streamed in
-    lexicographic order; filtered to maximum letter k when given."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    if bell_list(n)[n] > cap:
+    lexicographic order; only those with maximum letter k when given."""
+    _check_cap(n, cap)
+    for w, _, top in _walk(n if k is None else k, n, growth=True):
+        if k is None or top == k:
+            yield w
+
+
+def _check_cap(n: int, cap: int) -> None:
+    if n >= 0 and bell_list(n)[n] > cap:
         raise EnumerationTooLarge(f"B_{n} growth sequences exceed cap {cap}")
-    if n == 0:
-        if k in (None, 0):
-            yield ()
-        return
-
-    def rec(prefix, cur_max):
-        if len(prefix) == n:
-            if k is None or cur_max == k:
-                yield tuple(prefix)
-            return
-        for letter in range(1, cur_max + 2):
-            prefix.append(letter)
-            yield from rec(prefix, max(cur_max, letter))
-            prefix.pop()
-
-    yield from rec([1], 1)
 
 
 @lru_cache(maxsize=None)
+def _rgf_tally(n: int) -> dict:
+    """{(maximum letter, difference profile): number of growth sequences}."""
+    counts = Counter((top, key) for _, key, top in _walk(max(n, 1), n, growth=True))
+    if counts.total() != bell_list(n)[n]:
+        raise InternalInvariantViolation(f"walk visited {counts.total()} of B_{n} sequences")
+    return {(top, _unpack(key, max(n, 1), n)): count for (top, key), count in counts.items()}
+
+
 def p_dist_oracle(n: int, k: int, s: int, cap: int = DEFAULT_RGF_CAP) -> QPoly:
     """Distribution of adjacent (a, a+s) pairs over the growth sequences of
     length n with maximum letter k, by direct scan."""
-    counts = [0] * max(n, 1)
-    for w in enumerate_rgf(n, k, cap):
-        m = sum(b - a == s for a, b in itertools.pairwise(w))
-        counts[m] += 1
-    return QPoly(counts)
+    _check_cap(n, cap)
+    tally = {profile: count for (top, profile), count in _rgf_tally(n).items() if top == k}
+    return _poly(tally, lambda profile: _at(profile, s))
 
 
-@lru_cache(maxsize=None)
 def p_total_all_oracle(n: int, s: int, cap: int = DEFAULT_RGF_CAP) -> int:
     """Summed count of adjacent (a, a+s) pairs over all growth sequences of
     length n (every block count), by direct scan."""
-    total = 0
-    for w in enumerate_rgf(n, None, cap):
-        total += sum(b - a == s for a, b in itertools.pairwise(w))
-    return total
+    _check_cap(n, cap)
+    return sum(_at(profile, s) * count for (_, profile), count in _rgf_tally(n).items())
 
 
 def gf_P(k: int, s: int) -> RatFunc:

@@ -191,6 +191,11 @@ def test_usage_error_exit_code():
         ["gap", "--k", "3", "--s", "1", "--r", "2", "--n", "-1"],
         ["totals", "--words", "--k", "3", "--s", "1", "--n", "-1"],
         ["partition-dist", "--n", "3", "--k", "2", "--s", "0"],
+        ["partition-dist", "--n", "2", "--k", "-1", "--s", "1"],
+        ["verify", "--suite", "partitions", "--nmax", "-1"],
+        ["verify", "--suite", "gap", "--nmax", "-1"],
+        ["verify", "--suite", "kary", "--kmax", "-1"],
+        ["verify", "--suite", "kary", "--smax", "-1"],
     ],
     ids=" ".join,
 )

@@ -1,6 +1,7 @@
 import pytest
 
-from adjstats.algebra import PQPoly, QPoly
+from adjstats import oracle, partitions
+from adjstats.algebra import InternalInvariantViolation, PQPoly, QPoly
 from adjstats.oracle import (
     EnumerationTooLarge,
     count_avoiders,
@@ -8,7 +9,6 @@ from adjstats.oracle import (
     distribution_mu,
     distribution_nu,
     joint_lev_asc,
-    stat_bundle,
     total_mu_oracle,
     words,
 )
@@ -86,20 +86,73 @@ class TestCountAvoiders:
             count_avoiders(3, 2, frozenset({(1, 4)}))
 
 
-class TestStatBundle:
+class TestProfiles:
     def test_single_word(self):
-        b = stat_bundle((1, 3, 3, 2), s=2)
-        assert (b.mu, b.nu, b.lev, b.asc, b.des) == (1, 1, 1, 1, 1)
+        # 1 3 3 2: one rise by 2, one level, one fall by 1
+        [(word, key, top)] = [v for v in oracle._walk(3, 4) if v[0] == (1, 3, 3, 2)]
+        assert oracle._unpack(key, 3, 4) == (0, 1, 1, 0, 1)
+        assert top == 3
 
-    def test_partition_of_positions(self):
-        for w in words(3, 5):
-            b = stat_bundle(w, 1)
-            assert b.lev + b.asc + b.des == 4
+    @pytest.mark.parametrize("k,n,gap", [(3, 5, 1), (2, 6, 2), (4, 3, 3), (3, 2, 4), (2, 0, 1)])
+    def test_every_profile_counts_each_index_once(self, k, n, gap):
+        visited = list(oracle._walk(k, n, gap=gap))
+        assert len(visited) == k**n
+        for _, key, _ in visited:
+            assert sum(oracle._unpack(key, k, n)) == max(n - gap, 0)
+
+    def test_growth_profiles_count_each_index_once(self):
+        for n in range(7):
+            for _, key, _ in oracle._walk(max(n, 1), n, growth=True):
+                assert sum(oracle._unpack(key, max(n, 1), n)) == max(n - 1, 0)
+
+
+def _skip_one(walk, index):
+    """A walk that drops its visit number `index`."""
+    def skipping(*args, **kwargs):
+        for i, visit in enumerate(walk(*args, **kwargs)):
+            if i != index:
+                yield visit
+    return skipping
+
+
+class TestWalkInvariant:
+    def test_skipped_word_is_caught(self, monkeypatch):
+        oracle._tally.cache_clear()
+        monkeypatch.setattr(oracle, "_walk", _skip_one(oracle._walk, 7))
+        try:
+            with pytest.raises(InternalInvariantViolation):
+                distribution_mu(3, 1, 4)
+        finally:
+            oracle._tally.cache_clear()
+
+    def test_skipped_growth_sequence_is_caught(self, monkeypatch):
+        partitions._rgf_tally.cache_clear()
+        monkeypatch.setattr(partitions, "_walk", _skip_one(partitions._walk, 3))
+        try:
+            with pytest.raises(InternalInvariantViolation):
+                partitions.p_dist_oracle(5, 2, 1)
+        finally:
+            partitions._rgf_tally.cache_clear()
+
+
+def test_one_tally_serves_mu_nu_and_total():
+    oracle._tally.cache_clear()
+    distribution_mu(4, 1, 5)
+    distribution_nu(4, 2, 5)
+    total_mu_oracle(4, 1, 5)
+    assert oracle._tally.cache_info().misses == 1
 
 
 def test_total_mu_oracle():
     # two marked words of length 2 over {1,2,3}: 12 and 23
     assert total_mu_oracle(3, 1, 2) == 2
+
+
+def test_negative_length_rejected():
+    with pytest.raises(ValueError):
+        distribution_mu(3, 1, -1)
+    with pytest.raises(ValueError):
+        list(partitions.enumerate_rgf(-1))
 
 
 def test_enumeration_cap():
