@@ -38,6 +38,15 @@ def _corpus():
          "--q", "7/3"],
         ["dist", "--stat", "nu", "--k", "5", "--s", "2", "--n", "6", "--verify"],
     ]
+    # ranges that do not start at 0, each after a longer request for the same (k, s)
+    for stat, k, s, cap in (("mu", 3, 1, "200000"), ("nu", 3, 2, "200000"),
+                            ("mu", 6, 2, "5000"), ("nu", 5, 2, "3000")):
+        base = ["dist", "--stat", stat, "--k", str(k), "--s", str(s)]
+        cmds.append(base + ["--n", "0..12"])
+        cmds.append(base + ["--n", "3..9", "--verify", "--cap", cap])
+        cmds.append(base + ["--n", "5..11", "--verify", "--cap", cap, "--q", "7/3",
+                            "--format", "csv"])
+        cmds.append(base + ["--n", "7", "--verify", "--cap", cap])
     for k in range(1, 7):
         for s in range(1, 5):
             cmds.append(["avoid", "--k", str(k), "--s", str(s), "--n", "0..60"])
