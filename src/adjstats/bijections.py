@@ -290,6 +290,8 @@ def jpp_words(n: int):
 def tilings(n: int):
     """All square-and-domino tilings of a strip of length n, as tuples of
     piece lengths."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     if n == 0:
         yield ()
         return

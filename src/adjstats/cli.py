@@ -89,31 +89,37 @@ def _emit(payload: dict, fmt: str, out_path) -> None:
 
 
 def _cmd_dist(args) -> int:
+    # one table, and at most one closed-form expansion, at the longest length
+    top = args.n[-1]
+    gf = None
+    if args.stat == "mu":
+        params = kary.KSParams(args.k, args.s)
+        dists = kary.a_table(params, top).totals
+        oracle_dist = oracle.distribution_mu
+        if args.verify:
+            gf = kary.gf_A(params)
+    else:
+        dists = absdiff.b_table(args.k, args.s, top).totals
+        oracle_dist = oracle.distribution_nu
+        if args.verify and absdiff.regime(args.k, args.s) == "small":
+            gf = absdiff.gf_B_small(args.k, args.s)
+    closed = None
     rows = []
     for n in args.n:
-        if args.stat == "mu":
-            dist = kary.a_table(kary.KSParams(args.k, args.s), n).totals[n]
-        else:
-            dist = absdiff.b_table(args.k, args.s, n).totals[n]
+        dist = dists[n]
         row = {"n": n, "dist": _poly_json(dist)}
         if args.q is not None:
             row["value"] = _scalar(dist(args.q))
         if args.verify:
             try:
-                if args.stat == "mu":
-                    reference = oracle.distribution_mu(args.k, args.s, n, args.cap)
-                    closed = kary.gf_A(kary.KSParams(args.k, args.s)).series(n)[n]
-                else:
-                    reference = oracle.distribution_nu(args.k, args.s, n, args.cap)
-                    closed = None
-                    if absdiff.regime(args.k, args.s) == "small":
-                        closed = absdiff.gf_B_small(args.k, args.s).series(n)[n]
+                reference = oracle_dist(args.k, args.s, n, args.cap)
             except oracle.EnumerationTooLarge as exc:
                 row["warning"] = f"oracle skipped: {exc}"
             else:
                 row["oracle_agrees"] = dist == reference
-                if closed is not None:
-                    row["closed_form_agrees"] = dist == closed
+                if gf is not None:
+                    closed = closed or gf.series(top)
+                    row["closed_form_agrees"] = dist == closed[n]
         rows.append(row)
     _emit({"command": "dist", "stat": args.stat, "k": args.k, "s": args.s, "rows": rows},
           args.format, args.out)

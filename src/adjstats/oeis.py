@@ -6,6 +6,7 @@ both values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .kary import KSParams, avoid_count
@@ -83,7 +84,11 @@ def step_up_antidiagonals(count: int) -> list[int]:
 
 
 def _antidiagonal_term(n: int) -> int:
-    return step_up_antidiagonals(n + 1)[n]
+    """Entry n of step_up_antidiagonals, read off its diagonal
+    d(d+1)/2 <= n < (d+1)(d+2)/2 without building the entries before it."""
+    diag = (math.isqrt(8 * n + 1) - 1) // 2
+    i = n - diag * (diag + 1) // 2
+    return step_up_avoiders(i, diag - i)
 
 
 GENERATORS = {

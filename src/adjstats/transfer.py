@@ -5,11 +5,16 @@ is marked, and a word weighs the product of its pairs' weights.  Rises by
 s, jumps of size s, levels and ascents on words avoiding 1-3, and words
 with no rise are all this one count: only the mark set changes, and a
 forbidden pair is a pair marked with weight 0.
+
+Row n of the table depends only on row n - 1, so the table for length N
+holds every shorter length too.  One table is stored per mark set and
+ring; it grows on demand and is never rebuilt, and a shorter request
+reads its prefix.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import threading
 from typing import NamedTuple
 
 
@@ -21,11 +26,16 @@ class Transfer(NamedTuple):
     totals: tuple
 
 
-# typed: QPoly.const(1) == 1, so an integer table and a QPoly table with
-# the same (empty) mark set must not share a cache entry
-@lru_cache(maxsize=None, typed=True)
+# (k, marks, type(one), one) -> (into, [(row n, total n) for n = 0, 1, ...]);
+# the list is only appended to.  type(one) keeps an integer table apart from
+# a QPoly table with the same marks: QPoly.const(1) == 1 and both hash alike.
+# The lock keeps two threads from appending the same row twice.
+_tables: dict = {}
+_lock = threading.Lock()
+
+
 def transfer_dp(k: int, marks: tuple, order: int, one) -> Transfer:
-    """Fill the last-letter DP up to length `order`.
+    """The last-letter DP up to length `order`.
 
     `marks` is a tuple of ((a, b), weight) pairs with 1 <= a, b <= k, each
     pair at most once; `one` is the unit of the weights' ring.  Appending
@@ -37,23 +47,25 @@ def transfer_dp(k: int, marks: tuple, order: int, one) -> Transfer:
     """
     if k < 1 or order < 0:
         raise ValueError("need k >= 1 and order >= 0")
-    into = [[] for _ in range(k)]
-    for (a, b), weight in marks:
-        if not (1 <= a <= k and 1 <= b <= k):
-            raise ValueError(f"marked pair {(a, b)} outside alphabet [1, {k}]")
-        into[b - 1].append((a - 1, weight - one))
-    if len({pair for pair, _ in marks}) != len(marks):
-        raise ValueError("a pair is marked more than once")
-    rows = [(), (one,) * k]
-    totals = [one, one * k]
-    for _ in range(2, order + 1):
-        prev_row, prev_total = rows[-1], totals[-1]
-        row = []
-        for deltas in into:
-            entry = prev_total
-            for j, delta in deltas:
-                entry = entry + delta * prev_row[j]
-            row.append(entry)
-        rows.append(tuple(row))
-        totals.append(sum(row[1:], row[0]))
-    return Transfer(tuple(rows[: order + 1]), tuple(totals[: order + 1]))
+    key = (k, marks, type(one), one)
+    with _lock:
+        if key not in _tables:
+            into = [[] for _ in range(k)]
+            for (a, b), weight in marks:
+                if not (1 <= a <= k and 1 <= b <= k):
+                    raise ValueError(f"marked pair {(a, b)} outside alphabet [1, {k}]")
+                into[b - 1].append((a - 1, weight - one))
+            if len({pair for pair, _ in marks}) != len(marks):
+                raise ValueError("a pair is marked more than once")
+            _tables[key] = (into, [((), one), ((one,) * k, one * k)])
+        into, filled = _tables[key]
+        while len(filled) <= order:
+            prev_row, prev_total = filled[-1]
+            row = []
+            for deltas in into:
+                entry = prev_total
+                for j, delta in deltas:
+                    entry = entry + delta * prev_row[j]
+                row.append(entry)
+            filled.append((tuple(row), sum(row[1:], row[0])))
+        return Transfer(*zip(*filled[: order + 1]))

@@ -7,6 +7,7 @@ independently computed exact values and records the outcome; the CLI
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -449,17 +450,17 @@ SUITES = {
 
 def run_suites(names, **bounds) -> list[Check]:
     """Run the named suites with optional bound overrides; each bound is
-    forwarded only to suites that have a parameter of that name."""
+    forwarded only to suites that have a parameter of that name, and a
+    note on stderr names every bound a suite does not take."""
     import inspect
 
     checks = []
     for name in names:
         fn = SUITES[name]
         accepted = inspect.signature(fn).parameters
-        kwargs = {
-            key: value
-            for key, value in bounds.items()
-            if value is not None and key in accepted
-        }
-        checks.extend(fn(**kwargs))
+        given = {key: value for key, value in bounds.items() if value is not None}
+        for key in sorted(given.keys() - accepted):
+            print(f"note: suite {name} takes no --{key}; running it without that bound",
+                  file=sys.stderr)
+        checks.extend(fn(**{key: given[key] for key in given.keys() & accepted}))
     return checks

@@ -150,6 +150,10 @@ class TestTilingMap:
         for w in jpp_words(9):
             assert sum(jpp_to_tiling(w)) == 9
 
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            list(tilings(-1))
+
 
 class TestFamilyPredicates:
     def test_v_and_w(self):

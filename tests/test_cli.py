@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from adjstats import kary
+from adjstats import absdiff, kary, transfer
 from adjstats.algebra import RatFunc, XPoly
 from adjstats.cli import main
 
@@ -60,6 +60,26 @@ class TestDist:
         assert all(row["oracle_agrees"] for row in rows)
         assert not all(row["closed_form_agrees"] for row in rows)
         assert code == 1
+
+    @pytest.mark.parametrize("stat,k,s,engine", [("mu", 2, 1, kary), ("nu", 3, 2, absdiff)])
+    def test_one_table_and_one_series_per_request(self, capsys, monkeypatch, stat, k, s,
+                                                  engine):
+        orders, series_orders = [], []
+        fill, expand = transfer.transfer_dp, RatFunc.series
+        monkeypatch.setattr(transfer, "_tables", {})
+        monkeypatch.setattr(engine, "transfer_dp",
+                            lambda *a: orders.append(a[2]) or fill(*a))
+        monkeypatch.setattr(RatFunc, "series",
+                            lambda f, order: series_orders.append(order) or expand(f, order))
+        code, out = run(capsys, "dist", "--stat", stat, "--k", str(k), "--s", str(s),
+                        "--n", "0..40", "--verify", "--cap", "5000")
+        rows = json.loads(out)["rows"]
+        assert code == 0
+        assert sum("closed_form_agrees" in row for row in rows) > 1
+        assert orders == [40] and series_orders == [40]
+        # the store only appends, so 41 stored rows means each was filled once
+        [(_, stored)] = transfer._tables.values()
+        assert len(stored) == 41
 
 
 class TestFormats:
@@ -146,6 +166,16 @@ class TestVerifyCommand:
             capsys, "verify", "--suite", "gap", "--kmax", "3", "--nmax", "5"
         )
         assert code == 0
+        assert capsys.readouterr().err == ""
+
+    def test_bound_a_suite_does_not_take_is_noted(self, capsys):
+        code = main(["verify", "--suite", "fibwords", "--nmax", "3"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["checks"] == 105
+        assert captured.err == (
+            "note: suite fibwords takes no --nmax; running it without that bound\n"
+        )
 
 
 class TestOeisCheck:

@@ -1,5 +1,6 @@
 import pytest
 
+from adjstats import oeis
 from adjstats.oeis import (
     BFileParseError,
     CheckSpec,
@@ -60,6 +61,10 @@ class TestGenerators:
     def test_antidiagonal_reader(self):
         # diagonals (n+k = 0, 1, 2, ...) with n ascending inside each
         assert step_up_antidiagonals(6) == [1, 1, 0, 1, 1, 0]
+
+    def test_antidiagonal_term_reads_its_entry_directly(self):
+        array = step_up_antidiagonals(200)
+        assert [oeis._antidiagonal_term(n) for n in range(200)] == array
 
 
 class TestReconcile:

@@ -1,10 +1,15 @@
 import itertools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from adjstats import transfer
+from adjstats.algebra import QPoly
 from adjstats.oracle import count_avoiders
 from adjstats.transfer import transfer_dp
 
@@ -60,3 +65,70 @@ def test_pair_marked_twice_rejected():
 def test_empty_alphabet_and_negative_order_rejected(k, order):
     with pytest.raises(ValueError):
         transfer_dp(k, (), order, 1)
+
+
+def fresh_fill(k, marks, order, one):
+    """The table a store holding nothing yet would build."""
+    with mock.patch.dict(transfer._tables, clear=True):
+        return transfer_dp(k, marks, order, one)
+
+
+poly_weights = st.lists(st.integers(-2, 2), max_size=3).map(QPoly)
+
+
+@pytest.mark.parametrize("weights,one", [(st.integers(-2, 3), 1),
+                                         (poly_weights, QPoly.const(1))])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_stored_table_reads_like_a_fresh_fill(weights, one, data):
+    k, marks = data.draw(mark_sets(weights))
+    orders = data.draw(st.lists(st.integers(0, 9), min_size=3, max_size=6))
+    with mock.patch.dict(transfer._tables, clear=True):
+        for order in orders:  # growing, shrinking and growing again
+            assert transfer_dp(k, marks, order, one) == fresh_fill(k, marks, order, one)
+
+
+@pytest.mark.parametrize("first,second", [(1, QPoly.const(1)), (QPoly.const(1), 1)])
+def test_integer_and_polynomial_tables_stay_apart(first, second):
+    marks = (((1, 2), 0),)
+    with mock.patch.dict(transfer._tables, clear=True):
+        for one in (first, second):
+            table = transfer_dp(2, marks, 6, one)
+            assert all(type(total) is type(one) for total in table.totals)
+            assert table.totals[6] == 7  # 2..21..1 are the words avoiding 12
+        assert len(transfer._tables) == 2
+
+
+@pytest.mark.parametrize("marks", [(((0, 1), 0),), (((1, 2), 0), ((1, 2), 5))])
+def test_invalid_marks_raise_on_every_call(marks):
+    for order in (4, 2, 6):
+        with pytest.raises(ValueError):
+            transfer_dp(3, marks, order, 1)
+
+
+def test_longer_request_extends_the_stored_rows():
+    marks = (((1, 2), QPoly.var()), ((2, 3), QPoly.var()))
+    with mock.patch.dict(transfer._tables, clear=True):
+        short = transfer_dp(3, marks, 10, QPoly.const(1))
+        long = transfer_dp(3, marks, 20, QPoly.const(1))
+        assert all(a is b for a, b in zip(short.rows, long.rows))
+        assert transfer_dp(3, marks, 10, QPoly.const(1)) == short
+
+
+def test_threads_extending_one_table_append_each_row_once():
+    marks = tuple(((i, i + 1), QPoly.var()) for i in range(1, 4))
+    orders = [15, 40, 25, 40, 30, 10]
+    expected = [fresh_fill(4, marks, order, QPoly.const(1)) for order in orders]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            with mock.patch.dict(transfer._tables, clear=True):
+                with ThreadPoolExecutor(4) as pool:
+                    got = list(pool.map(lambda n: transfer_dp(4, marks, n, QPoly.const(1)),
+                                        orders))
+                [(_, stored)] = transfer._tables.values()
+                assert len(stored) == 41
+            assert got == expected
+    finally:
+        sys.setswitchinterval(interval)
