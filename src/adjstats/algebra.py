@@ -414,22 +414,18 @@ def specialize_q(obj, q_val):
 
 def chebyshev_u(n, t):
     """Chebyshev polynomial of the second kind U_n evaluated at a ring
-    element t, via U_{-1} = 0, U_0 = 1, U_n = 2t U_{n-1} - U_{n-2}.
+    element t, read off `chebyshev_u_list`.
 
     Works over any ring with +, -, * (including RatFunc arguments).
     """
     if n < -1:
         raise ValueError("index must be >= -1")
-    if n == -1:
-        return 0
-    prev, cur = 0, 1
-    for _ in range(n):
-        prev, cur = cur, 2 * t * cur - prev
-    return cur
+    return chebyshev_u_list(n, t)[n + 1]
 
 
 def chebyshev_u_list(n, t):
-    """[U_{-1}(t), U_0(t), ..., U_n(t)] computed in one sweep."""
+    """[U_{-1}(t), U_0(t), ..., U_n(t)] computed in one sweep of
+    U_{-1} = 0, U_0 = 1, U_n = 2t U_{n-1} - U_{n-2}."""
     out = [0, 1]
     for _ in range(n):
         out.append(2 * t * out[-1] - out[-2])
@@ -438,14 +434,7 @@ def chebyshev_u_list(n, t):
 
 def alt_cheb_sum(n, t):
     """The alternating sum U_0(t) - U_1(t) + ... + (-1)^n U_n(t)."""
-    prev, cur = 0, 1
-    total = 1
-    sign = 1
-    for _ in range(n):
-        prev, cur = cur, 2 * t * cur - prev
-        sign = -sign
-        total = total + sign * cur
-    return total
+    return sum((-1) ** j * u for j, u in enumerate(chebyshev_u_list(n, t)[1:]))
 
 
 def alt_cheb_sum_closed(n, t):

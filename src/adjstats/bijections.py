@@ -129,20 +129,25 @@ _V_FAMILY = {"k": 4, "banned": frozenset({(2, 4), (3, 4)})}
 _W_FAMILY = {"k": 4, "banned": frozenset({(1, 3), (2, 4)})}
 _JPP_FAMILY = {"k": 3, "banned": frozenset({(1, 1), (2, 2), (3, 3), (1, 3), (0, 1), (0, 3)})}
 
+# the pairs (a, b), a in 0..k and b in 1..k, that each family allows
+_V_ALLOWED, _W_ALLOWED, _JPP_ALLOWED = (
+    frozenset(itertools.product(range(f["k"] + 1), range(1, f["k"] + 1))) - f["banned"]
+    for f in (_V_FAMILY, _W_FAMILY, _JPP_FAMILY))
 
-def _in_family(word, k, banned) -> bool:
+
+def _in_family(word, allowed) -> bool:
     word = tuple(word)
-    return set(word) <= set(range(1, k + 1)) and banned.isdisjoint(zip((0,) + word, word))
+    return allowed.issuperset(zip((0,) + word, word))
 
 
 def is_v_word(word) -> bool:
     """Member of the family avoiding adjacent 2-4 and 3-4."""
-    return _in_family(word, **_V_FAMILY)
+    return _in_family(word, _V_ALLOWED)
 
 
 def is_w_word(word) -> bool:
     """Member of the family avoiding adjacent 1-3 and 2-4."""
-    return _in_family(word, **_W_FAMILY)
+    return _in_family(word, _W_ALLOWED)
 
 
 def v_to_w(word) -> tuple[int, ...]:
@@ -202,7 +207,7 @@ def w_to_v(word) -> tuple[int, ...]:
 
 def is_level_free_no13_start2(word) -> bool:
     """Ternary, no adjacent equal letters, no adjacent 1-3, first letter 2."""
-    return _in_family(word, **_JPP_FAMILY)
+    return _in_family(word, _JPP_ALLOWED)
 
 
 def jpp_to_tiling(word) -> tuple[int, ...]:

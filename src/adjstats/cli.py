@@ -76,14 +76,19 @@ def _emit(payload: dict, fmt: str, out_path) -> None:
         rows = payload.get("rows", [])
         buf = io.StringIO()
         if rows:
-            writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
+            # a row whose check the cap skipped has other keys: take every key
+            fields = list(dict.fromkeys(key for row in rows for key in row))
+            writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
             writer.writeheader()
             for row in rows:
                 writer.writerow({k: _flatten(v) for k, v in row.items()})
         text = buf.getvalue()
     if out_path:
-        with open(out_path, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out_path, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -301,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "write a negative one as --q=-3/5")
     p.add_argument("--verify", action="store_true",
                    help="cross-check against enumeration and closed forms")
-    p.add_argument("--cap", type=int, default=oracle.DEFAULT_CAP)
+    p.add_argument("--cap", type=_nonnegative, default=oracle.DEFAULT_CAP)
     _add_common(p)
     p.set_defaults(fn=_cmd_dist)
 
@@ -330,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_nonnegative, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--q", type=_parse_rational, default=None)
-    p.add_argument("--cap", type=int, default=partitions.DEFAULT_RGF_CAP)
+    p.add_argument("--cap", type=_nonnegative, default=partitions.DEFAULT_RGF_CAP)
     _add_common(p)
     p.set_defaults(fn=_cmd_partition_dist)
 

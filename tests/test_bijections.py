@@ -1,6 +1,11 @@
-import pytest
+import itertools
+from collections import Counter
 
-from adjstats import bijections
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adjstats import bijections, verify
 from adjstats.algebra import InternalInvariantViolation
 from adjstats.bijections import (
     ColoredComposition,
@@ -161,3 +166,88 @@ class TestFamilyPredicates:
         assert not is_v_word((3, 4))
         assert is_w_word((3, 4))
         assert not is_w_word((1, 3))
+
+    def test_family_membership_matches_the_pair_rule(self):
+        # every word over 0..k+1 up to length 4, against the rule read directly
+        for predicate, (k, banned) in ((is_v_word, FAMILIES["v"]), (is_w_word, FAMILIES["w"]),
+                                       (is_level_free_no13_start2, FAMILIES["jpp"])):
+            for n in range(5):
+                for word in itertools.product(range(k + 2), repeat=n):
+                    want = (all(1 <= c <= k for c in word)
+                            and not banned & set(zip((0,) + word, word)))
+                    assert predicate(word) == want, word
+
+
+# alphabet size and banned adjacent pairs, where (0, b) bars b as first letter
+FAMILIES = {
+    "v": (4, {(2, 4), (3, 4)}),
+    "w": (4, {(1, 3), (2, 4)}),
+    "jpp": (3, {(1, 1), (2, 2), (3, 3), (1, 3), (0, 1), (0, 3)}),
+}
+
+
+@st.composite
+def family_words(draw, family, max_size=40):
+    """A word of the family, drawn letter by letter from the allowed pairs."""
+    k, banned = FAMILIES[family]
+    word = (0,)
+    for _ in range(draw(st.integers(0, max_size))):
+        word += (draw(st.sampled_from([b for b in range(1, k + 1)
+                                       if (word[-1], b) not in banned])),)
+    return word[1:]
+
+
+@st.composite
+def tilings_up_to(draw, max_size=40):
+    length = draw(st.integers(0, max_size))
+    pieces = []
+    while sum(pieces) < length:
+        pieces.append(draw(st.sampled_from((1, 2))) if length - sum(pieces) > 1 else 1)
+    return tuple(pieces)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_words("v"), family_words("w"))
+def test_rewriting_round_trips_beyond_the_suite_grid(v, w):
+    assert w_to_v(v_to_w(v)) == v
+    assert v_to_w(w_to_v(w)) == w
+
+
+@settings(max_examples=60, deadline=None)
+@given(family_words("jpp"), tilings_up_to())
+def test_tiling_round_trips_beyond_the_suite_grid(word, tiling):
+    assert tiling_to_jpp(jpp_to_tiling(word)) == word
+    assert jpp_to_tiling(tiling_to_jpp(tiling)) == tiling
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(FAMILIES)), st.data())
+def test_predicates_reject_a_bad_letter_or_a_banned_pair(family, data):
+    predicate = {"v": is_v_word, "w": is_w_word, "jpp": is_level_free_no13_start2}[family]
+    k, banned = FAMILIES[family]
+    word = data.draw(family_words(family, max_size=20))
+    assert predicate(word)
+    flaw = data.draw(st.sampled_from([(0,), (k + 1,)] + sorted(banned)))
+    if flaw[0] == 0 and len(flaw) == 2:  # a banned first letter
+        bad = flaw[1:] + word
+    else:
+        at = data.draw(st.integers(0, len(word)))
+        bad = word[:at] + flaw + word[at:]
+    assert not predicate(bad)
+
+
+def test_suite_applies_each_map_once_per_object(monkeypatch):
+    calls = Counter()
+    for name in ("v_to_w", "w_to_v", "jpp_to_tiling", "tiling_to_jpp"):
+        def counted(word, name=name, original=getattr(bijections, name)):
+            calls[name] += 1
+            return original(word)
+        monkeypatch.setattr(bijections, name, counted)
+    checks = verify.suite_bijections(nmax=4, tiling_nmax=6)
+    assert checks and all(c.passed for c in checks)
+    assert calls == {
+        "v_to_w": sum(1 for n in range(5) for _ in v_words(n)),
+        "w_to_v": sum(1 for n in range(5) for _ in w_words(n)),
+        "jpp_to_tiling": sum(1 for n in range(7) for _ in jpp_words(n)),
+        "tiling_to_jpp": sum(1 for n in range(7) for _ in tilings(n)),
+    }

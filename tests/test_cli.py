@@ -108,6 +108,30 @@ class TestFormats:
         assert json.loads(target.read_text())["rows"][-1]["count"] == "21"
 
 
+    @pytest.mark.parametrize("argv, header, rows", [
+        (["dist", "--stat", "nu", "--k", "5", "--s", "2", "--n", "5..11", "--verify",
+          "--cap", "5000"], "n,dist,oracle_agrees,warning", 7),
+        (["partition-dist", "--n", "3..6", "--k", "2", "--s", "1", "--cap", "60"],
+         "n,dist,warning", 4),
+    ])
+    def test_csv_header_names_every_key(self, capsys, argv, header, rows):
+        # the first rows are checked or listed, the later ones skipped by the cap
+        code, out = run(capsys, *argv, "--format", "csv")
+        lines = out.splitlines()
+        assert code == 0
+        assert lines[0] == header and len(lines) == rows + 1
+        assert "skipped" not in lines[1] and "skipped" in lines[-1]
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "rows.json"
+        code = main(["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "2",
+                     "--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}")
+        assert "Traceback" not in captured.err
+
+
 class TestTotals:
     def test_words(self, capsys):
         code, out = run(capsys, "totals", "--words", "--k", "3", "--s", "1", "--n", "2")
@@ -226,6 +250,8 @@ def test_usage_error_exit_code():
         ["verify", "--suite", "gap", "--nmax", "-1"],
         ["verify", "--suite", "kary", "--kmax", "-1"],
         ["verify", "--suite", "kary", "--smax", "-1"],
+        ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "2", "--verify", "--cap", "-1"],
+        ["partition-dist", "--n", "2", "--k", "2", "--s", "1", "--cap", "-5"],
     ],
     ids=" ".join,
 )
