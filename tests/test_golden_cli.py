@@ -69,13 +69,30 @@ def _corpus():
         cmds.append(["totals", "--partitions", "--s", str(s), "--n", "2..10"])
     cmds.append(["totals", "--partitions", "--k", "3", "--s", "2", "--n", "5..9",
                  "--format", "csv"])
+    # every remaining subcommand, in one process after the ones above, with
+    # usage errors between them (exit 2, nothing on stdout)
+    cmds.append(["dist", "--stat", "xi", "--k", "3", "--s", "1", "--n", "2"])
+    cmds += [
+        ["bijection", "--v-to-w", "113"],
+        ["bijection", "--w-to-v", "344"],
+        ["bijection", "--word-to-tiling", "232321"],
+        ["bijection", "--tiling-to-word", "1,2,1,2"],
+        ["bijection", "--composition", "2:2+1:1"],
+    ]
+    cmds.append(["bijection", "--v-to-w", "113", "--w-to-v", "344"])
+    cmds.append(["verify", "--suite", "algebra"])
+    cmds.append(["totals", "--words", "--k", "3", "--s", "1", "--n", "0..8", "--format",
+                 "csv"])
     return cmds
 
 
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse reports usage errors this way
+            code = exc.code
     return {"argv": argv, "exit": code,
             "sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
