@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -62,10 +63,15 @@ def _scalar(value) -> str:
 
 
 def _flatten(value):
+    # a polynomial is its coefficients and a flat list its items, joined by
+    # ";"; any other dict or nested list is compact JSON
     if isinstance(value, dict) and set(value) == {"var", "coeffs"}:
         return ";".join(value["coeffs"])
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, (list, tuple)) and not any(
+            isinstance(v, (dict, list, tuple)) for v in value):
         return ";".join(str(v) for v in value)
+    if isinstance(value, (dict, list, tuple)):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
     return value
 
 
@@ -73,7 +79,8 @@ def _emit(payload: dict, fmt: str, out_path) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
-        rows = payload.get("rows", [])
+        # a payload without rows is one row of its top-level fields
+        rows = payload["rows"] if "rows" in payload else [payload]
         buf = io.StringIO()
         if rows:
             # a row whose check the cap skipped has other keys: take every key
@@ -201,6 +208,8 @@ def _cmd_verify(args) -> int:
         "rows": [c.to_dict() for c in (checks if args.full_report else failed)],
     }
     _emit(payload, args.format, args.out)
+    if args.format == "csv":  # the rows carry no totals
+        print(f"checks: {len(checks)}, failed: {len(failed)}", file=sys.stderr)
     return 1 if failed else 0
 
 
@@ -384,8 +393,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: built on the first `main` call, not
+    at import, and shared by every later call.  `parse_args` leaves no
+    state on it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for token in argv:
+        flag, sep, value = token.partition("=")
+        if flag.startswith("-") and sep and value == "--":
+            # Python 3.11's argparse drops an explicit "--" value and stores []
+            # without calling the option's type or checking its choices
+            parser.error(f"argument {flag}: expected one argument")
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
     except oracle.EnumerationTooLarge as exc:

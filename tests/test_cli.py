@@ -1,8 +1,15 @@
+import csv
+import io
 import json
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from adjstats import absdiff, kary, transfer
+from adjstats import absdiff, cli, kary, transfer
 from adjstats.algebra import RatFunc, XPoly
 from adjstats.cli import main
 
@@ -177,6 +184,25 @@ class TestBijection:
         code = main(["bijection", "--v-to-w", "24"])
         assert code == 2
 
+    @pytest.mark.parametrize("argv, keys", [
+        (["--v-to-w", "113"], ["output"]),
+        (["--w-to-v", "344"], ["output"]),
+        (["--word-to-tiling", "232321"], ["output"]),
+        (["--tiling-to-word", "1,2,1,2"], ["output"]),
+        (["--composition", "2:2+1:1"], ["v_word", "w_word"]),
+    ])
+    def test_csv_is_one_row_of_the_json_fields(self, capsys, argv, keys):
+        _, as_json = run(capsys, "bijection", *argv)
+        code, as_csv = run(capsys, "bijection", *argv, "--format", "csv")
+        payload = json.loads(as_json)
+        [row] = csv.DictReader(io.StringIO(as_csv))
+        assert code == 0 and list(row) == list(payload)
+        for key in keys:
+            value = payload[key]
+            assert row[key] == (";".join(value) if isinstance(value, list) else value)
+        if "composition" in row:
+            assert json.loads(row["composition"]) == payload["composition"]
+
 
 class TestVerifyCommand:
     def test_passing_suite(self, capsys):
@@ -200,6 +226,21 @@ class TestVerifyCommand:
         assert captured.err == (
             "note: suite fibwords takes no --nmax; running it without that bound\n"
         )
+
+
+    def test_csv_reports_totals_on_stderr(self, capsys):
+        code = main(["verify", "--suite", "algebra", "--format", "csv"])
+        captured = capsys.readouterr()
+        assert code == 0 and captured.out == ""
+        assert captured.err == "checks: 102, failed: 0\n"
+
+    def test_csv_params_are_json(self, capsys):
+        code, out = run(capsys, "verify", "--suite", "algebra", "--full-report",
+                        "--format", "csv")
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert code == 0 and len(rows) == 102
+        assert all(isinstance(json.loads(row["params"]), dict) for row in rows)
+        assert rows[0]["params"] == '{"m":1,"s":1}'
 
 
 class TestOeisCheck:
@@ -252,6 +293,10 @@ def test_usage_error_exit_code():
         ["verify", "--suite", "kary", "--smax", "-1"],
         ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "2", "--verify", "--cap", "-1"],
         ["partition-dist", "--n", "2", "--k", "2", "--s", "1", "--cap", "-5"],
+        # an explicit "--" value, which argparse would store as [] unconverted
+        ["dist", "--stat", "mu", "--k=--", "--s", "1", "--n", "2"],
+        ["bijection", "--tiling-to-word=--"],
+        ["verify", "--suite=--"],
     ],
     ids=" ".join,
 )
@@ -262,3 +307,126 @@ def test_invalid_input_is_usage_error(capsys, argv):
         code = exc.code
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+class TestSharedParser:
+    """`main` builds one parser per process, on its first call, and reuses it."""
+
+    @pytest.fixture
+    def cleared(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_built_once_across_many_calls(self, capsys, monkeypatch, tmp_path, cleared):
+        bfile = tmp_path / "b007070.txt"
+        bfile.write_text("0 1\n1 4\n2 14\n")
+        calls = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append(1) or build())
+        argvs = [
+            (["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "0..4", "--q", "7/3",
+              "--verify"], 0),
+            (["dist", "--stat", "nu", "--k", "4", "--s", "2", "--n", "3", "--format", "csv"],
+             0),
+            (["dist", "--stat", "mu"], 2),
+            (["totals", "--words", "--k", "3", "--s", "1", "--n", "2"], 0),
+            (["totals", "--partitions", "--s", "2", "--n", "4"], 0),
+            (["totals", "--words", "--s", "1", "--n", "2"], 2),
+            (["avoid", "--k", "4", "--s", "2", "--n", "0..5"], 0),
+            (["avoid", "--help"], 0),
+            (["partition-dist", "--n", "4", "--k", "3", "--s", "2"], 0),
+            (["gap", "--k", "2", "--s", "1", "--r", "2", "--n", "3"], 0),
+            (["verify", "--suite", "algebra"], 0),
+            (["bijection", "--v-to-w", "113"], 0),
+            (["bijection", "--v-to-w", "113", "--w-to-v", "344"], 2),
+            (["bijection", "--v-to-w", "24"], 2),
+            (["oeis-check", "--id", "A007070", "--bfile", str(bfile)], 0),
+            (["frobnicate"], 2),
+        ]
+        codes = []
+        for _ in range(4):
+            for argv, _expected in argvs:
+                try:
+                    codes.append(main(argv))
+                except SystemExit as exc:
+                    codes.append(exc.code)
+        capsys.readouterr()
+        assert len(codes) >= 50
+        assert codes == [expected for argv, expected in argvs] * 4
+        assert len(calls) == 1
+
+    def test_import_builds_no_parser(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); import adjstats.cli as cli; "
+                  "before = cli._parser.cache_info().currsize; cli._parser(); "
+                  "print(cli.__file__, before, cli._parser.cache_info().currsize)")
+        done = subprocess.run([sys.executable, "-I", "-c", script, str(src)],
+                              capture_output=True, text=True, timeout=60, check=True)
+        assert done.stdout == f"{src / 'adjstats' / 'cli.py'} 0 1\n"
+
+    def test_no_state_carries_to_the_next_subcommand(self):
+        shared = cli._parser()
+        first = shared.parse_args(["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n",
+                                   "0..4", "--q", "7/3", "--verify"])
+        assert first.verify and first.q == Fraction(7, 3)
+        argv = ["totals", "--words", "--k", "3", "--s", "1", "--n", "2"]
+        after = vars(shared.parse_args(argv))
+        assert not {"stat", "q", "verify"} & after.keys()
+        assert after == vars(cli.build_parser().parse_args(argv))
+
+    @pytest.mark.parametrize("bad, good", [
+        (["dist", "--stat", "mu", "--k", "3"],
+         ["dist", "--stat", "nu", "--k", "4", "--s", "2", "--n", "3"]),
+        (["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "5..2", "--verify"],
+         ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "2"]),
+        (["bijection", "--v-to-w", "113", "--w-to-v", "344"],
+         ["bijection", "--w-to-v", "344"]),
+        (["totals", "--words", "--partitions", "--s", "1", "--n", "2"],
+         ["totals", "--partitions", "--s", "2", "--n", "4"]),
+        (["gap", "--k", "2", "--s", "1", "--r", "2", "--n", "3", "--q", "1"],
+         ["gap", "--k", "2", "--s", "1", "--r", "2", "--n", "3"]),
+        (["verify", "--suite", "nope"], ["verify", "--suite", "gap", "--nmax", "3"]),
+    ], ids=lambda argv: " ".join(argv))
+    def test_usage_error_leaves_no_state(self, capsys, bad, good):
+        shared, fresh = cli._parser(), cli.build_parser()
+        messages = []
+        for parser in (shared, fresh):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(bad)
+            assert exc.value.code == 2
+            messages.append(capsys.readouterr().err)
+        assert messages[0] == messages[1]
+        assert vars(shared.parse_args(good)) == vars(fresh.parse_args(good))
+
+    def test_threads_parse_as_a_fresh_parser_does(self):
+        argvs = [
+            ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "0..4", "--q", "7/3",
+             "--verify", "--cap", "50"],
+            ["dist", "--stat", "nu", "--k", "5", "--s", "2", "--n", "6", "--format", "csv"],
+            ["totals", "--words", "--k", "3", "--s", "1", "--n", "2..8"],
+            ["totals", "--partitions", "--k", "3", "--s", "2", "--n", "5"],
+            ["avoid", "--k", "4", "--s", "2", "--n", "0..5", "--out", "rows.json"],
+            ["partition-dist", "--n", "4..7", "--k", "3", "--s", "2", "--q=-3/5"],
+            ["gap", "--k", "2", "--s", "1", "--r", "2", "--n", "3"],
+            ["verify", "--suite", "kary", "--kmax", "3", "--nmax", "4", "--full-report"],
+            ["bijection", "--composition", "2:2+1:1"],
+            ["bijection", "--word-to-tiling", "232321"],
+            ["oeis-check", "--id", "A007070", "--bfile", "b.txt", "--length", "4"],
+        ]
+        fresh = cli.build_parser()
+        expected = [vars(fresh.parse_args(argv)) for argv in argvs] * 20
+        shared = cli._parser()
+
+        def parse_all(_):
+            return [vars(shared.parse_args(argv)) for _ in range(20) for argv in argvs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = [f.result(timeout=60)
+                           for f in [pool.submit(parse_all, i) for i in range(4)]]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 4

@@ -72,17 +72,21 @@ def _corpus():
     # every remaining subcommand, in one process after the ones above, with
     # usage errors between them (exit 2, nothing on stdout)
     cmds.append(["dist", "--stat", "xi", "--k", "3", "--s", "1", "--n", "2"])
-    cmds += [
+    maps = [
         ["bijection", "--v-to-w", "113"],
         ["bijection", "--w-to-v", "344"],
         ["bijection", "--word-to-tiling", "232321"],
         ["bijection", "--tiling-to-word", "1,2,1,2"],
         ["bijection", "--composition", "2:2+1:1"],
     ]
+    cmds += maps
     cmds.append(["bijection", "--v-to-w", "113", "--w-to-v", "344"])
     cmds.append(["verify", "--suite", "algebra"])
     cmds.append(["totals", "--words", "--k", "3", "--s", "1", "--n", "0..8", "--format",
                  "csv"])
+    # CSV of a payload without rows, and of verify's per-check params
+    cmds += [argv + ["--format", "csv"] for argv in maps]
+    cmds.append(["verify", "--suite", "algebra", "--full-report", "--format", "csv"])
     return cmds
 
 
