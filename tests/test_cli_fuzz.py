@@ -28,7 +28,7 @@ def _sometimes(rare, usual, one_in):
 
 
 def _or_junk(values):
-    # junk one time in eight, so that most commands get past the parser
+    # junk about one time in eight, so that most commands get past the parser
     return _sometimes(JUNK, values, 8)
 
 
