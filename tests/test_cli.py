@@ -227,7 +227,6 @@ class TestVerifyCommand:
             "note: suite fibwords takes no --nmax; running it without that bound\n"
         )
 
-
     def test_csv_reports_totals_on_stderr(self, capsys):
         code = main(["verify", "--suite", "algebra", "--format", "csv"])
         captured = capsys.readouterr()
@@ -418,7 +417,7 @@ class TestSharedParser:
         expected = [vars(fresh.parse_args(argv)) for argv in argvs] * 20
         shared = cli._parser()
 
-        def parse_all(_):
+        def parse_all(worker):
             return [vars(shared.parse_args(argv)) for _ in range(20) for argv in argvs]
 
         interval = sys.getswitchinterval()
