@@ -47,10 +47,17 @@ def _corpus():
         cmds.append(base + ["--n", "5..11", "--verify", "--cap", cap, "--q", "7/3",
                             "--format", "csv"])
         cmds.append(base + ["--n", "7", "--verify", "--cap", cap])
+    # evaluation at an integer, a negative and a unit-numerator rational q
+    for stat, k, s in (("mu", 6, 2), ("nu", 5, 2)):
+        for q in (["--q", "0"], ["--q", "2"], ["--q=-1"], ["--q", "1/7"]):
+            cmds.append(["dist", "--stat", stat, "--k", str(k), "--s", str(s),
+                         "--n", "0..40"] + q)
     for k in range(1, 7):
         for s in range(1, 5):
             cmds.append(["avoid", "--k", str(k), "--s", str(s), "--n", "0..60"])
     cmds.append(["avoid", "--k", "4", "--s", "2", "--n", "40..60", "--format", "csv"])
+    # past the lengths the 0..60 request for (5, 2) already checked
+    cmds.append(["avoid", "--k", "5", "--s", "2", "--n", "70..90"])
     for k in range(2, 5):
         for s in (1, 2):
             for r in (1, 2, 3):
@@ -62,6 +69,7 @@ def _corpus():
                          "--q", "7/3"])
     cmds.append(["partition-dist", "--n", "4..7", "--k", "3", "--s", "2", "--format",
                  "csv"])
+    cmds.append(["partition-dist", "--n", "1..7", "--k", "3", "--s", "2", "--q=5/2"])
     for k in range(1, 6):
         for s in (1, 2, 3):
             cmds.append(["totals", "--words", "--k", str(k), "--s", str(s), "--n", "0..12"])
