@@ -32,10 +32,7 @@ def _trim(coeffs):
 def _add_lists(a, b):
     if len(a) < len(b):
         a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return out
+    return [x + y for x, y in zip(a, b)] + list(a[len(b):])
 
 
 def _mul_lists(a, b):
@@ -180,9 +177,22 @@ class Poly:
         values of the variables below, highest rank first and q last, as
         in XPoly(x, q), XPoly(x, p, q) and PQPoly(p, q); each polynomial
         coefficient is first evaluated at the values of its own rank and
-        below."""
+        below.
+
+        An integer polynomial at a Fraction a/b is evaluated as
+        b^d p(a/b) in integers and divided once, which gives the same
+        normalized Fraction without a gcd at every step."""
+        coeffs = self.coeffs
+        if (coeffs and not inner and isinstance(value, Fraction)
+                and all(isinstance(c, int) for c in coeffs)):
+            num, den = value.numerator, value.denominator
+            acc, scale = coeffs[-1], 1
+            for c in coeffs[-2::-1]:
+                scale *= den
+                acc = acc * num + c * scale
+            return Fraction(acc, scale)
         acc = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(coeffs):
             if inner and isinstance(c, Poly):
                 c = c(*inner[-1 - c.rank:])
             acc = acc * value + c

@@ -102,34 +102,48 @@ def gf_A_reduced(params: KSParams) -> RatFunc:
     return RatFunc(XPoly((1,)), XPoly(coeffs))
 
 
+# KSParams -> the longest length whose avoidance count has passed both
+# recurrence checks.  A length is recorded only after its check passes, so
+# two threads may check the same length again but never skip one.
+_avoid_checked: dict = {}
+
+
+def _check_avoid(params: KSParams, counts: list, n: int) -> None:
+    """Check counts[n] against the alternative recurrence at q=0 and the
+    four-term recurrence from the q=0 generating function, each applied
+    to counts[n-1], counts[n-2], ...  Lengths 0..steps seed the first,
+    and 0..steps+2 the second, so they have nothing to check there."""
+    k, s = params.k, params.s
+    m = params.steps
+    alt = four = counts[n]
+    if n > m:
+        alt = sum((-1) ** i * (k - i * s) * counts[n - i - 1] for i in range(m + 1))
+    if n >= m + 3:
+        sign = (-1) ** m
+        four = ((k - 2) * counts[n - 1]
+                + (k + s - 1) * counts[n - 2]
+                + sign * (params.rem - s) * counts[n - m - 2]
+                + sign * params.rem * counts[n - m - 3])
+    if not (counts[n] == alt == four):
+        raise InternalInvariantViolation(f"avoidance recurrences disagree for {params}")
+
+
 def avoid_count(params: KSParams, order: int) -> list[int]:
     """Counts of words with no rise by s, for lengths 0..order.
 
     Computed three ways -- the integer DP with every rise forbidden, the
     alternative recurrence at q=0, and the four-term recurrence from the
-    q=0 generating function -- which must agree exactly.
+    q=0 generating function -- which must agree exactly.  Each length is
+    checked once per (k, s): a later call checks only the lengths past
+    the longest one checked so far.
     """
-    k, s = params.k, params.s
-    m = params.steps
-    table_vals = list(transfer_dp(k, _rise_marks(params, 0), order, 1).totals)
-
-    alt = list(table_vals[: m + 1])
-    for n in range(m + 1, order + 1):
-        alt.append(sum((-1) ** i * (k - i * s) * alt[n - i - 1] for i in range(m + 1)))
-
-    four = list(table_vals[: min(m + 3, order + 1)])
-    sign = (-1) ** m
-    for n in range(m + 3, order + 1):
-        four.append(
-            (k - 2) * four[n - 1]
-            + (k + s - 1) * four[n - 2]
-            + sign * (params.rem - s) * four[n - m - 2]
-            + sign * params.rem * four[n - m - 3]
-        )
-
-    if not (table_vals == alt == four):
-        raise InternalInvariantViolation(f"avoidance recurrences disagree for {params}")
-    return table_vals
+    counts = list(transfer_dp(params.k, _rise_marks(params, 0), order, 1).totals)
+    checked = _avoid_checked.get(params, -1)
+    for n in range(checked + 1, order + 1):
+        _check_avoid(params, counts, n)
+    if order > checked:
+        _avoid_checked[params] = order
+    return counts
 
 
 def total_occurrences(params: KSParams, n: int) -> int:

@@ -96,22 +96,32 @@ def _poly(tally, stat):
     return QPoly(coeffs[m] for m in range(max(coeffs, default=-1) + 1))
 
 
+@lru_cache(maxsize=None)
+def _marginal(n, k, gap, diffs):
+    """Distribution of the number of indices i with w[i+gap] - w[i] in
+    `diffs` over the k-ary words of length n, built once per argument
+    tuple from their tally."""
+    return _poly(_tally(n, k, frozenset(), gap), lambda p: sum(_at(p, d) for d in diffs))
+
+
 def distribution_mu(k, s, n, cap=DEFAULT_CAP) -> QPoly:
     """Distribution of the count of rises by exactly s (pairs a, a+s)."""
-    return _poly(_profiles(k, n, cap), lambda p: _at(p, s))
+    _profiles(k, n, cap)
+    return _marginal(n, k, 1, (s,))
 
 
 def distribution_nu(k, s, n, cap=DEFAULT_CAP) -> QPoly:
     """Distribution of the count of jumps of absolute size s."""
-    sizes = {s, -s} if s >= 0 else ()
-    return _poly(_profiles(k, n, cap), lambda p: sum(_at(p, d) for d in sizes))
+    _profiles(k, n, cap)
+    return _marginal(n, k, 1, tuple(sorted({s, -s})) if s >= 0 else ())
 
 
 def distribution_gap(k, s, r, n, cap=DEFAULT_CAP) -> QPoly:
     """Distribution of the count of indices i with w[i+r] - w[i] = s."""
     if r < 1:
         raise ValueError("gap must be >= 1")
-    return _poly(_profiles(k, n, cap, gap=r), lambda p: _at(p, s))
+    _profiles(k, n, cap, gap=r)
+    return _marginal(n, k, r, (s,))
 
 
 def _joint(n, second_stat, cap):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from adjstats.algebra import (
     NotExpandable,
+    Poly,
     PQPoly,
     QPoly,
     RatFunc,
@@ -26,6 +27,68 @@ qpolys = st.lists(st.integers(-5, 5), max_size=4).map(QPoly)
 xpolys = st.lists(st.one_of(st.integers(-5, 5), qpolys), max_size=4).map(XPoly)
 pqpolys = st.lists(qpolys, max_size=4).map(PQPoly)
 points = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+# rationals with a negative sign, a zero numerator or denominator 1 among them
+rationals = st.one_of(st.fractions(min_value=-40, max_value=40, max_denominator=60),
+                      st.integers(-20, 20).map(Fraction))
+int_qpolys = st.lists(st.integers(-10**6, 10**6), max_size=12).map(QPoly)
+fraction_qpolys = st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=9),
+                           max_size=6).map(QPoly)
+
+
+def _horner(poly, value, *inner):
+    """Horner's rule one coefficient at a time in the arithmetic of `value`,
+    evaluating each polynomial coefficient at the values of its rank."""
+    acc = 0
+    for c in reversed(poly.coeffs):
+        if inner and isinstance(c, Poly):
+            c = _horner(c, *inner[-1 - c.rank:])
+        acc = acc * value + c
+    return acc
+
+
+def _same(got, want):
+    return got == want and type(got) is type(want)
+
+
+class TestEvaluation:
+    """An integer polynomial at a Fraction is evaluated in integers; the
+    value and its type are those of Horner's rule in Fractions."""
+
+    @given(int_qpolys, rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_integer_polynomial_at_a_fraction(self, poly, q):
+        assert _same(poly(q), _horner(poly, q))
+
+    def test_zero_polynomial_is_int_zero(self):
+        assert _same(QPoly()(Fraction(3, 7)), 0)
+        assert _same(QPoly()(Fraction(0)), 0)
+
+    def test_examples(self):
+        assert _same(QPoly((1, -2, 4))(Fraction(-3, 2)), Fraction(13))
+        assert _same(QPoly((0, 0, 6))(Fraction(1, 4)), Fraction(3, 8))
+        assert _same(QPoly((5,))(Fraction(2, 3)), Fraction(5))
+
+    @given(st.one_of(int_qpolys, fraction_qpolys), st.integers(-9, 9))
+    @settings(max_examples=60, deadline=None)
+    def test_at_an_int(self, poly, q):
+        assert _same(poly(q), _horner(poly, q))
+
+    @given(fraction_qpolys, rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_fraction_coefficients(self, poly, q):
+        assert _same(poly(q), _horner(poly, q))
+
+    @given(xpolys, rationals, rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_x_over_q(self, poly, x, q):
+        assert _same(poly(x, q), _horner(poly, x, q))
+
+    @given(pqpolys, rationals, rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_p_over_q(self, poly, p, q):
+        assert _same(poly(p, q), _horner(poly, p, q))
 
 
 class TestQPoly:

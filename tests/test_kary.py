@@ -1,6 +1,21 @@
-import pytest
+import re
+import sys
+import threading
+from unittest import mock
 
-from adjstats.algebra import QPoly, SquareMatrix, det_exact, series_expand, specialize_q
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adjstats import kary, oeis
+from adjstats.algebra import (
+    InternalInvariantViolation,
+    QPoly,
+    SquareMatrix,
+    det_exact,
+    series_expand,
+    specialize_q,
+)
 from adjstats.kary import (
     KSParams,
     a_rec_alt,
@@ -15,6 +30,7 @@ from adjstats.kary import (
     unit_column_matrix,
 )
 from adjstats.oracle import distribution_gap, distribution_mu, total_mu_oracle
+from adjstats.transfer import Transfer, transfer_dp
 
 
 def fib(n):
@@ -126,6 +142,118 @@ class TestAvoidCount:
         vals = avoid_count(KSParams(k, s), 8)
         for n in range(9):
             assert vals[n] == distribution_mu(k, s, n)(0)
+
+
+def _avoid_recheck(params, order):
+    """Avoidance counts for 0..order with both recurrences rebuilt from
+    their seeds over the whole range and compared in full."""
+    k, s, m = params.k, params.s, params.steps
+    table = list(transfer_dp(k, kary._rise_marks(params, 0), order, 1).totals)
+    alt = table[: m + 1]
+    for n in range(m + 1, order + 1):
+        alt.append(sum((-1) ** i * (k - i * s) * alt[n - i - 1] for i in range(m + 1)))
+    four = table[: min(m + 3, order + 1)]
+    sign = (-1) ** m
+    for n in range(m + 3, order + 1):
+        four.append((k - 2) * four[n - 1] + (k + s - 1) * four[n - 2]
+                    + sign * (params.rem - s) * four[n - m - 2]
+                    + sign * params.rem * four[n - m - 3])
+    assert table == alt == four
+    return table
+
+
+class TestAvoidCheckedOnce:
+    """avoid_count checks each length once per (k, s) and records it only
+    after the check passes."""
+
+    @given(st.integers(1, 8), st.integers(1, 4),
+           st.lists(st.integers(0, 60), min_size=1, max_size=8))
+    @settings(max_examples=60, deadline=None)
+    def test_rising_and_falling_orders_match_a_full_recheck(self, k, s, orders):
+        params = KSParams(k, s)
+        with mock.patch.dict(kary._avoid_checked, clear=True):
+            for i, order in enumerate(orders):
+                assert avoid_count(params, order) == _avoid_recheck(params, order)
+                assert kary._avoid_checked[params] == max(orders[: i + 1])
+
+    def test_wrong_total_past_the_checked_length_is_caught(self, monkeypatch):
+        params = KSParams(5, 2)
+        monkeypatch.setattr(kary, "_avoid_checked", {})
+        avoid_count(params, 20)
+        real = kary.transfer_dp
+
+        def wrong_at_25(*args):
+            table = real(*args)
+            totals = list(table.totals)
+            if len(totals) > 25:
+                totals[25] += 1
+            return Transfer(table.rows, tuple(totals))
+
+        monkeypatch.setattr(kary, "transfer_dp", wrong_at_25)
+        message = re.escape(f"avoidance recurrences disagree for {params}")
+        for _ in range(2):
+            with pytest.raises(InternalInvariantViolation, match=message):
+                avoid_count(params, 30)
+            assert kary._avoid_checked[params] == 20
+
+    def test_threads_record_only_checked_lengths(self, monkeypatch):
+        monkeypatch.setattr(kary, "_avoid_checked", {})
+        checked = set()
+        real = kary._check_avoid
+
+        def recorded_lengths_were_checked():
+            return all((params, n) in checked
+                       for params, length in list(kary._avoid_checked.items())
+                       for n in range(length + 1))
+
+        def recording(params, counts, n):
+            assert recorded_lengths_were_checked()
+            real(params, counts, n)
+            checked.add((params, n))
+
+        monkeypatch.setattr(kary, "_check_avoid", recording)
+        grid = [KSParams(k, s) for k in (3, 4, 5) for s in (1, 2)]
+        want = {params: _avoid_recheck(params, 80) for params in grid}
+        errors = []
+
+        def worker(seed):
+            try:
+                for i in range(60):
+                    params = grid[(seed + i) % len(grid)]
+                    order = (seed * 37 + i * 11) % 81
+                    if avoid_count(params, order) != want[params][: order + 1]:
+                        errors.append((params, order))
+            except Exception as exc:  # reported below, with the worker's seed
+                errors.append((seed, exc))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert recorded_lengths_were_checked()
+
+    def test_one_term_calls_check_each_length_once(self, monkeypatch):
+        monkeypatch.setattr(kary, "_avoid_checked", {})
+        checked = []
+        real = kary._check_avoid
+
+        def counting(params, counts, n):
+            checked.append(n)
+            real(params, counts, n)
+
+        monkeypatch.setattr(kary, "_check_avoid", counting)
+        term = oeis.GENERATORS["avoid-step2-alphabet4"]
+        values = [term(n) for n in range(400)]
+        assert checked == list(range(400))
+        assert values == _avoid_recheck(KSParams(4, 2), 399)
 
 
 class TestTotalOccurrences:

@@ -143,6 +143,37 @@ def test_one_tally_serves_mu_nu_and_total():
     assert oracle._tally.cache_info().misses == 1
 
 
+def test_each_distribution_is_built_once(monkeypatch):
+    oracle._marginal.cache_clear()
+    built = []
+    real = oracle._poly
+
+    def counting(tally, stat):
+        built.append(stat)
+        return real(tally, stat)
+
+    monkeypatch.setattr(oracle, "_poly", counting)
+    try:
+        first = [distribution_mu(4, 2, 5), distribution_nu(4, 2, 5),
+                 distribution_gap(4, 2, 2, 5)]
+        for _ in range(4):
+            assert [distribution_mu(4, 2, 5), distribution_nu(4, 2, 5),
+                    distribution_gap(4, 2, 2, 5)] == first
+        assert len(built) == 3
+        # the cap is checked on every call, before the stored distribution is read
+        with pytest.raises(EnumerationTooLarge):
+            distribution_mu(4, 2, 5, cap=4**5 - 1)
+        with pytest.raises(EnumerationTooLarge):
+            distribution_nu(4, 2, 5, cap=4**5 - 1)
+        with pytest.raises(EnumerationTooLarge):
+            distribution_gap(4, 2, 2, 5, cap=4**5 - 1)
+        assert len(built) == 3
+    finally:
+        oracle._marginal.cache_clear()
+    assert first == [distribution_mu(4, 2, 5), distribution_nu(4, 2, 5),
+                     distribution_gap(4, 2, 2, 5)]
+
+
 def test_total_mu_oracle():
     # two marked words of length 2 over {1,2,3}: 12 and 23
     assert total_mu_oracle(3, 1, 2) == 2
