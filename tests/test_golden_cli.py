@@ -95,6 +95,16 @@ def _corpus():
     # CSV of a payload without rows, and of verify's per-check params
     cmds += [argv + ["--format", "csv"] for argv in maps]
     cmds.append(["verify", "--suite", "algebra", "--full-report", "--format", "csv"])
+    # long orders: deep polynomial tables, a rational q, integer totals to 400
+    cmds += [
+        ["dist", "--stat", "mu", "--k", "7", "--s", "3", "--n", "400"],
+        ["dist", "--stat", "mu", "--k", "6", "--s", "2", "--n", "0..200", "--q", "7/3"],
+        ["dist", "--stat", "nu", "--k", "8", "--s", "2", "--n", "0..120"],
+        ["dist", "--stat", "mu", "--k", "5", "--s", "2", "--n", "0..80", "--verify",
+         "--cap", "50000"],
+        ["avoid", "--k", "4", "--s", "2", "--n", "0..400"],
+        ["gap", "--k", "4", "--s", "1", "--r", "3", "--n", "0..60"],
+    ]
     return cmds
 
 
