@@ -35,17 +35,39 @@ def _add_lists(a, b):
     return [x + y for x, y in zip(a, b)] + list(a[len(b):])
 
 
-def _mul_lists(a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca == 0:
+def _mul_lists(a, b, out=None):
+    """Add the product of the coefficient lists a and b into the list
+    `out`, extended with zeros as needed, and return it; a new list when
+    `out` is None.
+
+    One pass over the longer operand runs per nonzero coefficient of the
+    shorter one: an int 1 or -1 adds or subtracts, and the longer
+    operand's zero coefficients are skipped, so every entry has the type
+    the schoolbook product gives it."""
+    if len(a) > len(b):
+        a, b = b, a
+    if out is None:
+        out = []
+    if not a:
+        return out
+    missing = len(a) + len(b) - 1 - len(out)
+    if missing > 0:
+        out += [0] * missing
+    for i, c in enumerate(a):
+        if not c:
             continue
-        for j, cb in enumerate(b):
-            if cb == 0:
-                continue
-            out[i + j] = out[i + j] + ca * cb
+        if type(c) is int and c == 1:
+            for m, y in enumerate(b, i):
+                if y:
+                    out[m] = out[m] + y
+        elif type(c) is int and c == -1:
+            for m, y in enumerate(b, i):
+                if y:
+                    out[m] = out[m] - y
+        else:
+            for m, y in enumerate(b, i):
+                if y:
+                    out[m] = out[m] + c * y
     return out
 
 
@@ -147,10 +169,16 @@ class Poly:
         return type(self)(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        return self + (-other)
+        b = self._lift(other)
+        if b is NotImplemented:
+            return NotImplemented
+        return type(self)(_mul_lists((-1,), b, list(self.coeffs)))
 
     def __rsub__(self, other):
-        return (-self) + other
+        b = self._lift(other)
+        if b is NotImplemented:
+            return NotImplemented
+        return type(self)(_mul_lists((-1,), self.coeffs, list(b)))
 
     def __mul__(self, other):
         b = self._lift(other)

@@ -137,7 +137,7 @@ def avoid_count(params: KSParams, order: int) -> list[int]:
     checked once per (k, s): a later call checks only the lengths past
     the longest one checked so far.
     """
-    counts = list(transfer_dp(params.k, _rise_marks(params, 0), order, 1).totals)
+    counts = transfer_dp(params.k, _rise_marks(params, 0), order, 1).totals
     checked = _avoid_checked.get(params, -1)
     for n in range(checked + 1, order + 1):
         _check_avoid(params, counts, n)

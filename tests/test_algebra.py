@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from adjstats.algebra import (
     NotExpandable,
+    _mul_lists,
     Poly,
     PQPoly,
     QPoly,
@@ -89,6 +90,91 @@ class TestEvaluation:
     @settings(max_examples=60, deadline=None)
     def test_p_over_q(self, poly, p, q):
         assert _same(poly(p, q), _horner(poly, p, q))
+
+
+def _schoolbook(a, b, out=()):
+    """The product of the coefficient lists a and b added into a copy of
+    `out`, one coefficient pair at a time, zero coefficients skipped."""
+    acc = list(out)
+    if a and b:
+        acc += [0] * (len(a) + len(b) - 1 - len(acc))
+    for i, x in enumerate(a):
+        if x == 0:
+            continue
+        for j, y in enumerate(b):
+            if y != 0:
+                acc[i + j] = acc[i + j] + x * y
+    return acc
+
+
+# interior zeros and units of each ring among the coefficients
+int_coeffs = st.one_of(st.sampled_from([0, 0, 1, -1]), st.integers(-10**12, 10**12))
+fraction_coeffs = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(-1), 0, 1, -1]),
+    st.fractions(min_value=-9, max_value=9, max_denominator=7))
+qpoly_coeffs = st.one_of(st.sampled_from([QPoly(), QPoly((1,)), QPoly((-1,)), 0, 1, -1]),
+                         qpolys)
+mixed_coeffs = st.one_of(int_coeffs, fraction_coeffs, qpoly_coeffs)
+
+
+class TestKernel:
+    """_mul_lists against the schoolbook product: the same coefficients,
+    each of the same type, with or without a list to add into."""
+
+    @pytest.mark.parametrize("coeffs", [int_coeffs, fraction_coeffs, qpoly_coeffs,
+                                        mixed_coeffs], ids=["int", "Fraction", "QPoly", "mixed"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_schoolbook_product(self, coeffs, data):
+        a, b = (data.draw(st.lists(coeffs, max_size=8)) for _ in range(2))
+        out = data.draw(st.none() | st.lists(coeffs, max_size=12))
+        want = _schoolbook(a, b, out or ())
+        given_out = None if out is None else list(out)
+        got = _mul_lists(a, b, given_out)
+        assert got == want
+        assert [type(c) for c in got] == [type(c) for c in want]
+        if given_out is not None:
+            assert got is given_out
+
+    @given(st.lists(int_coeffs, max_size=8), st.lists(int_coeffs, max_size=8),
+           st.lists(int_coeffs, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_coefficients_stay_int(self, a, b, out):
+        # Poly.__call__ evaluates at a Fraction in integers only when every
+        # coefficient is an int
+        assert all(type(c) is int for c in _mul_lists(a, b))
+        assert all(type(c) is int for c in _mul_lists(a, b, out))
+        assert all(type(c) is int for c in (QPoly(a) * QPoly(b)).coeffs)
+        assert all(type(c) is int for c in (QPoly(a) - QPoly(b)).coeffs)
+
+    def test_examples(self):
+        assert _mul_lists([1, 1], [1, -1]) == [1, 0, -1]
+        assert _mul_lists([-1, 1], [3, 0, 5], [1]) == [-2, 3, -5, 5]
+        assert _mul_lists([2], [], [7, 8]) == [7, 8]
+        assert _mul_lists([], [2]) == []
+
+
+class TestSubtraction:
+    """a - b is one pass through the kernel; it equals a + (-b), in the
+    ring of the larger operand."""
+
+    @given(st.one_of(small_ints.map(QPoly), qpolys, xpolys, pqpolys, st.integers(-5, 5)),
+           st.one_of(small_ints.map(QPoly), qpolys, xpolys, pqpolys, st.integers(-5, 5)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_adding_the_negation(self, a, b):
+        diff = a - b
+        assert diff == a + (-b)
+        assert type(diff) is type(a + (-b))
+
+    def test_larger_ring_runs_its_reflected_method(self):
+        q, x, p = QPoly.var(), XPoly.x(), PQPoly.p()
+        assert q.__sub__(x) is NotImplemented
+        assert q.__rsub__(p) is NotImplemented
+        assert q - x == XPoly((q, -1))
+        assert type(q - p) is PQPoly and q - p == PQPoly((q, -1))
+        assert type(p - q) is PQPoly and p - q == PQPoly((-q, 1))
+        assert 3 - q == QPoly((3, -1))
+        assert isinstance(q - RatFunc(x), RatFunc)
 
 
 class TestQPoly:

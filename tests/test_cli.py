@@ -85,8 +85,8 @@ class TestDist:
         assert sum("closed_form_agrees" in row for row in rows) > 1
         assert orders == [40] and series_orders == [40]
         # the store only appends, so 41 stored rows means each was filled once
-        [(_, stored)] = transfer._tables.values()
-        assert len(stored) == 41
+        [(_, rows, totals)] = transfer._tables.values()
+        assert len(rows) == len(totals) == 41
 
 
 class TestFormats:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjstats import transfer
-from adjstats.algebra import QPoly
+from adjstats.algebra import Poly, PQPoly, QPoly
 from adjstats.oracle import count_avoiders
 from adjstats.transfer import transfer_dp
 
@@ -88,6 +88,65 @@ def test_stored_table_reads_like_a_fresh_fill(weights, one, data):
             assert transfer_dp(k, marks, order, one) == fresh_fill(k, marks, order, one)
 
 
+def schoolbook_times(x, y):
+    """x * y, a product of polynomials taken one coefficient pair at a
+    time at every rank; the higher-rank operand is outer."""
+    if not isinstance(x, Poly) and not isinstance(y, Poly):
+        return x * y
+    if not isinstance(x, Poly) or (isinstance(y, Poly) and y.rank > x.rank):
+        x, y = y, x
+    ys = y.coeffs if type(y) is type(x) else (y,)
+    out = [0] * (len(x.coeffs) + len(ys) - 1) if x.coeffs and ys else []
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(ys):
+            if a != 0 and b != 0:
+                out[i + j] = out[i + j] + schoolbook_times(a, b)
+    return type(x)(out)
+
+
+def row_formula(k, marks, order, one):
+    """Rows and totals by the row formula entry + delta * prev_row[j], one
+    schoolbook product per marked pair."""
+    rows, totals = [(), (one,) * k], [one, one * k]
+    while len(rows) <= order:
+        row = []
+        for i in range(k):
+            entry = totals[-1]
+            for (a, b), weight in marks:
+                if b == i + 1:
+                    entry = entry + schoolbook_times(weight - one, rows[-1][a - 1])
+            row.append(entry)
+        rows.append(tuple(row))
+        totals.append(sum(row[1:], row[0]))
+    return rows[: order + 1], totals[: order + 1]
+
+
+P, Q = PQPoly.p(), PQPoly.q()
+RINGS = {
+    "int": (st.sampled_from([0, 2]), 1),
+    "QPoly": (st.sampled_from([0, 2, QPoly.var(), 2 * QPoly.var() - 1]), QPoly.const(1)),
+    "PQPoly": (st.sampled_from([0, 2, Q, 2 * Q - 1, P]), PQPoly.const(1)),
+}
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_matches_the_row_formula(ring, data):
+    weights, one = RINGS[ring]
+    k, marks = data.draw(mark_sets(weights))
+    order = data.draw(st.integers(0, 8))
+    table = fresh_fill(k, marks, order, one)
+    assert (table.rows, table.totals) == row_formula(k, marks, order, one)
+    assert all(type(entry) is type(one) for row in table.rows for entry in row)
+    assert all(type(total) is type(one) for total in table.totals)
+
+
+def test_weight_outside_the_ring_of_one_rejected():
+    with pytest.raises(ValueError):
+        transfer_dp(2, (((1, 2), PQPoly.p()),), 3, QPoly.const(1))
+
+
 @pytest.mark.parametrize("first,second", [(1, QPoly.const(1)), (QPoly.const(1), 1)])
 def test_integer_and_polynomial_tables_stay_apart(first, second):
     marks = (((1, 2), 0),)
@@ -127,8 +186,8 @@ def test_threads_extending_one_table_append_each_row_once():
                 with ThreadPoolExecutor(4) as pool:
                     got = list(pool.map(lambda n: transfer_dp(4, marks, n, QPoly.const(1)),
                                         orders))
-                [(_, stored)] = transfer._tables.values()
-                assert len(stored) == 41
+                [(_, rows, totals)] = transfer._tables.values()
+                assert len(rows) == len(totals) == 41
             assert got == expected
     finally:
         sys.setswitchinterval(interval)
