@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 
 from adjstats.algebra import (
     NotExpandable,
-    _mul_lists,
     Poly,
     PQPoly,
     QPoly,
     RatFunc,
     SquareMatrix,
     XPoly,
+    _mul_lists,
     alt_cheb_sum,
     alt_cheb_sum_closed,
     chebyshev_u,
