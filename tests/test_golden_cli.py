@@ -105,6 +105,18 @@ def _corpus():
         ["avoid", "--k", "4", "--s", "2", "--n", "0..400"],
         ["gap", "--k", "4", "--s", "1", "--r", "3", "--n", "0..60"],
     ]
+    # errors raised inside a command (exit 2, nothing on stdout), and a verify
+    # run with a lowered bound
+    cmds += [
+        ["totals", "--words", "--s", "1", "--n", "2"],
+        ["bijection", "--composition", "2:3"],
+        ["bijection", "--composition", "x:1"],
+        ["bijection", "--tiling-to-word", "1,,2"],
+        ["bijection", "--tiling-to-word", "1,3"],
+        ["bijection", "--w-to-v", "13"],
+        ["partition-dist", "--n", "3", "--k", "2", "--s", "0"],
+        ["verify", "--suite", "fibwords", "--nmax", "3"],
+    ]
     return cmds
 
 
