@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -54,12 +55,20 @@ def _parse_word(text: str) -> tuple[int, ...]:
     return tuple(int(c) for c in text)
 
 
+def _parse_pieces(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(c) for c in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"piece lengths are comma-separated integers, got {text!r}") from None
+
+
+def _word_text(word) -> str:
+    return "".join(map(str, word))
+
+
 def _poly_json(poly: QPoly) -> dict:
     return {"var": "q", "coeffs": [str(c) for c in poly.coeffs] or ["0"]}
-
-
-def _scalar(value) -> str:
-    return str(value)
 
 
 def _flatten(value):
@@ -100,7 +109,10 @@ def _emit(payload: dict, fmt: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_dist(args) -> int:
+# Each command returns (payload, failed): `main` writes the payload and
+# exits 1 when a check failed.  A user-input error is a ValueError.
+
+def _cmd_dist(args):
     # one table, and at most one closed-form expansion, at the longest length
     top = args.n[-1]
     gf = None
@@ -121,7 +133,7 @@ def _cmd_dist(args) -> int:
         dist = dists[n]
         row = {"n": n, "dist": _poly_json(dist)}
         if args.q is not None:
-            row["value"] = _scalar(dist(args.q))
+            row["value"] = str(dist(args.q))
         if args.verify:
             try:
                 reference = oracle_dist(args.k, args.s, n, args.cap)
@@ -133,18 +145,15 @@ def _cmd_dist(args) -> int:
                     closed = closed or gf.series(top)
                     row["closed_form_agrees"] = dist == closed[n]
         rows.append(row)
-    _emit({"command": "dist", "stat": args.stat, "k": args.k, "s": args.s, "rows": rows},
-          args.format, args.out)
-    if args.verify and not all(r.get(key, True) for r in rows
-                               for key in ("oracle_agrees", "closed_form_agrees")):
-        return 1
-    return 0
+    failed = not all(r.get(key, True) for r in rows
+                     for key in ("oracle_agrees", "closed_form_agrees"))
+    return {"command": "dist", "stat": args.stat, "k": args.k, "s": args.s,
+            "rows": rows}, failed
 
 
-def _cmd_totals(args) -> int:
+def _cmd_totals(args):
     if args.family == "words" and args.k is None:
-        print("totals --words needs --k", file=sys.stderr)
-        return 2
+        raise ValueError("totals --words needs --k")
     rows = []
     for n in args.n:
         if args.family == "words":
@@ -153,21 +162,18 @@ def _cmd_totals(args) -> int:
             value = partitions.total_pnk(n, args.k, args.s)
         else:
             value = partitions.q_total(n, args.s)
-        rows.append({"n": n, "total": _scalar(value)})
-    _emit({"command": "totals", "family": args.family, "k": args.k, "s": args.s,
-           "rows": rows}, args.format, args.out)
-    return 0
+        rows.append({"n": n, "total": str(value)})
+    return {"command": "totals", "family": args.family, "k": args.k, "s": args.s,
+            "rows": rows}, False
 
 
-def _cmd_avoid(args) -> int:
+def _cmd_avoid(args):
     values = kary.avoid_count(kary.KSParams(args.k, args.s), args.n[-1])
-    rows = [{"n": n, "count": _scalar(values[n])} for n in args.n]
-    _emit({"command": "avoid", "k": args.k, "s": args.s, "rows": rows},
-          args.format, args.out)
-    return 0
+    rows = [{"n": n, "count": str(values[n])} for n in args.n]
+    return {"command": "avoid", "k": args.k, "s": args.s, "rows": rows}, False
 
 
-def _cmd_partition_dist(args) -> int:
+def _cmd_partition_dist(args):
     if args.s < 1:
         raise ValueError("need s >= 1")
     rows = []
@@ -179,78 +185,61 @@ def _cmd_partition_dist(args) -> int:
             continue
         row = {"n": n, "dist": _poly_json(dist)}
         if args.q is not None:
-            row["value"] = _scalar(dist(args.q))
+            row["value"] = str(dist(args.q))
         rows.append(row)
-    _emit({"command": "partition-dist", "k": args.k, "s": args.s, "rows": rows},
-          args.format, args.out)
-    return 0
+    return {"command": "partition-dist", "k": args.k, "s": args.s, "rows": rows}, False
 
 
-def _cmd_gap(args) -> int:
-    rows = []
-    for n in args.n:
-        dist = kary.gap_distribution(kary.KSParams(args.k, args.s), args.r, n)
-        rows.append({"n": n, "dist": _poly_json(dist)})
-    _emit({"command": "gap", "k": args.k, "s": args.s, "r": args.r, "rows": rows},
-          args.format, args.out)
-    return 0
+def _cmd_gap(args):
+    params = kary.KSParams(args.k, args.s)
+    rows = [{"n": n, "dist": _poly_json(kary.gap_distribution(params, args.r, n))}
+            for n in args.n]
+    return {"command": "gap", "k": args.k, "s": args.s, "r": args.r, "rows": rows}, False
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     checks = verify.run_suites(names, kmax=args.kmax, nmax=args.nmax, smax=args.smax)
     failed = [c for c in checks if not c.passed]
-    payload = {
+    if args.format == "csv":  # the rows carry no totals
+        print(f"checks: {len(checks)}, failed: {len(failed)}", file=sys.stderr)
+    return {
         "command": "verify",
         "suites": names,
         "checks": len(checks),
         "failed": len(failed),
         "rows": [c.to_dict() for c in (checks if args.full_report else failed)],
-    }
-    _emit(payload, args.format, args.out)
-    if args.format == "csv":  # the rows carry no totals
-        print(f"checks: {len(checks)}, failed: {len(failed)}", file=sys.stderr)
-    return 1 if failed else 0
+    }, bool(failed)
 
 
-def _cmd_bijection(args) -> int:
-    if args.v_to_w is not None:
-        word = bijections.v_to_w(args.v_to_w)
-        payload = {"command": "bijection", "map": "v-to-w",
-                   "input": "".join(map(str, args.v_to_w)),
-                   "output": "".join(map(str, word))}
-    elif args.w_to_v is not None:
-        word = bijections.w_to_v(args.w_to_v)
-        payload = {"command": "bijection", "map": "w-to-v",
-                   "input": "".join(map(str, args.w_to_v)),
-                   "output": "".join(map(str, word))}
-    elif args.word_to_tiling is not None:
-        tiling = bijections.jpp_to_tiling(args.word_to_tiling)
-        payload = {"command": "bijection", "map": "word-to-tiling",
-                   "input": "".join(map(str, args.word_to_tiling)),
-                   "output": [("square" if p == 1 else "domino") for p in tiling]}
-    elif args.tiling_to_word is not None:
-        pieces = tuple(int(c) for c in args.tiling_to_word.split(","))
-        word = bijections.tiling_to_jpp(pieces)
-        payload = {"command": "bijection", "map": "tiling-to-word",
-                   "input": list(pieces), "output": "".join(map(str, word))}
-    else:
-        comp = _parse_composition(args.composition)
-        moves = bijections.composition_to_maneuvers(comp)
-        v_word = bijections.maneuvers_to_v_word(moves)
-        w_word = bijections.v_to_w(v_word)
-        payload = {
-            "command": "bijection",
-            "map": "composition-chain",
-            "composition": [
-                {"size": size, "colored": sorted(colored)} for size, colored in comp.parts
-            ],
-            "maneuvers": list(moves),
-            "v_word": "".join(map(str, v_word)),
-            "w_word": "".join(map(str, w_word)),
-        }
-    _emit(payload, args.format, args.out)
-    return 0
+def _cmd_bijection(args):
+    # (option, map name, function, input shown, output shown); built per call
+    # so that the functions are the ones the module binds now
+    maps = (
+        ("v_to_w", "v-to-w", bijections.v_to_w, _word_text, _word_text),
+        ("w_to_v", "w-to-v", bijections.w_to_v, _word_text, _word_text),
+        ("word_to_tiling", "word-to-tiling", bijections.jpp_to_tiling, _word_text,
+         lambda tiling: ["square" if p == 1 else "domino" for p in tiling]),
+        ("tiling_to_word", "tiling-to-word", bijections.tiling_to_jpp, list, _word_text),
+    )
+    for option, name, fn, shown_in, shown_out in maps:
+        value = getattr(args, option)
+        if value is not None:
+            return {"command": "bijection", "map": name, "input": shown_in(value),
+                    "output": shown_out(fn(value))}, False
+    comp = _parse_composition(args.composition)
+    moves = bijections.composition_to_maneuvers(comp)
+    v_word = bijections.maneuvers_to_v_word(moves)
+    return {
+        "command": "bijection",
+        "map": "composition-chain",
+        "composition": [
+            {"size": size, "colored": sorted(colored)} for size, colored in comp.parts
+        ],
+        "maneuvers": list(moves),
+        "v_word": _word_text(v_word),
+        "w_word": _word_text(bijections.v_to_w(v_word)),
+    }, False
 
 
 def _parse_composition(text: str) -> bijections.ColoredComposition:
@@ -263,32 +252,22 @@ def _parse_composition(text: str) -> bijections.ColoredComposition:
     return bijections.ColoredComposition(tuple(parts))
 
 
-def _cmd_oeis_check(args) -> int:
+def _cmd_oeis_check(args):
     if args.generator is not None:
-        spec = oeis.CheckSpec(args.id, args.generator, args.shift or 0,
-                              args.length or 20)
+        spec = oeis.CheckSpec(args.id, args.generator)
     elif args.id in oeis.DEFAULT_CHECKS:
-        base = oeis.DEFAULT_CHECKS[args.id]
-        spec = oeis.CheckSpec(
-            base.sequence_id,
-            base.generator,
-            base.shift if args.shift is None else args.shift,
-            base.length if args.length is None else args.length,
-        )
+        spec = oeis.DEFAULT_CHECKS[args.id]
     else:
-        print(f"no registered generator for {args.id}; pass --generator",
-              file=sys.stderr)
-        return 2
+        raise ValueError(f"no registered generator for {args.id}; pass --generator")
+    given = {"shift": args.shift, "length": args.length}
+    spec = dataclasses.replace(spec, **{k: v for k, v in given.items() if v is not None})
     try:
         with open(args.bfile) as handle:
             text = handle.read()
     except OSError as exc:
-        print(f"cannot read b-file: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read b-file: {exc}") from None
     report = oeis.reconcile(spec, oeis.parse_bfile(text))
-    payload = {"command": "oeis-check", **report.to_dict()}
-    _emit(payload, args.format, args.out)
-    return 0 if report.passed else 1
+    return {"command": "oeis-check", **report.to_dict()}, not report.passed
 
 
 def _add_common(sub) -> None:
@@ -344,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_nonnegative, required=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--q", type=_parse_rational, default=None)
-    p.add_argument("--cap", type=_nonnegative, default=partitions.DEFAULT_RGF_CAP)
+    p.add_argument("--cap", type=_nonnegative, default=oracle.DEFAULT_CAP)
     _add_common(p)
     p.set_defaults(fn=_cmd_partition_dist)
 
@@ -372,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="rewrite a word avoiding 2-4/3-4, e.g. 113")
     group.add_argument("--w-to-v", type=_parse_word, default=None)
     group.add_argument("--word-to-tiling", type=_parse_word, default=None)
-    group.add_argument("--tiling-to-word", default=None,
+    group.add_argument("--tiling-to-word", type=_parse_pieces, default=None,
                        help="comma-separated piece lengths, e.g. 1,2,1")
     group.add_argument("--composition", default=None,
                        help="colored composition 'size:c1,c2+size:c1'; prints "
@@ -412,15 +391,15 @@ def main(argv=None) -> int:
             parser.error(f"argument {flag}: expected one argument")
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        payload, failed = args.fn(args)
+        _emit(payload, args.format, args.out)
     except oracle.EnumerationTooLarge as exc:
         print(f"enumeration too large: {exc}", file=sys.stderr)
         return 2
-    except (bijections.InvalidComposition, bijections.InvalidSequence,
-            bijections.InvalidWord, oeis.BFileParseError,
-            absdiff.WrongRegime, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -18,9 +18,7 @@ from math import comb
 from .absdiff import WrongRegime
 from .algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly
 from .kary import KSParams, gf_A, gf_denominator, unit_column_det
-from .oracle import EnumerationTooLarge, _at, _poly, _unpack, _walk
-
-DEFAULT_RGF_CAP = 10**8
+from .oracle import DEFAULT_CAP, EnumerationTooLarge, _at, _poly, _unpack, _walk
 
 
 def bell_list(n: int) -> list[int]:
@@ -46,7 +44,7 @@ def stirling_table(n: int) -> list[list[int]]:
     return table
 
 
-def enumerate_rgf(n: int, k: int | None = None, cap: int = DEFAULT_RGF_CAP):
+def enumerate_rgf(n: int, k: int | None = None, cap: int = DEFAULT_CAP):
     """All restricted growth functions of length n (first letter 1, each
     letter at most one above the running maximum), streamed in
     lexicographic order; only those with maximum letter k when given."""
@@ -70,7 +68,7 @@ def _rgf_tally(n: int) -> dict:
     return {(top, _unpack(key, max(n, 1), n)): count for (top, key), count in counts.items()}
 
 
-def p_dist_oracle(n: int, k: int, s: int, cap: int = DEFAULT_RGF_CAP) -> QPoly:
+def p_dist_oracle(n: int, k: int, s: int, cap: int = DEFAULT_CAP) -> QPoly:
     """Distribution of adjacent (a, a+s) pairs over the growth sequences of
     length n with maximum letter k, by direct scan."""
     _check_cap(n, cap)
@@ -78,7 +76,7 @@ def p_dist_oracle(n: int, k: int, s: int, cap: int = DEFAULT_RGF_CAP) -> QPoly:
     return _poly(tally, lambda profile: _at(profile, s))
 
 
-def p_total_all_oracle(n: int, s: int, cap: int = DEFAULT_RGF_CAP) -> int:
+def p_total_all_oracle(n: int, s: int, cap: int = DEFAULT_CAP) -> int:
     """Summed count of adjacent (a, a+s) pairs over all growth sequences of
     length n (every block count), by direct scan."""
     _check_cap(n, cap)
@@ -147,9 +145,12 @@ def q_total(n: int, s: int) -> int:
 
     The s = 3 and s = 4 formulas have powers like 2^(n-2-j) that go
     negative at the edge of the sum, so they are evaluated in exact
-    rationals; the result must come out integral."""
+    rationals; the result must come out integral.  Below n = 2 there is
+    no adjacent pair, and the total is 0."""
+    if s not in (2, 3, 4):
+        raise ValueError("grand-total formulas exist only for s in {2, 3, 4}")
     if n < 2:
-        raise ValueError("need n >= 2")
+        return 0
     if s == 2:
         bell = bell_list(n)
         return (n - 3) * bell[n - 1] - (2 * n - 5) * bell[n - 2] + sum(bell[: n - 2])
@@ -164,8 +165,8 @@ def q_total(n: int, s: int) -> int:
         )
         for j in range(1, n):
             total += comb(n - 1, j) * (Fraction(2) ** (n - 2 - j) + 2) * bell[j - 1]
-    elif s == 4:
-        # the closed form is naturally indexed one step ahead; m below is
+    else:
+        # s = 4: the closed form is naturally indexed one step ahead; m below is
         # chosen so that the result counts occurrences in partitions of [n]
         m = n - 1
         bell = bell_list(m + 2)
@@ -182,8 +183,6 @@ def q_total(n: int, s: int) -> int:
                 * Fraction(3 ** (m - j) + 6 * 2 ** (m - j) + 18, 6)
                 * bell[j - 1]
             )
-    else:
-        raise ValueError("grand-total formulas exist only for s in {2, 3, 4}")
     if total.denominator != 1:
         raise InternalInvariantViolation(f"grand total for n={n}, s={s} not integral")
     return int(total)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from adjstats import absdiff, cli, kary, transfer
+from adjstats import absdiff, cli, kary, oracle, partitions, transfer
 from adjstats.algebra import RatFunc, XPoly
 from adjstats.cli import main
 
@@ -154,6 +154,13 @@ class TestTotals:
         )
         assert json.loads(out)["rows"] == [{"n": 5, "total": "7"}]
 
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_partitions_from_length_zero(self, capsys, s):
+        code, out = run(capsys, "totals", "--partitions", "--s", str(s), "--n", "0..4")
+        assert code == 0
+        assert [row["total"] for row in json.loads(out)["rows"]] == [
+            str(partitions.p_total_all_oracle(n, s)) for n in range(5)]
+
 
 class TestGapAndPartitionDist:
     def test_gap(self, capsys):
@@ -269,6 +276,91 @@ class TestOeisCheck:
         bfile.write_text("0 1\n")
         code = main(["oeis-check", "--id", "A000001", "--bfile", str(bfile)])
         assert code == 2
+
+    @pytest.fixture
+    def avoiders5(self, tmp_path):
+        # words on 5 letters with no rise by 2, at indices 0..6
+        bfile = tmp_path / "b.txt"
+        bfile.write_text("".join(f"{i} {v}\n" for i, v in
+                                 enumerate([1, 5, 22, 96, 419, 1829, 7984])))
+        return str(bfile)
+
+    @pytest.mark.parametrize("length", ["0", "-3"])
+    @pytest.mark.parametrize("generator", [[], ["--generator", "avoid-step2-alphabet5"]],
+                             ids=["registered", "generator"])
+    def test_length_below_one_is_usage_error(self, capsys, avoiders5, length, generator):
+        code = main(["oeis-check", "--id", "A200676", "--bfile", avoiders5,
+                     "--length", length, *generator])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: compare length must be >= 1\n"
+
+    @pytest.mark.parametrize("argv, shift, indices, passed, complete", [
+        # the registered shift of A200676 is 3 and its registered length 20
+        ([], 3, [3, 4, 5, 6], False, False),
+        (["--length", "2"], 3, [3, 4], False, True),
+        (["--shift", "0"], 0, [0, 1, 2, 3, 4, 5, 6], True, False),
+        (["--shift", "0", "--length", "3"], 0, [0, 1, 2], True, True),
+        (["--shift", "-2", "--length", "3"], -2, [0, 1, 2], False, True),
+        # a given generator starts from shift 0 and length 20
+        (["--generator", "avoid-step2-alphabet5"], 0, [0, 1, 2, 3, 4, 5, 6], True, False),
+        (["--generator", "avoid-step2-alphabet5", "--shift", "3", "--length", "3"], 3,
+         [3, 4, 5], False, True),
+    ])
+    def test_shift_and_length_overrides(self, capsys, avoiders5, argv, shift, indices,
+                                        passed, complete):
+        code, out = run(capsys, "oeis-check", "--id", "A200676", "--bfile", avoiders5,
+                        *argv)
+        report = json.loads(out)
+        assert code == (0 if passed else 1)
+        assert (report["shift"], report["passed"], report["complete"]) == (
+            shift, passed, complete)
+        assert [row["index"] for row in report["rows"]] == indices
+
+
+COMMAND_ERRORS = [
+    (["totals", "--words", "--s", "1", "--n", "2"], "totals --words needs --k"),
+    (["bijection", "--composition", "2:3"], "colors {3} outside [1, 2]"),
+    (["bijection", "--composition", "x:1"], "invalid literal for int()"),
+    (["bijection", "--tiling-to-word", "1,3"], "pieces must have length 1 or 2"),
+    (["bijection", "--w-to-v", "13"], "(1, 3) contains 1-3 or 2-4"),
+    (["partition-dist", "--n", "3", "--k", "2", "--s", "0"], "need s >= 1"),
+    (["oeis-check", "--id", "A000001", "--bfile", "b.txt"], "no registered generator"),
+    (["oeis-check", "--id", "A007070", "--bfile", "/nonexistent/b007070.txt"],
+     "cannot read b-file"),
+]
+
+
+@pytest.mark.parametrize("argv, message", COMMAND_ERRORS,
+                         ids=[" ".join(argv) for argv, _ in COMMAND_ERRORS])
+def test_error_raised_by_a_command_is_one_stderr_line(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and message in line
+    assert captured.err.endswith("\n")
+
+
+def test_malformed_tiling_is_a_parser_error_with_the_reason(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bijection", "--tiling-to-word", "1,,2"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        "argument --tiling-to-word: piece lengths are comma-separated integers, "
+        "got '1,,2'")
+
+
+def test_enumeration_cap_is_one_stderr_line(capsys, monkeypatch):
+    def too_large(params, n):
+        raise oracle.EnumerationTooLarge("4^400 words exceed cap 100")
+
+    monkeypatch.setattr(kary, "avoid_count", too_large)
+    code = main(["avoid", "--k", "4", "--s", "2", "--n", "400"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "enumeration too large: 4^400 words exceed cap 100\n"
 
 
 def test_usage_error_exit_code():

@@ -132,9 +132,20 @@ class TestGrandTotals:
         for n in range(4, 9):
             assert q_total(n, 2) == sum(total_pnk(n, k, 2) for k in range(3, n))
 
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_below_two_elements_matches_oracle(self, s):
+        # no partition of a 0- or 1-set has an adjacent pair
+        totals = [q_total(n, s) for n in (0, 1)]
+        assert totals == [p_total_all_oracle(n, s) for n in (0, 1)] == [0, 0]
+
     def test_unsupported_size(self):
         with pytest.raises(ValueError):
             q_total(5, 5)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_unsupported_size_below_two_elements(self, n):
+        with pytest.raises(ValueError, match="only for s in"):
+            q_total(n, 5)
 
 
 class TestSuccessorStatistic:
