@@ -6,6 +6,10 @@ content; polynomials serialize as ascending coefficient arrays with an
 explicit variable label, and every big integer is a decimal string so no
 consumer can overflow.  Exit codes: 0 pass, 1 check failure, 2 usage
 error.
+
+Each `_cmd_*` returns (payload, failed).  `main` writes the payload and
+exits 1 when a check failed; a command reports bad input by raising
+ValueError, which `main` writes as one `error: ` line and exits 2.
 """
 
 from __future__ import annotations
@@ -109,9 +113,6 @@ def _emit(payload: dict, fmt: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-# Each command returns (payload, failed): `main` writes the payload and
-# exits 1 when a check failed.  A user-input error is a ValueError.
-
 def _cmd_dist(args):
     # one table, and at most one closed-form expansion, at the longest length
     top = args.n[-1]
@@ -213,8 +214,8 @@ def _cmd_verify(args):
 
 
 def _cmd_bijection(args):
-    # (option, map name, function, input shown, output shown); built per call
-    # so that the functions are the ones the module binds now
+    # (option, map name, function, input shown, output shown), built per call
+    # so that a function rebound on `bijections` is the one called
     maps = (
         ("v_to_w", "v-to-w", bijections.v_to_w, _word_text, _word_text),
         ("w_to_v", "w-to-v", bijections.w_to_v, _word_text, _word_text),
