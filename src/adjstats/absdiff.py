@@ -12,6 +12,7 @@ k-ary words.  Three alphabet regimes behave differently:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra import (
@@ -24,7 +25,7 @@ from .algebra import (
     chebyshev_u_list,
     mat_mul,
 )
-from .transfer import Transfer, transfer_dp
+from .transfer import transfer_dp
 
 
 class WrongRegime(ValueError):
@@ -50,14 +51,17 @@ def regime(k: int, s: int) -> str:
     return "large"
 
 
-def b_table(k: int, s: int, order: int) -> Transfer:
-    """The last-letter DP up to length `order`, every jump (i -/+ s, i)
-    marked by q; one mark set covers all three regimes because the
-    out-of-range neighbors simply do not exist."""
+def _jump_marks(k: int, s: int) -> tuple:
+    """Every jump (i -/+ s, i) marked by q; one mark set covers all three
+    regimes because the out-of-range neighbors simply do not exist."""
     regime(k, s)  # rejects k < 1 and s < 1
-    marks = tuple(((j, i), QPoly.var()) for i in range(1, k + 1) for j in (i - s, i + s)
-                  if 1 <= j <= k)
-    return transfer_dp(k, marks, order, QPoly.const(1))
+    return tuple(((j, i), QPoly.var()) for i in range(1, k + 1) for j in (i - s, i + s)
+                 if 1 <= j <= k)
+
+
+def b_table(k: int, s: int, order: int) -> Sequence[QPoly]:
+    """The jump distributions of lengths 0..order by the last-letter DP."""
+    return transfer_dp(k, _jump_marks(k, s), order, QPoly.const(1))
 
 
 def gf_B_small(k: int, s: int) -> RatFunc:

@@ -34,7 +34,7 @@ def j_dist_dp(order: int) -> list[PQPoly]:
     last-letter DP with 1-3 forbidden; p marks levels and q marks ascents."""
     p, q = PQPoly.p(), PQPoly.q()
     marks = (((1, 1), p), ((2, 2), p), ((3, 3), p), ((1, 2), q), ((2, 3), q), ((1, 3), 0))
-    return list(transfer_dp(3, marks, order, PQPoly.const(1)).totals)
+    return list(transfer_dp(3, marks, order, PQPoly.const(1)))
 
 
 def gf_f(p_val, q_val) -> RatFunc:

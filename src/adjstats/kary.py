@@ -6,10 +6,11 @@ formula, and the reduction of wider gaps to the adjacent case.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly
-from .transfer import Transfer, transfer_dp
+from .transfer import transfer_dp
 
 
 @dataclass(frozen=True)
@@ -42,8 +43,9 @@ def _rise_marks(params: KSParams, weight) -> tuple:
     return tuple(((i - params.s, i), weight) for i in range(params.s + 1, params.k + 1))
 
 
-def a_table(params: KSParams, order: int) -> Transfer:
-    """The last-letter DP up to length `order`, every rise marked by q."""
+def a_table(params: KSParams, order: int) -> Sequence[QPoly]:
+    """The rise distributions of lengths 0..order by the last-letter DP,
+    every rise marked by q."""
     return transfer_dp(params.k, _rise_marks(params, QPoly.var()), order, QPoly.const(1))
 
 
@@ -53,7 +55,7 @@ def a_rec_alt(params: KSParams, order: int) -> list[QPoly]:
     seeded with rows 0..steps taken from the DP table."""
     k, s = params.k, params.s
     m = params.steps
-    seed = a_table(params, min(order, m)).totals
+    seed = a_table(params, min(order, m))
     out = list(seed[: order + 1])
     q_minus_1 = QPoly((-1, 1))
     weights = [q_minus_1**i * (k - i * s) for i in range(m + 1)]
@@ -137,7 +139,7 @@ def avoid_count(params: KSParams, order: int) -> list[int]:
     checked once per (k, s): a later call checks only the lengths past
     the longest one checked so far.
     """
-    counts = transfer_dp(params.k, _rise_marks(params, 0), order, 1).totals
+    counts = transfer_dp(params.k, _rise_marks(params, 0), order, 1)
     checked = _avoid_checked.get(params, -1)
     for n in range(checked + 1, order + 1):
         _check_avoid(params, counts, n)
@@ -166,7 +168,7 @@ def gap_distribution(params: KSParams, r: int, n: int) -> QPoly:
     if n < 0:
         raise ValueError("need n >= 0")
     d, t = divmod(n, r)
-    totals = a_table(params, d + 1).totals
+    totals = a_table(params, d + 1)
     return totals[d + 1] ** t * totals[d] ** (r - t)
 
 

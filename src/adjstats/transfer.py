@@ -8,93 +8,211 @@ forbidden pair is a pair marked with weight 0.
 
 Row n of the table depends only on row n - 1, so the table for length N
 holds every shorter length too.  One table is stored per mark set and
-ring; it grows on demand and is never rebuilt, and a shorter request
-reads its prefix.
+ring; it keeps the total of every length and the last row only, grows on
+demand, and a shorter request reads its prefix.
+
+Every entry is one Python int.  A polynomial entry is stored as its value
+at q = 2^w, and at p = 2^(wD) for a PQPoly (Kronecker substitution;
+Schonhage 1982): the coefficient of p^i q^j is the signed w-bit digit at
+bit w(iD + j).  Multiplying by a weight is then a few shifts and adds.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-from typing import NamedTuple
+from collections.abc import Sequence
 
-from .algebra import Poly, _mul_lists
+from .algebra import Poly, PQPoly, QPoly
 
+# the rings a table can be kept over, with their number of variables
+_VARIABLES = {int: 0, QPoly: 1, PQPoly: 2}
 
-class Transfer(NamedTuple):
-    """rows[n][i-1] is the summed weight of the words of length n ending
-    in the letter i; totals[n] is the summed weight of all of them.  Both
-    are prefix copies of the stored table."""
-
-    rows: list
-    totals: list
-
-
-# (k, marks, type(one), one) -> (into, rows, totals), where rows and totals
-# are only appended to.  type(one) keeps an integer table apart from a QPoly
-# table with the same marks: QPoly.const(1) == 1 and both hash alike.  The
-# lock keeps two threads from appending the same row twice.
+# (k, marks, type(one), one) -> _Table.  type(one) keeps an integer table
+# apart from a QPoly table with the same marks: QPoly.const(1) == 1 and
+# both hash alike.  The lock keeps two threads from appending the same
+# length twice, or decoding the same total twice.
 _tables: dict = {}
 _lock = threading.Lock()
 
 
-def transfer_dp(k: int, marks: tuple, order: int, one) -> Transfer:
-    """The last-letter DP up to length `order`.
+def transfer_dp(k: int, marks: tuple, order: int, one) -> Sequence:
+    """The summed weights of the words of lengths 0..order, read off the
+    last-letter DP.
 
     `marks` is a tuple of ((a, b), weight) pairs with 1 <= a, b <= k, each
-    pair at most once; `one` is the unit of the weights' ring.  Appending
-    i to a word ending in j multiplies its weight by weight(j, i), so
+    pair at most once; `one` is the unit of the weights' ring: int, QPoly
+    or PQPoly.  Appending i to a word ending in j multiplies its weight by
+    weight(j, i), so
 
         row[i] = total[n-1] + sum over marks (j, i) of (weight - 1) row[j],
 
-    which touches only the marked pairs.  Over a polynomial ring each
-    entry, and each total, is one coefficient list that the products are
-    accumulated into, made a polynomial once.
+    which touches only the marked pairs.  An integer table returns a list;
+    a polynomial table returns a sequence that decodes each total the
+    first time it is read.
     """
     if k < 1 or order < 0:
         raise ValueError("need k >= 1 and order >= 0")
     key = (k, marks, type(one), one)
     with _lock:
-        if key not in _tables:
-            into = [[] for _ in range(k)]
-            for (a, b), weight in marks:
-                if not (1 <= a <= k and 1 <= b <= k):
-                    raise ValueError(f"marked pair {(a, b)} outside alphabet [1, {k}]")
-                delta = weight - one
-                if isinstance(one, Poly):
-                    if type(delta) is not type(one):
-                        raise ValueError(f"weight {weight!r} is not in the ring of {one!r}")
-                    delta = delta.coeffs
-                into[b - 1].append((a - 1, delta))
-            if len({pair for pair, _ in marks}) != len(marks):
-                raise ValueError("a pair is marked more than once")
-            _tables[key] = (into, [(), (one,) * k], [one, one * k])
-        into, rows, totals = _tables[key]
-        while len(rows) <= order:
-            row, total = _next_row(into, rows[-1], totals[-1], one)
-            rows.append(row)
-            totals.append(total)
-        return Transfer(rows[: order + 1], totals[: order + 1])
+        table = _tables.get(key)
+        if table is None:
+            table = _tables[key] = _Table(k, marks, one, order)
+        elif order > table.capacity:
+            table.refill(max(order, 2 * table.capacity))
+        table.extend(order)
+        if table.ring is int:
+            return table.totals[: order + 1]
+    return _Totals(table, order + 1)
 
 
-def _next_row(into, prev_row, prev_total, one):
-    """Row n and its total from row n - 1 and total n - 1."""
-    if not isinstance(one, Poly):
-        row = []
-        for deltas in into:
-            entry = prev_total
-            for j, delta in deltas:
-                entry = entry + delta * prev_row[j]
-            row.append(entry)
-        return tuple(row), sum(row[1:], row[0])
-    ring = type(one)
-    row, total = [], []
-    for deltas in into:
+def fresh_rows(k: int, marks: tuple, order: int, one) -> list:
+    """rows[n][i-1] is the summed weight of the words of length n ending in
+    the letter i, for n = 0..order; filled fresh and stored nowhere."""
+    if k < 1 or order < 0:
+        raise ValueError("need k >= 1 and order >= 0")
+    table = _Table(k, marks, one, order)
+    row, total = table.row, table.totals[-1]
+    rows = [(), tuple(map(table.decode, row))]
+    for _ in range(2, order + 1):
+        row, total = _next_row(table.into, row, total)
+        rows.append(tuple(map(table.decode, row)))
+    return rows[: order + 1]
+
+
+def _next_row(into, prev_row, prev_total):
+    """Row n and its total from row n - 1 and total n - 1: into[i] lists
+    the (j, shift, c) terms of row[i] - total[n-1], each c * prev_row[j]
+    shifted left by `shift` bits."""
+    row = []
+    for terms in into:
         entry = prev_total
-        if deltas:
-            acc = list(prev_total.coeffs)
-            for j, delta in deltas:
-                _mul_lists(delta, prev_row[j].coeffs, acc)
-            entry = ring(acc)
-        _mul_lists((1,), entry.coeffs, total)
+        for j, shift, c in terms:
+            x = prev_row[j] << shift
+            if c == 1:
+                entry += x
+            elif c == -1:
+                entry -= x
+            else:
+                entry += c * x
         row.append(entry)
-    return tuple(row), ring(total)
+    return row, sum(row)
+
+
+def _monomials(x, variables):
+    """(exponents, coefficient) for each nonzero term of x, exponents
+    listed from the highest-rank variable down to q."""
+    if not isinstance(x, Poly):
+        return [((0,) * variables, x)] if x else []
+    return [((e,) + rest, c) for e, coeff in enumerate(x.coeffs)
+            for rest, c in _monomials(coeff, variables - 1)]
+
+
+class _Table:
+    """One mark set over one ring: the packed totals of lengths 0..n, the
+    packed row of length n, and the packing they share.
+
+    The width w is chosen for every length up to `capacity`.  A word of
+    length m weighs a product of m - 1 weights, so no coefficient of an
+    entry exceeds k^m L^(m-1) in size, L the largest L1 norm of a weight
+    (and of 1); w is that bound's bit length plus a sign bit, in whole
+    bytes.  D is one more than the largest q-degree an entry can reach.
+    Integer tables are not packed and never outgrow their capacity."""
+
+    __slots__ = ("k", "ring", "terms", "norm", "degree", "capacity", "width", "stride",
+                 "into", "row", "totals", "decoded")
+
+    def __init__(self, k, marks, one, capacity):
+        self.ring = ring = type(one)
+        if ring not in _VARIABLES or one != 1:
+            raise ValueError(f"{one!r} is not the unit of int, QPoly or PQPoly")
+        variables = _VARIABLES[ring]
+        self.k, self.terms = k, [[] for _ in range(k)]
+        norms, degrees = [1], [0]
+        for (a, b), weight in marks:
+            if not (1 <= a <= k and 1 <= b <= k):
+                raise ValueError(f"marked pair {(a, b)} outside alphabet [1, {k}]")
+            delta = weight - one
+            if type(delta) is not ring:
+                raise ValueError(f"weight {weight!r} is not in the ring of {one!r}")
+            for exps, c in _monomials(delta, variables):
+                if type(c) is not int:
+                    raise ValueError(f"weight {weight!r} has a non-integer coefficient")
+                self.terms[b - 1].append((a - 1, exps, c))
+            monomials = _monomials(weight, variables)
+            norms.append(sum(abs(c) for _, c in monomials))
+            degrees += [exps[-1] for exps, _ in monomials if exps]
+        if len({pair for pair, _ in marks}) != len(marks):
+            raise ValueError("a pair is marked more than once")
+        self.norm, self.degree = max(norms), max(degrees)
+        self.decoded = {}
+        self.refill(capacity)
+
+    def refill(self, capacity):
+        """Choose the packing for lengths up to `capacity` and start over
+        from length 1; totals already decoded stay."""
+        if self.ring is int:
+            capacity, self.width, self.stride, strides = math.inf, 0, 1, ()
+        else:
+            capacity = max(capacity, 1)
+            bound = self.k**capacity * self.norm ** (capacity - 1)
+            self.width = w = (bound.bit_length() + 8) // 8 * 8
+            self.stride = self.degree * (capacity - 1) + 1
+            strides = (w,) if self.ring is QPoly else (w * self.stride, w)
+        self.capacity = capacity
+        self.into = [[(j, sum(e * s for e, s in zip(exps, strides)), c) for j, exps, c in terms]
+                     for terms in self.terms]
+        self.row, self.totals = [1] * self.k, [1, self.k]
+
+    def extend(self, order):
+        """Append the totals of lengths up to `order`."""
+        totals = self.totals
+        row, total = self.row, totals[-1]
+        for _ in range(len(totals), order + 1):
+            row, total = _next_row(self.into, row, total)
+            totals.append(total)
+        self.row = row
+
+    def decode(self, packed):
+        """The ring element whose packed value is `packed`: each digit is
+        read off the bytes of `packed` plus 2^(w-1) at every digit."""
+        if self.ring is int:
+            return packed
+        w = self.width
+        size, count = w // 8, abs(packed).bit_length() // w + 1
+        bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+        data = (packed + bias).to_bytes(size * count, "little")
+        half = 1 << (w - 1)
+        digits = [int.from_bytes(data[i:i + size], "little") - half
+                  for i in range(0, len(data), size)]
+        if self.ring is QPoly:
+            return QPoly(digits)
+        d = self.stride
+        return PQPoly([QPoly(digits[i:i + d]) for i in range(0, len(digits), d)])
+
+    def total(self, n):
+        """The decoded total of length n, decoded once per table."""
+        with _lock:
+            got = self.decoded.get(n)
+            if got is None:
+                got = self.decoded[n] = self.decode(self.totals[n])
+            return got
+
+
+class _Totals(Sequence):
+    """The totals of lengths 0..len - 1 of a stored polynomial table."""
+
+    __slots__ = ("_table", "_len")
+
+    def __init__(self, table, length):
+        self._table, self._len = table, length
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, n):
+        if isinstance(n, slice):
+            return [self[i] for i in range(*n.indices(self._len))]
+        if not -self._len <= n < self._len:
+            raise IndexError("length out of range")
+        return self._table.total(n % self._len)

@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
-from . import absdiff, bijections, fibwords, kary, oracle, partitions
+from . import absdiff, bijections, fibwords, kary, oracle, partitions, transfer
 from .algebra import (
     QPoly,
     SquareMatrix,
@@ -57,7 +57,7 @@ def suite_kary(kmax=6, smax=4, nmax=8) -> list[Check]:
     order = 25  # the long and reduced closed forms are compared this far
     for k, s in _rise_pairs(kmax, smax):
         params = kary.KSParams(k, s)
-        table = kary.a_table(params, nmax).totals
+        table = kary.a_table(params, nmax)
         alt = kary.a_rec_alt(params, nmax)
         long_series = kary.gf_A(params).series(nmax)
         reduced_series = kary.gf_A_reduced(params).series(nmax)
@@ -216,7 +216,7 @@ def suite_absdiff(kmax=6, smax=3, nmax=8) -> list[Check]:
                 rec.expect_equal(
                     "jump DP equals enumeration",
                     {"k": k, "s": s, "n": n},
-                    table.totals[n],
+                    table[n],
                     oracle.distribution_nu(k, s, n),
                 )
     q_points = [Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(7, 3)]
@@ -227,15 +227,15 @@ def suite_absdiff(kmax=6, smax=3, nmax=8) -> list[Check]:
             "middle-band closed form equals DP",
             {"k": k, "s": s},
             series,
-            list(table.totals),
+            list(table),
         )
         for n in range(2, nmax_series + 1):
             q = QPoly.var()
-            want = (k - 1 + q) * table.totals[n - 1] + (1 - q) * (2 * s - k) * table.totals[n - 2]
+            want = (k - 1 + q) * table[n - 1] + (1 - q) * (2 * s - k) * table[n - 2]
             rec.expect_equal(
                 "two-term recursion holds on DP totals",
                 {"k": k, "s": s, "n": n},
-                table.totals[n],
+                table[n],
                 want,
             )
         for qv in q_points:
@@ -243,11 +243,12 @@ def suite_absdiff(kmax=6, smax=3, nmax=8) -> list[Check]:
                 "Chebyshev-encoded recursion matches DP at a rational",
                 {"k": k, "s": s, "q": str(qv)},
                 [absdiff.b_closed_chebyshev(k, s, n, qv) for n in range(nmax_series + 1)],
-                [t(qv) for t in table.totals],
+                [t(qv) for t in table],
             )
         # mid-band column collapse: letters below k-s+1 and above s agree
+        rows = transfer.fresh_rows(k, absdiff._jump_marks(k, s), nmax, QPoly.const(1))
         for n in range(1, nmax + 1):
-            row = absdiff.b_table(k, s, nmax).rows[n]
+            row = rows[n]
             outer = [row[i - 1] for i in range(1, k - s + 1)] + [
                 row[i - 1] for i in range(s + 1, k + 1)
             ]
@@ -264,7 +265,7 @@ def suite_absdiff(kmax=6, smax=3, nmax=8) -> list[Check]:
                 "wide-band Chebyshev closed form equals DP at a rational",
                 {"k": k, "s": s, "q": str(qv)},
                 series,
-                [t(qv) for t in table.totals],
+                [t(qv) for t in table],
             )
     rng = random.Random(20260810)
     done = 0

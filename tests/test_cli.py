@@ -84,9 +84,36 @@ class TestDist:
         assert code == 0
         assert sum("closed_form_agrees" in row for row in rows) > 1
         assert orders == [40] and series_orders == [40]
-        # the store only appends, so 41 stored rows means each was filled once
-        [(_, rows, totals)] = transfer._tables.values()
-        assert len(rows) == len(totals) == 41
+        # within its capacity the store only appends, so 41 stored totals
+        # means each length was filled once
+        [table] = transfer._tables.values()
+        assert table.capacity == 40 and len(table.totals) == 41
+
+    def test_closed_form_checks_rows_past_the_cap(self, capsys):
+        code, out = run(capsys, "dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "5..7",
+                        "--verify", "--cap", "300")
+        rows = json.loads(out)["rows"]
+        assert code == 0
+        assert rows[0]["oracle_agrees"] and rows[0]["closed_form_agrees"]
+        for row in rows[1:]:  # 3^6 and 3^7 words exceed the cap
+            assert "warning" in row and "oracle_agrees" not in row
+            assert row["closed_form_agrees"] is True
+
+    def test_wrong_closed_form_fails_a_row_past_the_cap(self, capsys, monkeypatch):
+        right = kary.gf_A
+
+        def wrong_from_6(params):
+            series = right(params).series(12)
+            series[6] = series[6] + 1
+            return RatFunc(XPoly(series))
+
+        monkeypatch.setattr(kary, "gf_A", wrong_from_6)
+        code, out = run(capsys, "dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "5..7",
+                        "--verify", "--cap", "300")
+        rows = json.loads(out)["rows"]
+        assert [row.get("oracle_agrees") for row in rows] == [True, None, None]
+        assert [row["closed_form_agrees"] for row in rows] == [True, False, True]
+        assert code == 1
 
 
 class TestFormats:

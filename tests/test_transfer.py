@@ -1,17 +1,20 @@
+import gc
 import itertools
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjstats import transfer
-from adjstats.algebra import Poly, PQPoly, QPoly
+from adjstats import absdiff, transfer
+from adjstats.algebra import Poly, PQPoly, QPoly, XPoly
 from adjstats.oracle import count_avoiders
-from adjstats.transfer import transfer_dp
+from adjstats.transfer import fresh_rows, transfer_dp
 
 
 @st.composite
@@ -37,9 +40,9 @@ def brute_force(k, marks, n):
 @settings(max_examples=80, deadline=None)
 def test_matches_brute_force_product(case, n):
     k, marks = case
-    table = transfer_dp(k, marks, n, 1)
-    assert (table.totals[n], table.rows[n]) == brute_force(k, marks, n)
-    assert table.totals[0] == 1
+    totals = transfer_dp(k, marks, n, 1)
+    assert (totals[n], fresh_rows(k, marks, n, 1)[n]) == brute_force(k, marks, n)
+    assert totals[0] == 1
 
 
 @given(mark_sets(st.just(0)), st.integers(0, 6))
@@ -47,30 +50,36 @@ def test_matches_brute_force_product(case, n):
 def test_forbidden_pairs_match_oracle(case, n):
     k, marks = case
     forbidden = frozenset(pair for pair, _ in marks)
-    assert transfer_dp(k, marks, n, 1).totals[n] == count_avoiders(k, n, forbidden)
+    assert transfer_dp(k, marks, n, 1)[n] == count_avoiders(k, n, forbidden)
+
+
+FILLS = (transfer_dp, fresh_rows)
 
 
 @pytest.mark.parametrize("pair", [(0, 1), (1, 4), (-1, 2), (2, -3)])
 def test_pair_outside_alphabet_rejected(pair):
-    with pytest.raises(ValueError):
-        transfer_dp(3, ((pair, 0),), 4, 1)
+    for fill in FILLS:
+        with pytest.raises(ValueError):
+            fill(3, ((pair, 0),), 4, 1)
 
 
 def test_pair_marked_twice_rejected():
-    with pytest.raises(ValueError):
-        transfer_dp(3, (((1, 2), 0), ((1, 2), 5)), 4, 1)
+    for fill in FILLS:
+        with pytest.raises(ValueError):
+            fill(3, (((1, 2), 0), ((1, 2), 5)), 4, 1)
 
 
 @pytest.mark.parametrize("k,order", [(0, 3), (3, -1)])
 def test_empty_alphabet_and_negative_order_rejected(k, order):
-    with pytest.raises(ValueError):
-        transfer_dp(k, (), order, 1)
+    for fill in FILLS:
+        with pytest.raises(ValueError):
+            fill(k, (), order, 1)
 
 
 def fresh_fill(k, marks, order, one):
-    """The table a store holding nothing yet would build."""
+    """The totals a store holding nothing yet would give."""
     with mock.patch.dict(transfer._tables, clear=True):
-        return transfer_dp(k, marks, order, one)
+        return list(transfer_dp(k, marks, order, one))
 
 
 poly_weights = st.lists(st.integers(-2, 2), max_size=3).map(QPoly)
@@ -85,7 +94,7 @@ def test_stored_table_reads_like_a_fresh_fill(weights, one, data):
     orders = data.draw(st.lists(st.integers(0, 9), min_size=3, max_size=6))
     with mock.patch.dict(transfer._tables, clear=True):
         for order in orders:  # growing, shrinking and growing again
-            assert transfer_dp(k, marks, order, one) == fresh_fill(k, marks, order, one)
+            assert list(transfer_dp(k, marks, order, one)) == fresh_fill(k, marks, order, one)
 
 
 def schoolbook_times(x, y):
@@ -133,18 +142,35 @@ RINGS = {
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_matches_the_row_formula(ring, data):
+    """The packed fill against the schoolbook one: stored totals over
+    requests that outgrow the stored capacity and then shrink, and rows
+    filled fresh.  2q - 1 gives the packed entries negative digits."""
     weights, one = RINGS[ring]
     k, marks = data.draw(mark_sets(weights))
-    order = data.draw(st.integers(0, 8))
-    table = fresh_fill(k, marks, order, one)
-    assert (table.rows, table.totals) == row_formula(k, marks, order, one)
-    assert all(type(entry) is type(one) for row in table.rows for entry in row)
-    assert all(type(total) is type(one) for total in table.totals)
+    growing = data.draw(st.lists(st.integers(0, 10), min_size=2, max_size=4, unique=True))
+    orders = sorted(growing) + data.draw(st.lists(st.integers(0, max(growing)), max_size=2))
+    rows, totals = row_formula(k, marks, max(orders), one)
+    with mock.patch.dict(transfer._tables, clear=True):
+        for order in orders:
+            got = transfer_dp(k, marks, order, one)
+            assert list(got) == totals[: order + 1]
+            assert all(type(total) is type(one) for total in got)
+            [table] = transfer._tables.values()
+            assert table.capacity >= max(orders[: orders.index(order) + 1])
+    got = fresh_rows(k, marks, max(orders), one)
+    assert got == rows
+    assert all(type(entry) is type(one) for row in got for entry in row)
 
 
-def test_weight_outside_the_ring_of_one_rejected():
-    with pytest.raises(ValueError):
-        transfer_dp(2, (((1, 2), PQPoly.p()),), 3, QPoly.const(1))
+@pytest.mark.parametrize("weight,one", [(PQPoly.p(), QPoly.const(1)),
+                                        (QPoly.var(), 1),
+                                        (QPoly((0, Fraction(1, 2))), QPoly.const(1)),
+                                        (XPoly.x(), XPoly.const(1)),
+                                        (0, 1.0)])
+def test_weight_outside_the_ring_of_one_rejected(weight, one):
+    for fill in FILLS:
+        with pytest.raises(ValueError):
+            fill(2, (((1, 2), weight),), 3, one)
 
 
 @pytest.mark.parametrize("first,second", [(1, QPoly.const(1)), (QPoly.const(1), 1)])
@@ -152,9 +178,9 @@ def test_integer_and_polynomial_tables_stay_apart(first, second):
     marks = (((1, 2), 0),)
     with mock.patch.dict(transfer._tables, clear=True):
         for one in (first, second):
-            table = transfer_dp(2, marks, 6, one)
-            assert all(type(total) is type(one) for total in table.totals)
-            assert table.totals[6] == 7  # 2..21..1 are the words avoiding 12
+            totals = transfer_dp(2, marks, 6, one)
+            assert all(type(total) is type(one) for total in totals)
+            assert totals[6] == 7  # 2..21..1 are the words avoiding 12
         assert len(transfer._tables) == 2
 
 
@@ -166,28 +192,89 @@ def test_invalid_marks_raise_on_every_call(marks):
 
 
 def test_longer_request_extends_the_stored_rows():
+    """Within its capacity a table appends to its totals; past it, the
+    table refills at twice the capacity.  A total is decoded once."""
     marks = (((1, 2), QPoly.var()), ((2, 3), QPoly.var()))
+    one = QPoly.const(1)
     with mock.patch.dict(transfer._tables, clear=True):
-        short = transfer_dp(3, marks, 10, QPoly.const(1))
-        long = transfer_dp(3, marks, 20, QPoly.const(1))
-        assert all(a is b for a, b in zip(short.rows, long.rows))
-        assert transfer_dp(3, marks, 10, QPoly.const(1)) == short
+        short = transfer_dp(3, marks, 10, one)
+        [table] = transfer._tables.values()
+        assert table.capacity == 10 and len(table.totals) == 11
+        first = short[10]
+        long = transfer_dp(3, marks, 15, one)
+        assert table.capacity == 20 and len(table.totals) == 16
+        stored = table.totals
+        longer = transfer_dp(3, marks, 20, one)
+        assert table.capacity == 20 and table.totals is stored and len(stored) == 21
+        assert long[10] is longer[10] is first
+        assert list(transfer_dp(3, marks, 10, one)) == list(short) == list(longer)[:11]
+        assert len(table.row) == 3
 
 
 def test_threads_extending_one_table_append_each_row_once():
     marks = tuple(((i, i + 1), QPoly.var()) for i in range(1, 4))
     orders = [15, 40, 25, 40, 30, 10]
     expected = [fresh_fill(4, marks, order, QPoly.const(1)) for order in orders]
+    fill = transfer._next_row
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
-            with mock.patch.dict(transfer._tables, clear=True):
+            # one packing per capacity; the previous total names the length
+            appended = []
+
+            def step(into, row, total):
+                appended.append((into, total))
+                return fill(into, row, total)
+
+            with mock.patch.dict(transfer._tables, clear=True), \
+                    mock.patch.object(transfer, "_next_row", step):
                 with ThreadPoolExecutor(4) as pool:
-                    got = list(pool.map(lambda n: transfer_dp(4, marks, n, QPoly.const(1)),
+                    got = list(pool.map(lambda n: list(transfer_dp(4, marks, n, QPoly.const(1))),
                                         orders))
-                [(_, rows, totals)] = transfer._tables.values()
-                assert len(rows) == len(totals) == 41
+                [table] = transfer._tables.values()
+                assert len(table.totals) == 41
             assert got == expected
+            lengths = [(id(into), total) for into, total in appended]
+            assert len(set(lengths)) == len(lengths)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _tracked_from(root):
+    """How many objects reachable from `root`, not through a class, the
+    cyclic collector tracks.  A collection untracks a tuple whose items
+    are all untracked, so a tuple of tuples of ints takes two."""
+    gc.collect()
+    gc.collect()
+    seen, todo, count = set(), [root], 0
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or isinstance(obj, type):
+            continue
+        seen.add(id(obj))
+        count += gc.is_tracked(obj)
+        todo.extend(gc.get_referents(obj))
+    return count
+
+
+def test_a_longer_fill_tracks_no_more_objects():
+    marks = tuple(((i, i + 1), QPoly.var()) for i in range(1, 4))
+    with mock.patch.dict(transfer._tables, clear=True):
+        transfer_dp(4, marks, 200, QPoly.const(1))
+        [table] = transfer._tables.values()
+        at_200 = _tracked_from(table)
+        transfer_dp(4, marks, 400, QPoly.const(1))
+        assert table.capacity == 400
+        assert _tracked_from(table) == at_200
+
+
+def test_a_stored_fill_peaks_under_one_mebibyte():
+    with mock.patch.dict(transfer._tables, clear=True):
+        tracemalloc.start()
+        try:
+            absdiff.b_table(41, 10, 60)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2**20
