@@ -55,8 +55,7 @@ def a_rec_alt(params: KSParams, order: int) -> list[QPoly]:
     seeded with rows 0..steps taken from the DP table."""
     k, s = params.k, params.s
     m = params.steps
-    seed = a_table(params, min(order, m))
-    out = list(seed[: order + 1])
+    out = list(a_table(params, min(order, m)))
     q_minus_1 = QPoly((-1, 1))
     weights = [q_minus_1**i * (k - i * s) for i in range(m + 1)]
     for n in range(m + 1, order + 1):

@@ -152,7 +152,7 @@ class _Table:
         """Choose the packing for lengths up to `capacity` and start over
         from length 1; totals already decoded stay."""
         if self.ring is int:
-            capacity, self.width, self.stride, strides = math.inf, 0, 1, ()
+            capacity, strides = math.inf, ()
         else:
             capacity = max(capacity, 1)
             bound = self.k**capacity * self.norm ** (capacity - 1)

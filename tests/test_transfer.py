@@ -151,26 +151,25 @@ def test_matches_the_row_formula(ring, data):
     orders = sorted(growing) + data.draw(st.lists(st.integers(0, max(growing)), max_size=2))
     rows, totals = row_formula(k, marks, max(orders), one)
     with mock.patch.dict(transfer._tables, clear=True):
-        for order in orders:
+        for i, order in enumerate(orders):
             got = transfer_dp(k, marks, order, one)
             assert list(got) == totals[: order + 1]
             assert all(type(total) is type(one) for total in got)
             [table] = transfer._tables.values()
-            assert table.capacity >= max(orders[: orders.index(order) + 1])
+            assert table.capacity >= max(orders[: i + 1])
     got = fresh_rows(k, marks, max(orders), one)
     assert got == rows
     assert all(type(entry) is type(one) for row in got for entry in row)
 
 
-@pytest.mark.parametrize("weight,one", [(PQPoly.p(), QPoly.const(1)),
-                                        (QPoly.var(), 1),
-                                        (QPoly((0, Fraction(1, 2))), QPoly.const(1)),
-                                        (XPoly.x(), XPoly.const(1)),
-                                        (0, 1.0)])
-def test_weight_outside_the_ring_of_one_rejected(weight, one):
-    for fill in FILLS:
-        with pytest.raises(ValueError):
-            fill(2, (((1, 2), weight),), 3, one)
+def test_weight_outside_the_ring_of_one_rejected():
+    cases = [(PQPoly.p(), QPoly.const(1)), (QPoly.var(), 1),
+             (QPoly((0, Fraction(1, 2))), QPoly.const(1)),  # not an integer coefficient
+             (XPoly.x(), XPoly.const(1)), (0, 1.0)]  # rings no table is kept over
+    for weight, one in cases:
+        for fill in FILLS:
+            with pytest.raises(ValueError):
+                fill(2, (((1, 2), weight),), 3, one)
 
 
 @pytest.mark.parametrize("first,second", [(1, QPoly.const(1)), (QPoly.const(1), 1)])
