@@ -215,4 +215,7 @@ class _Totals(Sequence):
             return [self[i] for i in range(*n.indices(self._len))]
         if not -self._len <= n < self._len:
             raise IndexError("length out of range")
-        return self._table.total(n % self._len)
+        n %= self._len
+        # a total once decoded never changes, so it is read without the lock
+        got = self._table.decoded.get(n)
+        return got if got is not None else self._table.total(n)
