@@ -12,9 +12,10 @@ ring; it keeps the total of every length and the last row only, grows on
 demand, and a shorter request reads its prefix.
 
 Every entry is one Python int.  A polynomial entry is stored as its value
-at q = 2^w, and at p = 2^(wD) for a PQPoly (Kronecker substitution;
-Schonhage 1982): the coefficient of p^i q^j is the signed w-bit digit at
-bit w(iD + j).  Multiplying by a weight is then a few shifts and adds.
+at q = 2^w, and a PQPoly one also at p = 2^(wD), D above every q-degree
+an entry reaches (Kronecker substitution; Schonhage 1982): the
+coefficient of p^i q^j is the signed w-bit digit at bit w(iD + j).
+Multiplying by a weight is then a few shifts and adds.
 """
 
 from __future__ import annotations
