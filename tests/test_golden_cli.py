@@ -117,6 +117,11 @@ def _corpus():
         ["partition-dist", "--n", "3", "--k", "2", "--s", "0"],
         ["verify", "--suite", "fibwords", "--nmax", "3"],
     ]
+    # every wide-band closed-form check of the jump suite, one per line
+    cmds += [
+        ["verify", "--suite", "absdiff", "--nmax", "4", "--full-report"],
+        ["verify", "--suite", "absdiff", "--nmax", "4", "--full-report", "--format", "csv"],
+    ]
     return cmds
 
 
