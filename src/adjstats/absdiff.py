@@ -8,6 +8,12 @@ k-ary words.  Three alphabet regimes behave differently:
                       evaluated at 1/(2x(1-q)), proved via an LU
                       factorization of a tridiagonal system, which this
                       module also verifies explicitly.
+
+In the wide band, y = x(1-q) and V_l(y) = y^l U_l(1/(2y)) turn every
+band-sum term into a ratio of integer polynomials in y:
+V_0 = V_1 = 1 and V_{l+1} = V_l - y^2 V_{l-1}.  Both forms of the band
+sum are kept over the one common denominator V_1...V_{d+1}, and y is
+replaced by x(1-q) only at the end, at the given rational q.
 """
 
 from __future__ import annotations
@@ -111,49 +117,80 @@ def chebyshev_closed_at_square(k: int, s: int, n: int, q_val, root) -> Fraction:
     return k * c ** (n - 1) * chebyshev_u(n - 1, t) - c**n * chebyshev_u(n - 2, t)
 
 
-def _cheb_arg(q: Fraction) -> RatFunc:
-    """The rational function 1 / (2x(1-q))."""
-    return RatFunc(XPoly((1,)), XPoly((0, 2 * (1 - q))))
+def _triple_numerator(vs: list, ell: int) -> XPoly:
+    """The level-ell triple-form numerator over (1-q) V_{ell+1} V_ell, as a
+    literal double sum over (j, m) in [0, ell]^2 of
+    (-1)^(ell+m-j) V_j V_{ell-m} y^(ell+1-j+m)."""
+    total = XPoly()
+    for j in range(ell + 1):
+        for m in range(ell + 1):
+            term = XPoly.monomial(-1 if (ell + m - j) % 2 else 1, ell + 1 - j + m)
+            total = total + term * vs[j] * vs[ell - m]
+    return total
+
+
+def _band_sweep(d: int) -> tuple[list, list]:
+    """Both band-sum forms for every level up to d, in one pass, as
+    polynomials in y = x(1-q) with integer coefficients.
+
+    Returns (vs, levels).  vs holds V_0..V_{d+1}, where V_l(y) =
+    y^l U_l(1/(2y)), so V_0 = V_1 = 1 and V_{l+1} = V_l - y^2 V_{l-1}.
+    levels[0] is the empty sum, and levels[l+1] = (P_l, T_l, D_l) for
+    l = 0..d, with the common denominator D_l = V_1...V_{l+1} and
+
+        H_l = x P_l / ((1+2y)^2 D_l)    (squared form)
+            = T_l / ((1-q) D_l)         (triple form).
+
+    The level-l terms have denominator V_{l+1} V_l, so
+    P_l = P_{l-1} V_{l+1} + N_l^2 D_{l-2} with
+    N_l = V_{l+1} + y V_l + (-1)^l y^(l+1), and the same for T_l with
+    the triple-form numerator."""
+    y = XPoly.var()
+    vs = [XPoly((1,)), XPoly((1,))]
+    for _ in range(d):
+        vs.append(vs[-1] - y * y * vs[-2])
+    p = t = XPoly()
+    den_back, den = XPoly((1,)), XPoly((1,))  # D_{l-2}, D_{l-1}
+    levels = [(p, t, den)]
+    for ell in range(d + 1):
+        n = vs[ell + 1] + y * vs[ell] + XPoly.monomial((-1) ** ell, ell + 1)
+        p = p * vs[ell + 1] + n * n * den_back
+        t = t * vs[ell + 1] + _triple_numerator(vs, ell) * den_back
+        den_back, den = den, den * vs[ell + 1]
+        levels.append((p, t, den))
+    return vs, levels
 
 
 def h_sum_squared(d: int, q_val) -> RatFunc:
     """Band sum in the squared form:
     sum_{l=0}^{d} x^2 (1-q) (U_{l+1} + U_l + (-1)^l)^2
                   / ((1 + 2x(1-q))^2 U_{l+1} U_l),
-    every U evaluated at 1/(2x(1-q))."""
+    every U evaluated at 1/(2x(1-q)).  With y = x(1-q) and
+    V_l(y) = y^l U_l(1/(2y)), the level-l term is the x-polynomial ratio
+    x N_l^2 / ((1+2y)^2 V_{l+1} V_l), N_l = V_{l+1} + y V_l + (-1)^l y^(l+1);
+    the sum is read off `_band_sweep` over one common denominator."""
     q = Fraction(q_val)
     if q == 1:
         raise SingularSpecialization("q = 1 collapses the Chebyshev argument")
-    us = chebyshev_u_list(d + 1, _cheb_arg(q))
-    corner = RatFunc(XPoly((1, 2 * (1 - q)))) ** 2
-    front = RatFunc(XPoly.monomial(1 - q, 2))
-    total = RatFunc(XPoly())
-    for ell in range(d + 1):
-        u_lo, u_hi = us[ell + 1], us[ell + 2]
-        numer = front * (u_hi + u_lo + (-1) ** ell) ** 2
-        total = total + numer / (corner * u_hi * u_lo)
-    return total
+    c = 1 - q
+    p, _, den = _band_sweep(d)[1][-1]
+    y = XPoly.var()
+    return RatFunc(y * p, c * (1 + 2 * y) ** 2 * den).scale_x(c)
 
 
 def h_sum_triple(d: int, q_val) -> RatFunc:
     """The same band sum in unreduced triple-sum form:
     sum_{j=0}^{d} sum_{l=j}^{d} sum_{m=0}^{l}
-        (-1)^(l+m-j) U_j U_{l-m} / ((1-q) U_{l+1} U_l)."""
+        (-1)^(l+m-j) U_j U_{l-m} / ((1-q) U_{l+1} U_l).
+    In V-polynomials the level-l term is the literal double sum over
+    (j, m) of (-1)^(l+m-j) V_j V_{l-m} y^(l+1-j+m), over
+    (1-q) V_{l+1} V_l; the sum is read off `_band_sweep`."""
     q = Fraction(q_val)
     if q == 1:
         raise SingularSpecialization("q = 1 collapses the Chebyshev argument")
-    us = chebyshev_u_list(d + 1, _cheb_arg(q))
-    total = RatFunc(XPoly())
-    for ell in range(d + 1):
-        numer = RatFunc(XPoly())
-        for j in range(ell + 1):
-            for m in range(ell + 1):
-                term = us[j + 1] * us[ell - m + 1]
-                if (ell + m - j) % 2:
-                    term = -term
-                numer = numer + term
-        total = total + numer / ((1 - q) * us[ell + 2] * us[ell + 1])
-    return total
+    c = 1 - q
+    _, t, den = _band_sweep(d)[1][-1]
+    return RatFunc(t, c * den).scale_x(c)
 
 
 def gf_B_large(k: int, s: int, q_val) -> RatFunc:
@@ -162,26 +199,32 @@ def gf_B_large(k: int, s: int, q_val) -> RatFunc:
 
         B(x) = 1 / (1 - r H_d(x) - (s-r) H_{d-1}(x)),
 
-    where H is the Chebyshev band sum.  Both the squared and the
-    triple-sum forms of H are computed and must agree."""
+    where H is the Chebyshev band sum.  One `_band_sweep` gives both
+    forms of H_d and H_{d-1} over the common denominator D_d, and the
+    two must agree: y P = (1+2y)^2 T at d and at d-1, y = x(1-q).  Then
+
+        B(x) = (1-q) D_d / ((1-q) D_d - r T_d - (s-r) T_{d-1} V_{d+1})
+
+    with y = x(1-q) substituted."""
     if regime(k, s) != "large":
         raise WrongRegime(f"(k, s) = {(k, s)} needs k >= 2s+1")
     q = Fraction(q_val)
     if q == 1:
         raise SingularSpecialization("q = 1; the series is 1/(1-kx), use the DP")
+    c = 1 - q
     r = (k - 1) % s + 1
     d = (k - r) // s
-    h_parts = []
+    vs, levels = _band_sweep(d)
+    y = XPoly.var()
     for dd in (d, d - 1):
-        squared = h_sum_squared(dd, q)
-        triple = h_sum_triple(dd, q)
-        if squared != triple:
+        p, t, _ = levels[dd + 1]
+        if y * p != (1 + 2 * y) ** 2 * t:
             raise InternalInvariantViolation(
                 f"band-sum forms disagree for d={dd}, q={q}"
             )
-        h_parts.append(triple)
-    denom = 1 - r * h_parts[0] - (s - r) * h_parts[1]
-    return 1 / denom
+    _, t_d, den = levels[d + 1]
+    t_prev = levels[d][1]
+    return RatFunc(c * den, c * den - r * t_d - (s - r) * t_prev * vs[d + 1]).scale_x(c)
 
 
 def band_matrix(d: int, x_val, q_val) -> SquareMatrix:

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from adjstats import absdiff
 from adjstats.absdiff import (
     DegeneratePoint,
     SingularSpecialization,
@@ -18,7 +21,7 @@ from adjstats.absdiff import (
     lu_verify,
     regime,
 )
-from adjstats.algebra import QPoly
+from adjstats.algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly, chebyshev_u_list
 from adjstats.oracle import distribution_nu
 from adjstats.transfer import fresh_rows
 
@@ -114,6 +117,44 @@ class TestChebyshevClosed:
             chebyshev_closed_at_square(3, 2, 3, 5, 3)
 
 
+def _cheb_arg(q):
+    """The rational function 1 / (2x(1-q))."""
+    return RatFunc(XPoly((1,)), XPoly((0, 2 * (1 - q))))
+
+
+def _h_sum_squared_reference(d, q):
+    """The squared band sum summed literally over RatFunc values of U_l at
+    1/(2x(1-q)), each sum multiplying the denominators together."""
+    us = chebyshev_u_list(d + 1, _cheb_arg(q))
+    corner = RatFunc(XPoly((1, 2 * (1 - q)))) ** 2
+    front = RatFunc(XPoly.monomial(1 - q, 2))
+    total = RatFunc(XPoly())
+    for ell in range(d + 1):
+        u_lo, u_hi = us[ell + 1], us[ell + 2]
+        numer = front * (u_hi + u_lo + (-1) ** ell) ** 2
+        total = total + numer / (corner * u_hi * u_lo)
+    return total
+
+
+def _h_sum_triple_reference(d, q):
+    """The triple-sum band sum, literally over RatFunc values of U_l."""
+    us = chebyshev_u_list(d + 1, _cheb_arg(q))
+    total = RatFunc(XPoly())
+    for ell in range(d + 1):
+        numer = RatFunc(XPoly())
+        for j in range(ell + 1):
+            for m in range(ell + 1):
+                term = us[j + 1] * us[ell - m + 1]
+                if (ell + m - j) % 2:
+                    term = -term
+                numer = numer + term
+        total = total + numer / ((1 - q) * us[ell + 2] * us[ell + 1])
+    return total
+
+
+_rationals_not_one = st.fractions(max_denominator=9).filter(lambda q: q != 1)
+
+
 class TestLargeBand:
     def test_alphabet5_series(self):
         series = gf_B_large(5, 2, 0).series(3)
@@ -136,6 +177,36 @@ class TestLargeBand:
         for d in range(5):
             for q in (Fraction(0), Fraction(2), Fraction(-1, 3)):
                 assert h_sum_squared(d, q) == h_sum_triple(d, q)
+
+    @given(st.integers(0, 6), _rationals_not_one)
+    @settings(max_examples=30, deadline=None)
+    def test_band_sums_equal_the_chebyshev_references(self, d, q):
+        assert h_sum_squared(d, q) == _h_sum_squared_reference(d, q)
+        assert h_sum_triple(d, q) == _h_sum_triple_reference(d, q)
+
+    def test_matches_table_on_the_wider_grid(self):
+        q_points = (Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(7, 3))
+        for s in range(1, 4):
+            for k in range(2 * s + 1, 12):
+                table = b_table(k, s, 20)
+                for q in q_points:
+                    assert gf_B_large(k, s, q).series(20) == [t(q) for t in table], (k, s, q)
+
+    @pytest.mark.parametrize("k,s,level", [(8, 1, 7), (8, 1, 6), (7, 2, 3), (7, 2, 2)])
+    def test_a_wrong_triple_term_is_caught(self, monkeypatch, k, s, level):
+        # k = d*s + r gives d = 7 at (8, 1) and d = 3 at (7, 2); flip the
+        # sign of the (j, m) = (0, 0) term at level d, then at level d-1
+        real = absdiff._triple_numerator
+
+        def one_wrong_sign(vs, ell):
+            total = real(vs, ell)
+            if ell != level:
+                return total
+            return total - 2 * XPoly.monomial((-1) ** ell, ell + 1) * vs[0] * vs[ell]
+
+        monkeypatch.setattr(absdiff, "_triple_numerator", one_wrong_sign)
+        with pytest.raises(InternalInvariantViolation):
+            gf_B_large(k, s, Fraction(1, 2))
 
     def test_singular_specialization(self):
         with pytest.raises(SingularSpecialization):
