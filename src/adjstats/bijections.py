@@ -68,7 +68,7 @@ class ColoredComposition:
                 raise InvalidComposition(f"part size {size} < 1")
             if not colored:
                 raise InvalidComposition("a part has an empty color set")
-            if not all(1 <= c <= size for c in colored):
+            if min(colored) < 1 or max(colored) > size:
                 raise InvalidComposition(f"colors {set(colored)} outside [1, {size}]")
 
     @property
@@ -94,24 +94,18 @@ def composition_to_maneuvers(comp: ColoredComposition) -> tuple[int, ...]:
 def maneuvers_to_composition(ops) -> ColoredComposition:
     """Replay construction moves from the single circled dot."""
     ops = maneuvers_to_v_word(ops)
-    parts = [[True]]
+    sizes, circled = [1], [[1]]  # each part's size and its circled positions
     for op in ops:
-        part = parts[-1]
         if op == 1:
-            parts.append([True])
-        elif op == 2:
-            part.append(True)
-        elif op == 3:
-            part.append(False)
-        else:
-            last_circled = len(part) - 1 - part[::-1].index(True)
-            part.insert(last_circled, False)
-    return ColoredComposition(
-        tuple(
-            (len(part), frozenset(i + 1 for i, marked in enumerate(part) if marked))
-            for part in parts
-        )
-    )
+            sizes.append(1)
+            circled.append([1])
+            continue
+        sizes[-1] += 1
+        if op == 2:
+            circled[-1].append(sizes[-1])
+        elif op == 4:
+            circled[-1][-1] += 1  # the new plain dot goes before the last circled one
+    return ColoredComposition(tuple(zip(sizes, map(frozenset, circled))))
 
 
 def maneuvers_to_v_word(ops) -> tuple[int, ...]:
