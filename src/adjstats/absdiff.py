@@ -131,12 +131,11 @@ def _triple_numerator(vs: list, ell: int) -> XPoly:
 
 def _band_sweep(d: int) -> tuple[list, list]:
     """Both band-sum forms for every level up to d, in one pass, as
-    polynomials in y = x(1-q) with integer coefficients.
+    integer polynomials in y = x(1-q).
 
-    Returns (vs, levels).  vs holds V_0..V_{d+1}, where V_l(y) =
-    y^l U_l(1/(2y)), so V_0 = V_1 = 1 and V_{l+1} = V_l - y^2 V_{l-1}.
-    levels[0] is the empty sum, and levels[l+1] = (P_l, T_l, D_l) for
-    l = 0..d, with the common denominator D_l = V_1...V_{l+1} and
+    Returns (vs, levels): vs holds V_0..V_{d+1}, levels[0] is the empty
+    sum, and levels[l+1] = (P_l, T_l, D_l) for l = 0..d, with the common
+    denominator D_l = V_1...V_{l+1} and
 
         H_l = x P_l / ((1+2y)^2 D_l)    (squared form)
             = T_l / ((1-q) D_l)         (triple form).
