@@ -122,6 +122,16 @@ def _corpus():
         ["verify", "--suite", "absdiff", "--nmax", "4", "--full-report"],
         ["verify", "--suite", "absdiff", "--nmax", "4", "--full-report", "--format", "csv"],
     ]
+    # the suites and commands that read brute-force tallies; kary by its
+    # summary only, whose per-check params are not pinned
+    cmds += [
+        ["verify", "--suite", "partitions", "--nmax", "6", "--full-report"],
+        ["verify", "--suite", "gap", "--nmax", "5", "--full-report"],
+        ["verify", "--suite", "bijections", "--nmax", "5", "--full-report"],
+        ["verify", "--suite", "kary", "--nmax", "5"],
+        ["partition-dist", "--n", "0..10", "--k", "4", "--s", "2"],
+        ["dist", "--stat", "nu", "--k", "6", "--s", "1", "--n", "0..7", "--verify"],
+    ]
     return cmds
 
 
