@@ -1,10 +1,15 @@
 """Brute-force ground truth for word statistics.
 
 One depth-first walk, `_walk`, visits every sequence of a family and
-carries its difference profile.  The profiles of one length are tallied
-once and every statistic is read off the tally.  Nothing comes from a
-recurrence, a closed form or a DP table, so these values are the
-independent reference that every other module is checked against.
+carries its difference profile packed into one integer key.  `_count`
+tallies the keys of one length: it walks the prefixes m letters short of
+the end, and for each prefix state lists once the key increments of the
+m-letter suffixes that may follow it, so every word adds its own key
+once without a tuple or a generator step of its own.  Every statistic
+is read off the packed keys of that tally, a digit at a time.  Nothing
+comes from a recurrence, a closed form or a DP table, so these values
+are the independent reference that every other module is checked
+against.
 """
 
 from __future__ import annotations
@@ -12,10 +17,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
+from operator import add, mul
 
 from .algebra import InternalInvariantViolation, PQPoly, QPoly
 
 DEFAULT_CAP = 10**8
+_SUFFIX_WORDS = 256  # `_count` lists at least this many suffixes per state, where k allows
 
 
 class EnumerationTooLarge(RuntimeError):
@@ -27,17 +34,24 @@ def words(k, n):
     return itertools.product(range(1, k + 1), repeat=n)
 
 
-def _walk(k, n, banned=frozenset(), gap=1, growth=False):
+def _walk(k, n, banned=frozenset(), gap=1, growth=False, start=((), 0), stop=None):
     """Every word of length n over 1..k with no adjacent pair in `banned`
     (a pair (0, b) bars b as first letter), in lexicographic order, as
     (word, key, top).  With `growth`, each letter is at most one above the
     running maximum `top`, which gives the restricted growth functions.
     `key` packs the difference profile: its base-max(n, 2) digit d + k - 1
-    counts the i with w[i+gap] - w[i] = d."""
+    counts the i with w[i+gap] - w[i] = d.
+
+    With a `start` (word, maximum) and a `stop` length, it visits only the
+    extensions of that word to length `stop`, and `key` counts only the
+    pairs whose second letter is new.  The start word needs only the last
+    `gap` letters of a longer prefix, since no new pair reaches further."""
     if n < 0:
         raise ValueError("need n >= 0")
-    if n == 0:
-        yield (), 0, 0
+    word, top = start
+    stop = n if stop is None else stop
+    if len(word) == stop:
+        yield word, 0, top
         return
     k = max(k, 0)
     base = max(n, 2)
@@ -48,8 +62,8 @@ def _walk(k, n, banned=frozenset(), gap=1, growth=False):
     after = [[tuple(b for b in range(1, (min(top + 1, k) if growth else k) + 1)
                     if (a, b) not in banned) for top in range(k + 1)]
              for a in range(k + 1)]
-    last = n - 1
-    stack = [((), 0, 0)]
+    last = stop - 1
+    stack = [(word, 0, top)]
     while stack:
         word, key, top = stack.pop()
         i = len(word)
@@ -63,23 +77,64 @@ def _walk(k, n, banned=frozenset(), gap=1, growth=False):
                 stack.append((word + (c,), key + row[c], top if top >= c else c))
 
 
+def _count(k, n, banned=frozenset(), gap=1, growth=False):
+    """Counter {key: number of words} over `_walk(k, n, banned, gap, growth)`.
+    With `growth`, each key also carries the word's maximum letter as its
+    digit 2k - 1.
+
+    Each prefix m letters short of n adds its own key to every entry of
+    the list of suffix key increments for its state, the last `gap`
+    letters and (with `growth`) the maximum; m is the least length with
+    k^m >= _SUFFIX_WORDS.  A list is built once per state, by the same
+    walk, and lives only for this count."""
+    m = 0
+    while m < n and k**m < _SUFFIX_WORDS:
+        m += 1
+    fold = _top_place(k, n) if growth else 0
+    counts = Counter()
+    suffixes = {}
+    for word, key, top in _walk(k, n, banned, gap, growth, stop=n - m):
+        state = word[-gap:], top if growth else 0
+        tail = suffixes.get(state)
+        if tail is None:
+            tail = suffixes[state] = [
+                inc + last_top * fold for _, inc, last_top in
+                _walk(k, n, banned, gap, growth, start=(state[0], top), stop=len(state[0]) + m)]
+        counts.update(map(add, itertools.repeat(key), tail))
+    return counts
+
+
+def _top_place(k, n):
+    """The place value of the maximum letter in a key of `_count(k, n, growth=True)`;
+    it is the key's leading digit, which may reach max(n, 2) itself."""
+    return max(n, 2) ** (2 * k - 1)
+
+
 def _unpack(key, k, n):
     """The difference profile packed in a key of `_walk`."""
-    return tuple(key // max(n, 2) ** i % max(n, 2) for i in range(2 * k - 1))
+    base = max(n, 2)
+    return tuple(key // base**i % base for i in range(2 * k - 1))
 
 
-def _at(profile, d):
-    """How many pairs of a profile have difference d."""
-    return profile[d + len(profile) // 2] if 2 * abs(d) < len(profile) else 0
+def _reads(tally, k, n, diffs):
+    """For each key of a tally of `_walk(k, n, ...)`, in order, how many
+    pairs have a difference in `diffs`: the sum of those digits."""
+    base = max(n, 2)
+    reads = [0] * len(tally)
+    for d in diffs:
+        if abs(d) < k:
+            unit = base ** (d + k - 1)
+            reads = [read + key // unit % base for read, key in zip(reads, tally)]
+    return reads
 
 
 @lru_cache(maxsize=None)
 def _tally(n, k, banned, gap):
-    """{profile: number of words} over the words of `_walk(k, n, banned, gap)`."""
-    counts = Counter(key for _, key, _ in _walk(k, n, banned, gap))
+    """{key: number of words} over the words of `_walk(k, n, banned, gap)`."""
+    counts = _count(k, n, banned, gap)
     if not banned and counts.total() != max(k, 0) ** n:
         raise InternalInvariantViolation(f"walk visited {counts.total()} of {k}^{n} words")
-    return {_unpack(key, k, n): count for key, count in counts.items()}
+    return counts
 
 
 def _profiles(k, n, cap, banned=frozenset(), gap=1):
@@ -88,11 +143,11 @@ def _profiles(k, n, cap, banned=frozenset(), gap=1):
     return _tally(n, k, banned, gap)
 
 
-def _poly(tally, stat):
-    """Sum of count * q^stat(profile) over a tally."""
+def _poly(tally, reads):
+    """Sum of count * q^read over a tally and its `_reads`."""
     coeffs = Counter()
-    for profile, count in tally.items():
-        coeffs[stat(profile)] += count
+    for read, count in zip(reads, tally.values()):
+        coeffs[read] += count
     return QPoly(coeffs[m] for m in range(max(coeffs, default=-1) + 1))
 
 
@@ -101,7 +156,8 @@ def _marginal(n, k, gap, diffs):
     """Distribution of the number of indices i with w[i+gap] - w[i] in
     `diffs` over the k-ary words of length n, built once per argument
     tuple from their tally."""
-    return _poly(_tally(n, k, frozenset(), gap), lambda p: sum(_at(p, d) for d in diffs))
+    tally = _tally(n, k, frozenset(), gap)
+    return _poly(tally, _reads(tally, k, n, diffs))
 
 
 def distribution_mu(k, s, n, cap=DEFAULT_CAP) -> QPoly:
@@ -124,21 +180,23 @@ def distribution_gap(k, s, r, n, cap=DEFAULT_CAP) -> QPoly:
     return _marginal(n, k, r, (s,))
 
 
-def _joint(n, second_stat, cap):
+def _joint(n, second, cap):
     tally = _profiles(3, n, cap, frozenset({(1, 3)}))
-    return PQPoly(_poly({p: c for p, c in tally.items() if _at(p, 0) == lev}, second_stat)
-                  for lev in range(max(n, 1)))
+    by_level = [{} for _ in range(max(n, 1))]
+    for key, level in zip(tally, _reads(tally, 3, n, (0,))):
+        by_level[level][key] = tally[key]
+    return PQPoly(_poly(part, _reads(part, 3, n, second)) for part in by_level)
 
 
 def joint_lev_asc(n, cap=DEFAULT_CAP) -> PQPoly:
     """Joint (level, ascent) distribution over 3-ary words avoiding 1-3,
     as a bivariate polynomial with p marking levels and q marking ascents."""
-    return _joint(n, lambda p: _at(p, 1) + _at(p, 2), cap)
+    return _joint(n, (1, 2), cap)
 
 
 def joint_lev_des(n, cap=DEFAULT_CAP) -> PQPoly:
     """Joint (level, descent) distribution over 3-ary words avoiding 1-3."""
-    return _joint(n, lambda p: _at(p, -1) + _at(p, -2), cap)
+    return _joint(n, (-1, -2), cap)
 
 
 def count_avoiders(k, n, forbidden, cap=DEFAULT_CAP) -> int:
@@ -153,4 +211,5 @@ def count_avoiders(k, n, forbidden, cap=DEFAULT_CAP) -> int:
 
 def total_mu_oracle(k, s, n, cap=DEFAULT_CAP) -> int:
     """Summed count of (a, a+s) adjacencies over all k-ary words of length n."""
-    return sum(_at(p, s) * count for p, count in _profiles(k, n, cap).items())
+    tally = _profiles(k, n, cap)
+    return sum(map(mul, _reads(tally, k, n, (s,)), tally.values()))

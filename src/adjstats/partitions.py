@@ -5,20 +5,29 @@ block count, total-occurrence formulas in Stirling numbers, and the
 Bell-number formulas for the grand totals at s = 2, 3, 4.
 
 Growth sequences come from the oracle's walk under the growth rule; those
-of one length are tallied once by (maximum letter, difference profile).
+of one length are tallied once by the oracle's count, whose packed keys
+carry the maximum letter above the difference profile.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .absdiff import WrongRegime
 from .algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly
 from .kary import KSParams, gf_A, gf_denominator, unit_column_det
-from .oracle import DEFAULT_CAP, EnumerationTooLarge, _at, _poly, _unpack, _walk
+from .oracle import (
+    DEFAULT_CAP,
+    EnumerationTooLarge,
+    _count,
+    _poly,
+    _reads,
+    _top_place,
+    _walk,
+)
 
 
 def bell_list(n: int) -> list[int]:
@@ -61,26 +70,29 @@ def _check_cap(n: int, cap: int) -> None:
 
 @lru_cache(maxsize=None)
 def _rgf_tally(n: int) -> dict:
-    """{(maximum letter, difference profile): number of growth sequences}."""
-    counts = Counter((top, key) for _, key, top in _walk(max(n, 1), n, growth=True))
+    """{key: number of growth sequences}, each key packing a difference
+    profile under the maximum letter."""
+    counts = _count(max(n, 1), n, growth=True)
     if counts.total() != bell_list(n)[n]:
         raise InternalInvariantViolation(f"walk visited {counts.total()} of B_{n} sequences")
-    return {(top, _unpack(key, max(n, 1), n)): count for (top, key), count in counts.items()}
+    return counts
 
 
 def p_dist_oracle(n: int, k: int, s: int, cap: int = DEFAULT_CAP) -> QPoly:
     """Distribution of adjacent (a, a+s) pairs over the growth sequences of
     length n with maximum letter k, by direct scan."""
     _check_cap(n, cap)
-    tally = {profile: count for (top, profile), count in _rgf_tally(n).items() if top == k}
-    return _poly(tally, lambda profile: _at(profile, s))
+    top = _top_place(max(n, 1), n)
+    tally = {key: count for key, count in _rgf_tally(n).items() if key // top == k}
+    return _poly(tally, _reads(tally, max(n, 1), n, (s,)))
 
 
 def p_total_all_oracle(n: int, s: int, cap: int = DEFAULT_CAP) -> int:
     """Summed count of adjacent (a, a+s) pairs over all growth sequences of
     length n (every block count), by direct scan."""
     _check_cap(n, cap)
-    return sum(_at(profile, s) * count for (_, profile), count in _rgf_tally(n).items())
+    tally = _rgf_tally(n)
+    return sum(map(mul, _reads(tally, max(n, 1), n, (s,)), tally.values()))
 
 
 def gf_P(k: int, s: int) -> RatFunc:

@@ -54,7 +54,6 @@ def _rise_pairs(kmax, smax):
 
 def suite_kary(kmax=6, smax=4, nmax=8) -> list[Check]:
     rec = _Recorder("kary")
-    order = 25  # the long and reduced closed forms are compared this far
     for k, s in _rise_pairs(kmax, smax):
         params = kary.KSParams(k, s)
         table = kary.a_table(params, nmax)
@@ -72,9 +71,9 @@ def suite_kary(kmax=6, smax=4, nmax=8) -> list[Check]:
             )
         rec.expect_equal(
             "long and reduced closed forms are series-identical",
-            {"k": k, "s": s, "order": order},
-            kary.gf_A(params).series(order),
-            kary.gf_A_reduced(params).series(order),
+            {"k": k, "s": s},
+            kary.gf_A(params),
+            kary.gf_A_reduced(params),
         )
         for n in range(nmax + 1):
             rec.expect_equal(

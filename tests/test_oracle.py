@@ -115,6 +115,20 @@ def _skip_one(walk, index):
     return skipping
 
 
+def _drop_once(walk, suffix):
+    """A walk that drops visit 1 of the first suffix list a count builds
+    (a call given a `start`) when `suffix`, else of the first prefix walk."""
+    mutated = []
+
+    def dropping(*args, **kwargs):
+        visits = walk(*args, **kwargs)
+        if ("start" in kwargs) != suffix or mutated:
+            return visits
+        mutated.append(args)
+        return (visit for i, visit in enumerate(visits) if i != 1)
+    return dropping
+
+
 class TestWalkInvariant:
     def test_skipped_word_is_caught(self, monkeypatch):
         oracle._tally.cache_clear()
@@ -127,10 +141,31 @@ class TestWalkInvariant:
 
     def test_skipped_growth_sequence_is_caught(self, monkeypatch):
         partitions._rgf_tally.cache_clear()
-        monkeypatch.setattr(partitions, "_walk", _skip_one(partitions._walk, 3))
+        monkeypatch.setattr(oracle, "_walk", _skip_one(oracle._walk, 3))
         try:
             with pytest.raises(InternalInvariantViolation):
                 partitions.p_dist_oracle(5, 2, 1)
+        finally:
+            partitions._rgf_tally.cache_clear()
+
+    # each case has several prefixes and several suffix lists
+    @pytest.mark.parametrize("suffix", [False, True], ids=["prefix", "suffix"])
+    def test_dropped_prefix_or_suffix_entry_is_caught_in_words(self, monkeypatch, suffix):
+        oracle._tally.cache_clear()
+        monkeypatch.setattr(oracle, "_walk", _drop_once(oracle._walk, suffix))
+        try:
+            with pytest.raises(InternalInvariantViolation):
+                distribution_mu(2, 1, 10)
+        finally:
+            oracle._tally.cache_clear()
+
+    @pytest.mark.parametrize("suffix", [False, True], ids=["prefix", "suffix"])
+    def test_dropped_prefix_or_suffix_entry_is_caught_in_growth(self, monkeypatch, suffix):
+        partitions._rgf_tally.cache_clear()
+        monkeypatch.setattr(oracle, "_walk", _drop_once(oracle._walk, suffix))
+        try:
+            with pytest.raises(InternalInvariantViolation):
+                partitions.p_dist_oracle(9, 3, 2)
         finally:
             partitions._rgf_tally.cache_clear()
 

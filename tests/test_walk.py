@@ -1,10 +1,13 @@
 """Differential tests of the depth-first walk behind the oracle, the
 growth-sequence scans and the bijection families, against plain
 `itertools.product` + `pairwise` scanners and a naive recursive
-growth-sequence generator kept here as references."""
+growth-sequence generator kept here as references; and of the oracle's
+prefix-by-suffix-list count, against a per-word tally of the walk."""
 
 import itertools
+from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -125,6 +128,57 @@ def test_walk_visits_the_family_in_order_with_its_profile(case, gap, n):
         profile = oracle._unpack(key, k, n)
         assert profile == tuple(rises(w, d, gap) for d in range(1 - k, k))
         assert top == max(w, default=0)
+
+
+def per_word_count(k, n, banned, gap, growth):
+    """The tally `oracle._count` must give: one key per visited word, with
+    the maximum letter folded in under the growth rule."""
+    fold = oracle._top_place(k, n) if growth else 0
+    return Counter(key + top * fold
+                   for _, key, top in oracle._walk(k, n, banned, gap, growth))
+
+
+def block_length(k):
+    """The least m with k^m >= 256: how far short of n the count's prefixes stop."""
+    return next(m for m in itertools.count() if k**m >= oracle._SUFFIX_WORDS)
+
+
+@given(banned_sets(first_letter=True), st.integers(1, 4), st.integers(0, 8), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_count_matches_a_per_word_tally(case, gap, n, growth):
+    k, banned = case
+    assert oracle._count(k, n, banned, gap, growth) == per_word_count(k, n, banned, gap, growth)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("shift", [-1, 0, 1], ids=["below", "at", "above"])
+@pytest.mark.parametrize("gap", [1, 2])
+@pytest.mark.parametrize("growth", [False, True], ids=["words", "growth"])
+def test_count_around_the_block_length(k, shift, gap, growth):
+    n = block_length(k) + shift
+    banned = frozenset({(0, 2), (1, 1)})
+    for bans in (frozenset(), banned):
+        assert oracle._count(k, n, bans, gap, growth) == per_word_count(k, n, bans, gap, growth)
+
+
+@given(banned_sets(first_letter=True), st.integers(1, 4), st.integers(0, 6), st.booleans(),
+       st.data())
+@EXAMPLES
+def test_extensions_of_every_prefix_rebuild_the_walk(case, gap, n, growth, data):
+    k, banned = case
+    stop = data.draw(st.integers(0, n))
+    full = list(oracle._walk(k, n, banned, gap, growth))
+    from_prefix, from_state = [], []
+    for word, key, top in oracle._walk(k, n, banned, gap, growth, stop=stop):
+        for whole, inc, last_top in oracle._walk(k, n, banned, gap, growth,
+                                                 start=(word, top)):
+            from_prefix.append((whole, key + inc, last_top))
+        state = word[-gap:]
+        for tail, inc, last_top in oracle._walk(k, n, banned, gap, growth, start=(state, top),
+                                                stop=len(state) + n - stop):
+            from_state.append((word + tail[len(state):], key + inc, last_top))
+    assert from_prefix == full
+    assert from_state == full
 
 
 @given(st.integers(0, 7), st.integers(0, 8), step)
