@@ -95,12 +95,12 @@ def _count(k, n, banned=frozenset(), gap=1, growth=False):
     suffixes = {}
     for word, key, top in _walk(k, n, banned, gap, growth, stop=n - m):
         state = word[-gap:], top if growth else 0
-        tail = suffixes.get(state)
-        if tail is None:
-            tail = suffixes[state] = [
-                inc + last_top * fold for _, inc, last_top in
+        suffix = suffixes.get(state)
+        if suffix is None:
+            suffix = suffixes[state] = [
+                inc + end_top * fold for _, inc, end_top in
                 _walk(k, n, banned, gap, growth, start=(state[0], top), stop=len(state[0]) + m)]
-        counts.update(map(add, itertools.repeat(key), tail))
+        counts.update(map(add, itertools.repeat(key), suffix))
     return counts
 
 
