@@ -132,6 +132,17 @@ def _corpus():
         ["partition-dist", "--n", "0..10", "--k", "4", "--s", "2"],
         ["dist", "--stat", "nu", "--k", "6", "--s", "1", "--n", "0..7", "--verify"],
     ]
+    # growth-sequence distributions at one block, at a rational q, with more
+    # blocks than letters, at zero blocks, past the cap (rows 12 and 13 warn),
+    # and every partitions check with its params
+    cmds += [
+        ["partition-dist", "--n", "0..9", "--k", "1", "--s", "1"],
+        ["partition-dist", "--n", "0..9", "--k", "3", "--s", "1", "--q", "1/2"],
+        ["partition-dist", "--n", "0..8", "--k", "30", "--s", "2"],
+        ["partition-dist", "--n", "0..3", "--k", "0", "--s", "3"],
+        ["partition-dist", "--n", "10..13", "--k", "3", "--s", "2", "--cap", "1000000"],
+        ["verify", "--suite", "partitions", "--nmax", "8", "--full-report"],
+    ]
     return cmds
 
 
