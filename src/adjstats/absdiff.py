@@ -26,17 +26,13 @@ from .algebra import (
     QPoly,
     RatFunc,
     SquareMatrix,
+    WrongRegime,
     XPoly,
     chebyshev_u,
     chebyshev_u_list,
     mat_mul,
 )
 from .transfer import transfer_dp
-
-
-class WrongRegime(ValueError):
-    """The requested formula does not apply to this (k, s) pair; shared
-    with the partition closed forms."""
 
 
 class SingularSpecialization(ValueError):

@@ -6,7 +6,7 @@ Everything here is immutable and exact.  All polynomial ring code lives
 once, on `Poly`; `QPoly`, `PQPoly` and `XPoly` only name its variable.
 Coefficients live in whatever ring supports +, -, * and comparison with
 integers: Python ints, fractions.Fraction, or polynomials in a variable
-of lower rank.
+of lower rank.  The exceptions the modules share live here too.
 """
 
 from __future__ import annotations
@@ -20,6 +20,14 @@ class NotExpandable(ArithmeticError):
 
 class InternalInvariantViolation(RuntimeError):
     """An exact identity that must hold by construction failed."""
+
+
+class WrongRegime(ValueError):
+    """The requested formula does not apply to this (k, s) pair."""
+
+
+class EnumerationTooLarge(RuntimeError):
+    """The number of words or growth sequences to scan exceeds the cap."""
 
 
 def _trim(coeffs):

@@ -1,15 +1,17 @@
 """Brute-force ground truth for word statistics.
 
 One depth-first walk, `_walk`, visits every sequence of a family and
-carries its difference profile packed into one integer key.  `_count`
+carries its difference profile packed into one integer key.  A family
+is data: an alphabet 1..k, banned pairs, a gap and the growth flag, which
+gives the restricted growth functions with maximum at most k.  `_count`
 tallies the keys of one length: it walks the prefixes m letters short of
 the end, and for each prefix state lists once the key increments of the
 m-letter suffixes that may follow it, so every word adds its own key
 once without a tuple or a generator step of its own.  Every statistic
-is read off the packed keys of that tally, a digit at a time.  Nothing
-comes from a recurrence, a closed form or a DP table, so these values
-are the independent reference that every other module is checked
-against.
+is read off the packed keys of that tally, a digit at a time, in one
+layout for words and growth sequences alike.  Nothing comes from a
+recurrence, a closed form or a DP table, so these values are the
+independent reference that every other module is checked against.
 """
 
 from __future__ import annotations
@@ -17,16 +19,12 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from operator import add, mul
+from operator import add
 
-from .algebra import InternalInvariantViolation, PQPoly, QPoly
+from .algebra import EnumerationTooLarge, InternalInvariantViolation, PQPoly, QPoly
 
 DEFAULT_CAP = 10**8
 _SUFFIX_WORDS = 256  # `_count` lists at least this many suffixes per state, where k allows
-
-
-class EnumerationTooLarge(RuntimeError):
-    """The number of words or growth sequences to scan exceeds the cap."""
 
 
 def words(k, n):
@@ -77,10 +75,8 @@ def _walk(k, n, banned=frozenset(), gap=1, growth=False, start=((), 0), stop=Non
                 stack.append((word + (c,), key + row[c], top if top >= c else c))
 
 
-def _count(k, n, banned=frozenset(), gap=1, growth=False):
+def _count(k, n, banned, gap, growth):
     """Counter {key: number of words} over `_walk(k, n, banned, gap, growth)`.
-    With `growth`, each key also carries the word's maximum letter as its
-    digit 2k - 1.
 
     Each prefix m letters short of n adds its own key to every entry of
     the list of suffix key increments for its state, the last `gap`
@@ -90,24 +86,16 @@ def _count(k, n, banned=frozenset(), gap=1, growth=False):
     m = 0
     while m < n and k**m < _SUFFIX_WORDS:
         m += 1
-    fold = _top_place(k, n) if growth else 0
     counts = Counter()
     suffixes = {}
     for word, key, top in _walk(k, n, banned, gap, growth, stop=n - m):
         state = word[-gap:], top if growth else 0
         suffix = suffixes.get(state)
         if suffix is None:
-            suffix = suffixes[state] = [
-                inc + end_top * fold for _, inc, end_top in
-                _walk(k, n, banned, gap, growth, start=(state[0], top), stop=len(state[0]) + m)]
+            suffix = suffixes[state] = [inc for _, inc, _ in _walk(
+                k, n, banned, gap, growth, start=(state[0], top), stop=len(state[0]) + m)]
         counts.update(map(add, itertools.repeat(key), suffix))
     return counts
-
-
-def _top_place(k, n):
-    """The place value of the maximum letter in a key of `_count(k, n, growth=True)`;
-    it is the key's leading digit, which may reach max(n, 2) itself."""
-    return max(n, 2) ** (2 * k - 1)
 
 
 def _unpack(key, k, n):
@@ -129,10 +117,10 @@ def _reads(tally, k, n, diffs):
 
 
 @lru_cache(maxsize=None)
-def _tally(n, k, banned, gap):
-    """{key: number of words} over the words of `_walk(k, n, banned, gap)`."""
-    counts = _count(k, n, banned, gap)
-    if not banned and counts.total() != max(k, 0) ** n:
+def _tally(n, k, banned, gap, growth):
+    """{key: number of sequences} over `_walk(k, n, banned, gap, growth)`."""
+    counts = _count(k, n, banned, gap, growth)
+    if not (banned or growth) and counts.total() != max(k, 0) ** n:
         raise InternalInvariantViolation(f"walk visited {counts.total()} of {k}^{n} words")
     return counts
 
@@ -140,7 +128,7 @@ def _tally(n, k, banned, gap):
 def _profiles(k, n, cap, banned=frozenset(), gap=1):
     if k**n > cap:
         raise EnumerationTooLarge(f"{k}^{n} words exceed enumeration cap {cap}")
-    return _tally(n, k, banned, gap)
+    return _tally(n, k, banned, gap, False)
 
 
 def _poly(tally, reads):
@@ -152,24 +140,25 @@ def _poly(tally, reads):
 
 
 @lru_cache(maxsize=None)
-def _marginal(n, k, gap, diffs):
+def _marginal(n, k, gap, diffs, growth):
     """Distribution of the number of indices i with w[i+gap] - w[i] in
-    `diffs` over the k-ary words of length n, built once per argument
-    tuple from their tally."""
-    tally = _tally(n, k, frozenset(), gap)
+    `diffs` over the k-ary words of length n (with `growth`, the growth
+    sequences with maximum at most k), built once per argument tuple from
+    their tally."""
+    tally = _tally(n, k, frozenset(), gap, growth)
     return _poly(tally, _reads(tally, k, n, diffs))
 
 
 def distribution_mu(k, s, n, cap=DEFAULT_CAP) -> QPoly:
     """Distribution of the count of rises by exactly s (pairs a, a+s)."""
     _profiles(k, n, cap)
-    return _marginal(n, k, 1, (s,))
+    return _marginal(n, k, 1, (s,), False)
 
 
 def distribution_nu(k, s, n, cap=DEFAULT_CAP) -> QPoly:
     """Distribution of the count of jumps of absolute size s."""
     _profiles(k, n, cap)
-    return _marginal(n, k, 1, tuple(sorted({s, -s})) if s >= 0 else ())
+    return _marginal(n, k, 1, tuple(sorted({s, -s})) if s >= 0 else (), False)
 
 
 def distribution_gap(k, s, r, n, cap=DEFAULT_CAP) -> QPoly:
@@ -177,7 +166,7 @@ def distribution_gap(k, s, r, n, cap=DEFAULT_CAP) -> QPoly:
     if r < 1:
         raise ValueError("gap must be >= 1")
     _profiles(k, n, cap, gap=r)
-    return _marginal(n, k, r, (s,))
+    return _marginal(n, k, r, (s,), False)
 
 
 def _joint(n, second, cap):
@@ -211,5 +200,5 @@ def count_avoiders(k, n, forbidden, cap=DEFAULT_CAP) -> int:
 
 def total_mu_oracle(k, s, n, cap=DEFAULT_CAP) -> int:
     """Summed count of (a, a+s) adjacencies over all k-ary words of length n."""
-    tally = _profiles(k, n, cap)
-    return sum(map(mul, _reads(tally, k, n, (s,)), tally.values()))
+    _profiles(k, n, cap)
+    return _marginal(n, k, 1, (s,), False).derivative()(1)

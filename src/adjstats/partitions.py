@@ -4,30 +4,26 @@ brute-force enumeration, the closed-form generating function for a fixed
 block count, total-occurrence formulas in Stirling numbers, and the
 Bell-number formulas for the grand totals at s = 2, 3, 4.
 
-Growth sequences come from the oracle's walk under the growth rule; those
-of one length are tallied once by the oracle's count, whose packed keys
-carry the maximum letter above the difference profile.
+Growth sequences are tallied by the oracle in the same key layout as
+words: a growth family over 1..k holds the sequences with maximum at most
+k, so the distribution for k blocks is bound k's minus bound k - 1's.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
-from operator import mul
 
-from .absdiff import WrongRegime
-from .algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly
-from .kary import KSParams, gf_A, gf_denominator, unit_column_det
-from .oracle import (
-    DEFAULT_CAP,
+from .algebra import (
     EnumerationTooLarge,
-    _count,
-    _poly,
-    _reads,
-    _top_place,
-    _walk,
+    InternalInvariantViolation,
+    QPoly,
+    RatFunc,
+    WrongRegime,
+    XPoly,
 )
+from .kary import KSParams, gf_A, gf_denominator, unit_column_det
+from .oracle import DEFAULT_CAP, _marginal, _tally, _walk
 
 
 def bell_list(n: int) -> list[int]:
@@ -68,31 +64,30 @@ def _check_cap(n: int, cap: int) -> None:
         raise EnumerationTooLarge(f"B_{n} growth sequences exceed cap {cap}")
 
 
-@lru_cache(maxsize=None)
-def _rgf_tally(n: int) -> dict:
-    """{key: number of growth sequences}, each key packing a difference
-    profile under the maximum letter."""
-    counts = _count(max(n, 1), n, growth=True)
-    if counts.total() != bell_list(n)[n]:
-        raise InternalInvariantViolation(f"walk visited {counts.total()} of B_{n} sequences")
-    return counts
+def _at_most(n: int, k: int, s: int, cap: int) -> QPoly:
+    """Distribution of adjacent (a, a+s) pairs over the growth sequences of
+    length n with maximum letter at most k, by direct scan.  No sequence
+    has a maximum above max(n, 1), so k is clamped there."""
+    _check_cap(n, cap)
+    if k < 0:
+        return QPoly(())
+    k = min(k, max(n, 1))
+    visited = _tally(n, k, frozenset(), 1, True).total()
+    if visited != sum(stirling_table(n)[n][: k + 1]):
+        raise InternalInvariantViolation(f"walk visited {visited} of S({n}, 0..{k}) sequences")
+    return _marginal(n, k, 1, (s,), True)
 
 
 def p_dist_oracle(n: int, k: int, s: int, cap: int = DEFAULT_CAP) -> QPoly:
     """Distribution of adjacent (a, a+s) pairs over the growth sequences of
     length n with maximum letter k, by direct scan."""
-    _check_cap(n, cap)
-    top = _top_place(max(n, 1), n)
-    tally = {key: count for key, count in _rgf_tally(n).items() if key // top == k}
-    return _poly(tally, _reads(tally, max(n, 1), n, (s,)))
+    return _at_most(n, k, s, cap) - _at_most(n, k - 1, s, cap)
 
 
 def p_total_all_oracle(n: int, s: int, cap: int = DEFAULT_CAP) -> int:
     """Summed count of adjacent (a, a+s) pairs over all growth sequences of
     length n (every block count), by direct scan."""
-    _check_cap(n, cap)
-    tally = _rgf_tally(n)
-    return sum(map(mul, _reads(tally, max(n, 1), n, (s,)), tally.values()))
+    return _at_most(n, max(n, 1), s, cap).derivative()(1)
 
 
 def gf_P(k: int, s: int) -> RatFunc:

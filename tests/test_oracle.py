@@ -140,13 +140,15 @@ class TestWalkInvariant:
             oracle._tally.cache_clear()
 
     def test_skipped_growth_sequence_is_caught(self, monkeypatch):
-        partitions._rgf_tally.cache_clear()
+        oracle._tally.cache_clear()
+        oracle._marginal.cache_clear()
         monkeypatch.setattr(oracle, "_walk", _skip_one(oracle._walk, 3))
         try:
             with pytest.raises(InternalInvariantViolation):
                 partitions.p_dist_oracle(5, 2, 1)
         finally:
-            partitions._rgf_tally.cache_clear()
+            oracle._tally.cache_clear()
+            oracle._marginal.cache_clear()
 
     # each case has several prefixes and several suffix lists
     @pytest.mark.parametrize("suffix", [False, True], ids=["prefix", "suffix"])
@@ -161,13 +163,15 @@ class TestWalkInvariant:
 
     @pytest.mark.parametrize("suffix", [False, True], ids=["prefix", "suffix"])
     def test_dropped_prefix_or_suffix_entry_is_caught_in_growth(self, monkeypatch, suffix):
-        partitions._rgf_tally.cache_clear()
+        oracle._tally.cache_clear()
+        oracle._marginal.cache_clear()
         monkeypatch.setattr(oracle, "_walk", _drop_once(oracle._walk, suffix))
         try:
             with pytest.raises(InternalInvariantViolation):
                 partitions.p_dist_oracle(9, 3, 2)
         finally:
-            partitions._rgf_tally.cache_clear()
+            oracle._tally.cache_clear()
+            oracle._marginal.cache_clear()
 
 
 def test_one_tally_serves_mu_nu_and_total():

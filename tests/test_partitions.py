@@ -1,6 +1,7 @@
 import pytest
 
-from adjstats.algebra import QPoly, specialize_q
+from adjstats import oracle
+from adjstats.algebra import InternalInvariantViolation, QPoly, specialize_q
 from adjstats.partitions import (
     EnumerationTooLarge,
     WrongRegime,
@@ -80,6 +81,48 @@ class TestDistOracle:
         for n in range(8):
             for k in range(n + 1):
                 assert p_dist_oracle(n, k, 2)(1) == table[n][k]
+
+
+@pytest.fixture
+def fresh_tallies():
+    oracle._tally.cache_clear()
+    oracle._marginal.cache_clear()
+    yield
+    oracle._tally.cache_clear()
+    oracle._marginal.cache_clear()
+
+
+class TestBoundRead:
+    """A block count k is read as the tally for maximum at most k minus the
+    one for at most k - 1, each bound clamped at max(n, 1) and mass-checked."""
+
+    def test_bound_above_n_walks_no_larger_alphabet(self, monkeypatch, fresh_tallies):
+        alphabets = []
+        walk = oracle._walk
+
+        def recording(k, n, banned=frozenset(), gap=1, growth=False, **kwargs):
+            if growth:
+                alphabets.append((k, n))
+            return walk(k, n, banned, gap, growth, **kwargs)
+
+        monkeypatch.setattr(oracle, "_walk", recording)
+        assert p_dist_oracle(8, 200, 2) == QPoly(())
+        assert p_dist_oracle(3, 50, 1) == QPoly(())
+        assert {n for _, n in alphabets} == {8, 3}
+        assert all(k <= max(n, 1) for k, n in alphabets)
+
+    def test_dropped_sequence_below_n_is_caught(self, monkeypatch, fresh_tallies):
+        walk = oracle._walk
+
+        def dropping(k, n, banned=frozenset(), gap=1, growth=False, **kwargs):
+            visits = walk(k, n, banned, gap, growth, **kwargs)
+            if growth and k < n:
+                return (visit for i, visit in enumerate(visits) if i != 1)
+            return visits
+
+        monkeypatch.setattr(oracle, "_walk", dropping)
+        with pytest.raises(InternalInvariantViolation):
+            p_dist_oracle(7, 2, 1)
 
 
 class TestClosedForm:

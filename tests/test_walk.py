@@ -131,11 +131,8 @@ def test_walk_visits_the_family_in_order_with_its_profile(case, gap, n):
 
 
 def per_word_count(k, n, banned, gap, growth):
-    """The tally `oracle._count` must give: one key per visited word, with
-    the maximum letter folded in under the growth rule."""
-    fold = oracle._top_place(k, n) if growth else 0
-    return Counter(key + top * fold
-                   for _, key, top in oracle._walk(k, n, banned, gap, growth))
+    """The tally `oracle._count` must give: one key per visited word."""
+    return Counter(key for _, key, _ in oracle._walk(k, n, banned, gap, growth))
 
 
 def block_length(k):
