@@ -134,6 +134,13 @@ def _in_family(word, allowed) -> bool:
     return allowed.issuperset(zip((0,) + word, word))
 
 
+def _not_in_family(word, pairs) -> InvalidWord:
+    """Why `word` is outside a family over 1..4 that bans `pairs`."""
+    bad = [c for c in word if not 1 <= c <= 4]
+    return InvalidWord(f"{word} has letter {bad[0]} outside 1..4" if bad
+                       else f"{word} contains {pairs}")
+
+
 def is_v_word(word) -> bool:
     """Member of the family avoiding adjacent 2-4 and 3-4."""
     return _in_family(word, _V_ALLOWED)
@@ -149,7 +156,7 @@ def v_to_w(word) -> tuple[int, ...]:
     avoiding 2-4/3-4 onto words avoiding 1-3/2-4."""
     word = tuple(word)
     if not is_v_word(word):
-        raise InvalidWord(f"{word} contains 2-4 or 3-4")
+        raise _not_in_family(word, "2-4 or 3-4")
     out = []
     i = 0
     n = len(word)
@@ -178,7 +185,7 @@ def w_to_v(word) -> tuple[int, ...]:
     """Inverse of v_to_w: rewrite each maximal run 3 4^d as 1^d 3."""
     word = tuple(word)
     if not is_w_word(word):
-        raise InvalidWord(f"{word} contains 1-3 or 2-4")
+        raise _not_in_family(word, "1-3 or 2-4")
     out = []
     i = 0
     n = len(word)

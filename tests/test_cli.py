@@ -351,6 +351,8 @@ COMMAND_ERRORS = [
     (["bijection", "--composition", "x:1"], "invalid literal for int()"),
     (["bijection", "--tiling-to-word", "1,3"], "pieces must have length 1 or 2"),
     (["bijection", "--w-to-v", "13"], "(1, 3) contains 1-3 or 2-4"),
+    (["bijection", "--v-to-w", "0"], "(0,) has letter 0 outside 1..4"),
+    (["bijection", "--w-to-v", "5"], "(5,) has letter 5 outside 1..4"),
     (["partition-dist", "--n", "3", "--k", "2", "--s", "0"], "need s >= 1"),
     (["oeis-check", "--id", "A000001", "--bfile", "b.txt"], "no registered generator"),
     (["oeis-check", "--id", "A007070", "--bfile", "/nonexistent/b007070.txt"],
@@ -415,6 +417,9 @@ def test_usage_error_exit_code():
         ["dist", "--stat", "mu", "--k=--", "--s", "1", "--n", "2"],
         ["bijection", "--tiling-to-word=--"],
         ["verify", "--suite=--"],
+        # letters outside the alphabet 1..4 of the two word maps
+        ["bijection", "--v-to-w", "0"],
+        ["bijection", "--w-to-v", "5"],
     ],
     ids=" ".join,
 )
