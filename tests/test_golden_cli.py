@@ -143,6 +143,16 @@ def _corpus():
         ["partition-dist", "--n", "10..13", "--k", "3", "--s", "2", "--cap", "1000000"],
         ["verify", "--suite", "partitions", "--nmax", "8", "--full-report"],
     ]
+    # every check of the rise, jump, partitions and bijection suites with its
+    # params at the default grids (partitions also to n = 10): the checks that
+    # read recurrences off generating functions and counts off the tallies
+    cmds += [
+        ["verify", "--suite", "kary", "--full-report"],
+        ["verify", "--suite", "absdiff", "--full-report"],
+        ["verify", "--suite", "partitions", "--full-report"],
+        ["verify", "--suite", "partitions", "--nmax", "10", "--full-report"],
+        ["verify", "--suite", "bijections", "--nmax", "6", "--full-report"],
+    ]
     return cmds
 
 
