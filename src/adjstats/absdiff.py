@@ -31,6 +31,7 @@ from .algebra import (
     chebyshev_u,
     chebyshev_u_list,
     mat_mul,
+    specialize_q,
 )
 from .transfer import transfer_dp
 
@@ -79,21 +80,16 @@ def gf_B_small(k: int, s: int) -> RatFunc:
 
 
 def b_closed_chebyshev(k: int, s: int, n: int, q_val) -> Fraction:
-    """Total distribution value at an exact rational q for the middle band,
-    evaluated through the two-term recursion
+    """Total distribution value at an exact rational q for the middle band:
+    coefficient n of gf_B_small at that q, whose denominator is the
+    two-term recursion
         b_n = (k-1+q) b_{n-1} + (1-q)(2s-k) b_{n-2},  b_0 = 1, b_1 = k,
-    which is exactly what the Chebyshev closed form encodes (the Chebyshev
-    expression itself is validated separately at perfect-square arguments,
-    see chebyshev_closed_at_square)."""
-    if regime(k, s) != "small":
-        raise WrongRegime(f"(k, s) = {(k, s)} is not in the band s+1 <= k <= 2s")
-    q = Fraction(q_val)
-    prev, cur = Fraction(1), Fraction(k)
-    if n == 0:
-        return prev
-    for _ in range(n - 1):
-        prev, cur = cur, (k - 1 + q) * cur + (1 - q) * (2 * s - k) * prev
-    return cur
+    that the Chebyshev closed form encodes (the Chebyshev expression itself
+    is validated separately at perfect-square arguments, see
+    chebyshev_closed_at_square)."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    return Fraction(specialize_q(gf_B_small(k, s), Fraction(q_val)).series(n)[n])
 
 
 def chebyshev_closed_at_square(k: int, s: int, n: int, q_val, root) -> Fraction:

@@ -79,6 +79,19 @@ def _mul_lists(a, b, out=None):
     return out
 
 
+def _power(base, n, one):
+    """base**n for n >= 0 by repeated squaring, starting from `one`: one
+    product per set bit of n, and one squaring per bit below the top one."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 class Poly:
     """Dense polynomial in one variable over an arbitrary coefficient ring.
 
@@ -199,14 +212,7 @@ class Poly:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = type(self)((1,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, type(self)((1,)))
 
     def __call__(self, value, *inner):
         """Evaluate at var = value by Horner's rule.  `inner` holds the
@@ -395,14 +401,7 @@ class RatFunc:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative power; divide explicitly instead")
-        out = RatFunc.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, RatFunc.one())
 
     def series(self, order):
         """Coefficients c_0..c_order of the power-series expansion at x = 0.

@@ -50,18 +50,15 @@ def a_table(params: KSParams, order: int) -> Sequence[QPoly]:
 
 
 def a_rec_alt(params: KSParams, order: int) -> list[QPoly]:
-    """The (steps+1)-term recurrence
-    a_n = sum_{i=0}^{steps} (q-1)^i (k - i s) a_{n-i-1},
-    seeded with rows 0..steps taken from the DP table."""
-    k, s = params.k, params.s
-    m = params.steps
-    out = list(a_table(params, min(order, m)))
-    q_minus_1 = QPoly((-1, 1))
-    weights = [q_minus_1**i * (k - i * s) for i in range(m + 1)]
-    for n in range(m + 1, order + 1):
+    """The (steps+1)-term recurrence read off the denominator of
+    gf_A_reduced, a_n = -sum_{j>=1} den_j a_{n-j}, seeded with rows
+    0..steps taken from the DP table."""
+    den = gf_A_reduced(params).den.coeffs
+    out = list(a_table(params, min(order, params.steps)))
+    for n in range(params.steps + 1, order + 1):
         acc = QPoly()
-        for i, w in enumerate(weights):
-            acc = acc + w * out[n - i - 1]
+        for j in range(1, len(den)):
+            acc = acc - den[j] * out[n - j]
         out.append(acc)
     return out
 

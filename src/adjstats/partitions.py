@@ -90,6 +90,11 @@ def p_total_all_oracle(n: int, s: int, cap: int = DEFAULT_CAP) -> int:
     return _at_most(n, max(n, 1), s, cap).derivative()(1)
 
 
+def _one_minus_y_pow(m: int) -> XPoly:
+    """1 - y^m with y = (q-1)x."""
+    return XPoly((1,)) - XPoly.monomial((QPoly.var() - 1) ** m, m)
+
+
 def gf_P(k: int, s: int) -> RatFunc:
     """Closed-form generating function, coefficients in q, for the
     (a, a+s) distribution on partitions with exactly k blocks, s >= 2.
@@ -110,18 +115,13 @@ def gf_P(k: int, s: int) -> RatFunc:
     params = KSParams(k, s)
     rem, steps = params.rem, params.steps
     q = QPoly.var()
-
-    def one_minus_qx_pow(m: int) -> XPoly:
-        # 1 - ((q-1)x)^m
-        return XPoly((1,)) - XPoly.monomial((q - 1) ** m, m)
-
     num = XPoly.monomial(QPoly((1,)), k)
     num = num * XPoly((QPoly((1,)), q - 1))
     num = num * XPoly((QPoly((1,)), 1 - q)) ** (k - s + 1)
-    num = num * one_minus_qx_pow(steps + 1) ** (rem - 1)
+    num = num * _one_minus_y_pow(steps + 1) ** (rem - 1)
     for ell in range(1, steps):
-        num = num * one_minus_qx_pow(ell + 1) ** (s - 1)
-        num = num * one_minus_qx_pow(ell + 2)
+        num = num * _one_minus_y_pow(ell + 1) ** (s - 1)
+        num = num * _one_minus_y_pow(ell + 2)
     den = XPoly((1,))
     for j in range(1, s + 1):
         den = den * XPoly((1, -j))
@@ -233,18 +233,13 @@ def gf_P_s1_reference(k: int) -> RatFunc:
         raise WrongRegime("need k >= 2")
     q = QPoly.var()
     one_minus_y = XPoly((QPoly((1,)), 1 - q))  # 1 - (q-1)x
-
-    def y_pow_complement(m: int) -> XPoly:
-        # 1 - ((q-1)x)^m
-        return XPoly((1,)) - XPoly.monomial((q - 1) ** m, m)
-
     geom = RatFunc(XPoly())
     for i in range(1, k + 1):
-        geom = geom + RatFunc(y_pow_complement(i), one_minus_y)
+        geom = geom + RatFunc(_one_minus_y_pow(i), one_minus_y)
     first = RatFunc(XPoly.monomial(QPoly((1,)), k)) / (1 - XPoly.x() * geom)
     out = first
     for j in range(1, k):
-        numer = y_pow_complement(j + 1)
+        numer = _one_minus_y_pow(j + 1)
         inner_den = XPoly((QPoly((1,)), -QPoly((j, 1)))) + XPoly.x() * RatFunc(
             numer, one_minus_y
         )

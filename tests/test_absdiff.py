@@ -1,10 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjstats import absdiff
+from adjstats import absdiff, verify
 from adjstats.absdiff import (
     DegeneratePoint,
     SingularSpecialization,
@@ -115,6 +116,39 @@ class TestChebyshevClosed:
     def test_root_validation(self):
         with pytest.raises(ValueError):
             chebyshev_closed_at_square(3, 2, 3, 5, 3)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError, match="need n >= 0"):
+            b_closed_chebyshev(4, 2, -1, 0)
+
+    def test_outside_the_band_rejected(self):
+        with pytest.raises(WrongRegime, match=r"\(k, s\) = \(5, 2\) is not in the band"):
+            b_closed_chebyshev(5, 2, 3, 0)
+
+    def test_value_is_a_fraction(self):
+        # at (k, s, q) = (2, 1, -1) the denominator is 1, so b_n = 0 for n >= 2
+        assert [b_closed_chebyshev(2, 1, n, -1) for n in range(4)] == [1, 2, 0, 0]
+        assert all(type(b_closed_chebyshev(2, 1, n, -1)) is Fraction for n in range(4))
+
+    def test_wrong_denominator_is_caught(self, monkeypatch):
+        """A wrong x coefficient in gf_B_small(4, 3) fails the checks that
+        read it, on its own (k, s) only, and the suite still returns."""
+        small = absdiff.gf_B_small
+
+        def perturbed(k, s):
+            gf = small(k, s)
+            if (k, s) == (4, 3):
+                gf = RatFunc(gf.num, gf.den + XPoly.monomial(1, 1))
+            return gf
+
+        monkeypatch.setattr(absdiff, "gf_B_small", perturbed)
+        failed = Counter((c.name, c.params["k"], c.params["s"])
+                         for c in verify.suite_absdiff(nmax=4) if not c.passed)
+        assert failed == {
+            ("two-term recursion holds on DP totals", 4, 3): 11,
+            ("Chebyshev-encoded recursion matches DP at a rational", 4, 3): 5,
+            ("middle-band closed form equals DP", 4, 3): 1,
+        }
 
 
 def _cheb_arg(q):

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -352,6 +353,53 @@ class TestRatFuncArithmetic:
         f = RatFunc(XPoly((0, 0, 1)), XPoly((0, 1, -1)))
         assert f.num == XPoly((0, 1))
         assert f.den == XPoly((1, -1))
+
+
+POWER_BASES = [
+    QPoly((1, -2, 3)),
+    XPoly((QPoly((1, 1)), 2, QPoly((0, -1)))),
+    RatFunc(XPoly((1, QPoly((0, 1)))), XPoly((1, -2, 1))),
+]
+
+
+class TestPower:
+    """Both __pow__ methods square by one helper: n = 0 multiplies
+    nothing, and n >= 1 takes popcount(n) + bit_length(n) - 1 products."""
+
+    @pytest.mark.parametrize("n", range(10))
+    @pytest.mark.parametrize("base", POWER_BASES, ids=lambda b: type(b).__name__)
+    def test_equals_repeated_product(self, base, n):
+        want = RatFunc.one() if isinstance(base, RatFunc) else type(base)((1,))
+        for _ in range(n):
+            want = want * base
+        assert base**n == want
+
+    @pytest.mark.parametrize("base,message", [
+        (POWER_BASES[0], "negative power of a polynomial"),
+        (POWER_BASES[1], "negative power of a polynomial"),
+        (POWER_BASES[2], "negative power; divide explicitly instead"),
+    ], ids=lambda v: type(v).__name__)
+    def test_negative_power_rejected(self, base, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            base**-1
+
+    @pytest.mark.parametrize("n", range(10))
+    @pytest.mark.parametrize("base", POWER_BASES, ids=lambda b: type(b).__name__)
+    def test_product_count(self, monkeypatch, base, n):
+        # products of the base's own type only: an XPoly product also
+        # multiplies its QPoly coefficients
+        owner = RatFunc if isinstance(base, RatFunc) else Poly
+        mul = owner.__mul__
+        products = []
+
+        def counting(a, b):
+            if type(a) is type(base):
+                products.append(n)
+            return mul(a, b)
+
+        monkeypatch.setattr(owner, "__mul__", counting)
+        base**n
+        assert len(products) == (n.bit_count() + n.bit_length() - 1 if n else 0)
 
 
 class TestChebyshev:

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjstats import kary, oeis
+from adjstats import kary, oeis, verify
 from adjstats.algebra import (
     InternalInvariantViolation,
     QPoly,
+    RatFunc,
     SquareMatrix,
+    XPoly,
     det_exact,
     series_expand,
     specialize_q,
@@ -101,6 +103,28 @@ class TestAltRecurrence:
     def test_equals_table(self, k, s):
         params = KSParams(k, s)
         assert a_rec_alt(params, 8) == list(a_table(params, 8))
+
+    def test_wrong_denominator_is_caught(self, monkeypatch):
+        """The recurrence is read off gf_A_reduced, so one wrong coefficient
+        of its denominator fails the five-way agreement from n = 1 and the
+        identity with the long form, and the suite still returns."""
+        reduced = kary.gf_A_reduced
+
+        def perturbed(params):
+            gf = reduced(params)
+            return RatFunc(gf.num, gf.den + XPoly.monomial(1, 1))
+
+        monkeypatch.setattr(kary, "gf_A_reduced", perturbed)
+        failed = [(c.name, c.params) for c in verify.suite_kary(kmax=4, smax=2, nmax=5)
+                  if not c.passed]
+        pairs = [(2, 1), (3, 1), (4, 1), (3, 2), (4, 2)]
+        assert failed == [
+            check
+            for k, s in pairs
+            for check in [("five-way distribution agreement", {"k": k, "s": s, "n": n})
+                          for n in range(1, 6)]
+            + [("long and reduced closed forms are series-identical", {"k": k, "s": s})]
+        ]
 
 
 class TestGeneratingFunction:

@@ -1,6 +1,6 @@
 import pytest
 
-from adjstats import oracle
+from adjstats import oracle, partitions, verify
 from adjstats.algebra import InternalInvariantViolation, QPoly, specialize_q
 from adjstats.partitions import (
     EnumerationTooLarge,
@@ -123,6 +123,29 @@ class TestBoundRead:
         monkeypatch.setattr(oracle, "_walk", dropping)
         with pytest.raises(InternalInvariantViolation):
             p_dist_oracle(7, 2, 1)
+
+
+class TestSuiteCounts:
+    def test_dropped_sequence_fails_its_stirling_checks(self, fresh_tallies, monkeypatch):
+        """The suite's Bell and Stirling counts are read off the growth
+        tallies, so one sequence missing from the tally for n = 7 and
+        maximum at most 6 fails S(7, 6) and S(7, 7), and the suite returns."""
+        # monkeypatch is set up after fresh_tallies, so the real store is
+        # back before its caches are cleared
+        tally = oracle._tally
+
+        def dropping(n, k, banned, gap, growth):
+            counts = tally(n, k, banned, gap, growth)
+            if (n, k, growth) == (7, 6, True):
+                counts = counts.copy()
+                counts[next(iter(counts))] -= 1
+            return counts
+
+        monkeypatch.setattr(oracle, "_tally", dropping)
+        monkeypatch.setattr(partitions, "_tally", dropping)
+        failed = [(c.name, c.params) for c in verify.suite_partitions(nmax=7) if not c.passed]
+        assert failed == [("filtered count is the Stirling number", {"n": 7, "k": 6}),
+                          ("filtered count is the Stirling number", {"n": 7, "k": 7})]
 
 
 class TestClosedForm:
