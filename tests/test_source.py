@@ -1,9 +1,37 @@
 """Checks on the package source itself."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "adjstats").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "adjstats").glob("*.py"))
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), str(path))
+
+
+def _names_read(tree):
+    """Every identifier a tree mentions outside a definition's own name:
+    plain names, attribute names and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.split(".")[-1]
+
+
+def _exported(tree):
+    """The strings listed in a module-level `__all__`."""
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            return {elt.value for elt in node.value.elts}
+    return set()
 
 
 def test_no_invariant_rests_on_assert():
@@ -11,6 +39,40 @@ def test_no_invariant_rests_on_assert():
     assert SOURCES
     found = [f"{path.name}:{node.lineno}"
              for path in SOURCES
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for node in ast.walk(_parse(path))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/adjstats: {', '.join(found)}"
+
+
+def test_no_unused_import():
+    """Every name a module imports is read there or listed in its `__all__`."""
+    found = []
+    for path in SOURCES:
+        tree = _parse(path)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [(a.asname or a.name.split(".")[0], node.lineno) for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [(a.asname or a.name, node.lineno) for a in node.names]
+            else:
+                continue
+            found += [f"{path.name}:{line} {name}" for name, line in bound if name not in used]
+    assert not found, f"unused imports in src/adjstats: {', '.join(found)}"
+
+
+def test_every_definition_is_referenced():
+    """Every module-level function and class in src/adjstats is named
+    somewhere in src/ or tests/ besides its own definition."""
+    mentions = Counter()
+    for path in SOURCES + TESTS:
+        mentions.update(_names_read(_parse(path)))
+    found = []
+    for path in SOURCES:
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = sum(1 for name in _names_read(node) if name == node.name)
+                if mentions[node.name] <= own:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not found, f"definitions named nowhere else: {', '.join(found)}"
