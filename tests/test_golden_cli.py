@@ -153,6 +153,15 @@ def _corpus():
         ["verify", "--suite", "partitions", "--nmax", "10", "--full-report"],
         ["verify", "--suite", "bijections", "--nmax", "6", "--full-report"],
     ]
+    # avoidance counts at the largest step-up alphabet of the OEIS generators
+    # (recurrence windows of 17 and 15 terms) and at a pair with rem != s,
+    # where both tail terms of the long form are nonzero; every fibwords
+    # check with its params
+    cmds += [
+        ["avoid", "--k", "14", "--s", "1", "--n", "0..40"],
+        ["avoid", "--k", "9", "--s", "4", "--n", "0..60"],
+        ["verify", "--suite", "fibwords", "--full-report"],
+    ]
     return cmds
 
 
