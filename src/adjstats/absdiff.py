@@ -22,7 +22,6 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .algebra import (
-    InternalInvariantViolation,
     QPoly,
     RatFunc,
     SquareMatrix,
@@ -79,17 +78,17 @@ def gf_B_small(k: int, s: int) -> RatFunc:
     return RatFunc(num, den)
 
 
-def b_closed_chebyshev(k: int, s: int, n: int, q_val) -> Fraction:
-    """Total distribution value at an exact rational q for the middle band:
-    coefficient n of gf_B_small at that q, whose denominator is the
-    two-term recursion
+def b_closed_chebyshev(k: int, s: int, order: int, q_val) -> list[Fraction]:
+    """Total distribution values b_0..b_order at an exact rational q for the
+    middle band: one series expansion of gf_B_small at that q, whose
+    denominator is the two-term recursion
         b_n = (k-1+q) b_{n-1} + (1-q)(2s-k) b_{n-2},  b_0 = 1, b_1 = k,
     that the Chebyshev closed form encodes (the Chebyshev expression itself
     is validated separately at perfect-square arguments, see
     chebyshev_closed_at_square)."""
-    if n < 0:
-        raise ValueError("need n >= 0")
-    return Fraction(specialize_q(gf_B_small(k, s), Fraction(q_val)).series(n)[n])
+    if order < 0:
+        raise ValueError("need order >= 0")
+    return [Fraction(b) for b in specialize_q(gf_B_small(k, s), Fraction(q_val)).series(order)]
 
 
 def chebyshev_closed_at_square(k: int, s: int, n: int, q_val, root) -> Fraction:
@@ -190,9 +189,9 @@ def gf_B_large(k: int, s: int, q_val) -> RatFunc:
 
         B(x) = 1 / (1 - r H_d(x) - (s-r) H_{d-1}(x)),
 
-    where H is the Chebyshev band sum.  One `_band_sweep` gives both
-    forms of H_d and H_{d-1} over the common denominator D_d, and the
-    two must agree: y P = (1+2y)^2 T at d and at d-1, y = x(1-q).  Then
+    where H is the Chebyshev band sum.  One `_band_sweep` gives the
+    triple form of H_d and H_{d-1} over the common denominator D_d (the
+    squared form is compared with it once per level in `verify`).  Then
 
         B(x) = (1-q) D_d / ((1-q) D_d - r T_d - (s-r) T_{d-1} V_{d+1})
 
@@ -206,13 +205,6 @@ def gf_B_large(k: int, s: int, q_val) -> RatFunc:
     r = (k - 1) % s + 1
     d = (k - r) // s
     vs, levels = _band_sweep(d)
-    y = XPoly.var()
-    for dd in (d, d - 1):
-        p, t, _ = levels[dd + 1]
-        if y * p != (1 + 2 * y) ** 2 * t:
-            raise InternalInvariantViolation(
-                f"band-sum forms disagree for d={dd}, q={q}"
-            )
     _, t_d, den = levels[d + 1]
     t_prev = levels[d][1]
     return RatFunc(c * den, c * den - r * t_d - (s - r) * t_prev * vs[d + 1]).scale_x(c)

@@ -67,6 +67,20 @@ def _parse_pieces(text: str) -> tuple[int, ...]:
             f"piece lengths are comma-separated integers, got {text!r}") from None
 
 
+def _parse_composition(text: str) -> tuple:
+    """Parse 'size:c1,c2+size:c1' into parts for ColoredComposition to check."""
+    parts = []
+    try:
+        for chunk in text.split("+"):
+            size_text, _, colors_text = chunk.partition(":")
+            colors = frozenset(int(c) for c in colors_text.split(",") if c)
+            parts.append((int(size_text), colors))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"colored compositions are written size:c1,c2+size:c1, got {text!r}") from None
+    return tuple(parts)
+
+
 def _word_text(word) -> str:
     return "".join(map(str, word))
 
@@ -228,7 +242,7 @@ def _cmd_bijection(args):
         if value is not None:
             return {"command": "bijection", "map": name, "input": shown_in(value),
                     "output": shown_out(fn(value))}, False
-    comp = _parse_composition(args.composition)
+    comp = bijections.ColoredComposition(args.composition)
     moves = bijections.composition_to_maneuvers(comp)
     v_word = bijections.maneuvers_to_v_word(moves)
     return {
@@ -241,16 +255,6 @@ def _cmd_bijection(args):
         "v_word": _word_text(v_word),
         "w_word": _word_text(bijections.v_to_w(v_word)),
     }, False
-
-
-def _parse_composition(text: str) -> bijections.ColoredComposition:
-    """Parse 'size:c1,c2+size:c1' into a colored composition."""
-    parts = []
-    for chunk in text.split("+"):
-        size_text, _, colors_text = chunk.partition(":")
-        colors = frozenset(int(c) for c in colors_text.split(",") if c)
-        parts.append((int(size_text), colors))
-    return bijections.ColoredComposition(tuple(parts))
 
 
 def _cmd_oeis_check(args):
@@ -354,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--word-to-tiling", type=_parse_word, default=None)
     group.add_argument("--tiling-to-word", type=_parse_pieces, default=None,
                        help="comma-separated piece lengths, e.g. 1,2,1")
-    group.add_argument("--composition", default=None,
+    group.add_argument("--composition", type=_parse_composition, default=None,
                        help="colored composition 'size:c1,c2+size:c1'; prints "
                        "the full chain down to the 1-3/2-4 avoider")
     _add_common(p)

@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly
+from .algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly, specialize_q
 from .transfer import transfer_dp
 
 
@@ -93,54 +93,47 @@ def gf_A_reduced(params: KSParams) -> RatFunc:
     """The same generating function after cancelling (1 + (1-q)x)^2:
     1 / (1 - sum_{i=0}^{steps} (q-1)^i (k - i s) x^(i+1))."""
     k, s = params.k, params.s
-    q_minus_1 = QPoly((-1, 1))
-    coeffs = [QPoly((1,))]
+    coeffs, power = [QPoly((1,))], QPoly((1,))  # power = (q-1)^i
     for i in range(params.steps + 1):
-        coeffs.append(-(q_minus_1**i * (k - i * s)))
+        coeffs.append(-(power * (k - i * s)))
+        power = power * QPoly((-1, 1))
     return RatFunc(XPoly((1,)), XPoly(coeffs))
 
 
-# KSParams -> the longest length whose avoidance count has passed both
-# recurrence checks.  A length is recorded only after its check passes, so
-# two threads may check the same length again but never skip one.
+# KSParams -> (the longest length whose avoidance count has passed both
+# recurrence checks, their q = 0 denominators).  A length is recorded only
+# after its check passes: two threads may check a length twice, never skip one.
 _avoid_checked: dict = {}
 
 
-def _check_avoid(params: KSParams, counts: list, n: int) -> None:
-    """Check counts[n] against the alternative recurrence at q=0 and the
-    four-term recurrence from the q=0 generating function, each applied
-    to counts[n-1], counts[n-2], ...  Lengths 0..steps seed the first,
-    and 0..steps+2 the second, so they have nothing to check there."""
-    k, s = params.k, params.s
-    m = params.steps
-    alt = four = counts[n]
-    if n > m:
-        alt = sum((-1) ** i * (k - i * s) * counts[n - i - 1] for i in range(m + 1))
-    if n >= m + 3:
-        sign = (-1) ** m
-        four = ((k - 2) * counts[n - 1]
-                + (k + s - 1) * counts[n - 2]
-                + sign * (params.rem - s) * counts[n - m - 2]
-                + sign * params.rem * counts[n - m - 3])
-    if not (counts[n] == alt == four):
-        raise InternalInvariantViolation(f"avoidance recurrences disagree for {params}")
+def _check_avoid(params: KSParams, dens: tuple, counts: list, n: int) -> None:
+    """Check counts[n] against each recurrence sum_j den_j counts[n-j] = 0
+    whose window fits, n >= len(den) - 1.  The last coefficient of each
+    denominator is +/-rem != 0, so the windows begin at steps+3 for the
+    long form and at steps+1 for the reduced one."""
+    for den in dens:
+        if n >= len(den) - 1 and sum(c * counts[n - j] for j, c in enumerate(den)):
+            raise InternalInvariantViolation(f"avoidance recurrences disagree for {params}")
 
 
 def avoid_count(params: KSParams, order: int) -> list[int]:
     """Counts of words with no rise by s, for lengths 0..order.
 
-    Computed three ways -- the integer DP with every rise forbidden, the
-    alternative recurrence at q=0, and the four-term recurrence from the
-    q=0 generating function -- which must agree exactly.  Each length is
-    checked once per (k, s): a later call checks only the lengths past
-    the longest one checked so far.
+    Computed three ways -- the integer DP with every rise forbidden, and
+    the recurrences read off the denominators of gf_A and gf_A_reduced at
+    q=0 -- which must agree exactly.  Each length is checked once per
+    (k, s), and the denominators are built once: a later call checks only
+    the lengths past the longest one checked so far.
     """
     counts = transfer_dp(params.k, _rise_marks(params, 0), order, 1)
-    checked = _avoid_checked.get(params, -1)
-    for n in range(checked + 1, order + 1):
-        _check_avoid(params, counts, n)
+    checked, dens = _avoid_checked.get(params, (-1, None))
     if order > checked:
-        _avoid_checked[params] = order
+        if dens is None:
+            dens = tuple(specialize_q(den, 0).coeffs
+                         for den in (gf_denominator(params), gf_A_reduced(params).den))
+        for n in range(checked + 1, order + 1):
+            _check_avoid(params, dens, counts, n)
+        _avoid_checked[params] = (order, dens)
     return counts
 
 

@@ -167,6 +167,7 @@ def suite_fibwords() -> list[Check]:
                 fibwords.gf_descent(p, q).series(nmax_series),
                 fibwords.gf_descent_substituted(p, q).series(nmax_series),
             )
+    descent = fibwords.gf_descent(Fraction(2, 5), Fraction(3, 7)).series(nmax_oracle)
     for n in range(1, nmax_oracle + 1):
         jd = oracle.joint_lev_des(n)
         got = fibwords.totals(n)
@@ -179,7 +180,7 @@ def suite_fibwords() -> list[Check]:
         rec.expect_equal(
             "level/descent closed form matches enumeration",
             {"n": n},
-            fibwords.gf_descent(Fraction(2, 5), Fraction(3, 7)).series(n)[n],
+            descent[n],
             jd(Fraction(2, 5), Fraction(3, 7)),
         )
     for n in range(1, nmax_totals + 1):
@@ -239,7 +240,7 @@ def suite_absdiff(kmax=6, smax=3, nmax=8) -> list[Check]:
             rec.expect_equal(
                 "Chebyshev-encoded recursion matches DP at a rational",
                 {"k": k, "s": s, "q": str(qv)},
-                [absdiff.b_closed_chebyshev(k, s, n, qv) for n in range(nmax_series + 1)],
+                absdiff.b_closed_chebyshev(k, s, nmax_series, qv),
                 [t(qv) for t in table],
             )
         # mid-band column collapse: letters below k-s+1 and above s agree
@@ -254,7 +255,17 @@ def suite_absdiff(kmax=6, smax=3, nmax=8) -> list[Check]:
                 {"k": k, "s": s, "n": n},
                 all(c == outer[0] for c in outer),
             )
-    for k, s in [(3, 1), (4, 1), (5, 1), (5, 2), (7, 3), (6, 2)]:
+    wide = [(3, 1), (4, 1), (5, 1), (5, 2), (7, 3), (6, 2)]
+    # each pair reads the band sum at levels d, d-1 (k = d*s + r); its two forms
+    # agree at one q != 1 exactly when they agree as polynomials in y = x(1-q)
+    for d in sorted({(k - 1) // s - i for k, s in wide for i in (0, 1)}):
+        rec.expect_equal(
+            "squared and triple band sums agree",
+            {"d": d, "q": "1/2"},
+            absdiff.h_sum_squared(d, Fraction(1, 2)),
+            absdiff.h_sum_triple(d, Fraction(1, 2)),
+        )
+    for k, s in wide:
         table = absdiff.b_table(k, s, nmax_series)
         for qv in q_points:
             series = absdiff.gf_B_large(k, s, qv).series(nmax_series)

@@ -22,7 +22,7 @@ from adjstats.absdiff import (
     lu_verify,
     regime,
 )
-from adjstats.algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly, chebyshev_u_list
+from adjstats.algebra import QPoly, RatFunc, XPoly, chebyshev_u_list
 from adjstats.oracle import distribution_nu
 from adjstats.transfer import fresh_rows
 
@@ -91,16 +91,17 @@ class TestSmallBand:
 
 class TestChebyshevClosed:
     def test_examples(self):
-        assert b_closed_chebyshev(4, 2, 1, 0) == 4
-        assert b_closed_chebyshev(3, 2, 2, 0) == 7
-        assert b_closed_chebyshev(3, 2, 3, 1) == 27
+        assert b_closed_chebyshev(4, 2, 1, 0) == [1, 4]
+        assert b_closed_chebyshev(3, 2, 2, 0) == [1, 3, 7]
+        assert b_closed_chebyshev(3, 2, 3, 1) == [1, 3, 9, 27]
 
     def test_matches_table_at_rationals(self):
         for k, s in [(3, 2), (4, 3), (5, 3)]:
             table = b_table(k, s, 8)
             for q in (Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(7, 3)):
-                for n in range(9):
-                    assert b_closed_chebyshev(k, s, n, q) == table[n](q)
+                got = b_closed_chebyshev(k, s, 8, q)
+                assert got == [t(q) for t in table]
+                assert all(type(b) is Fraction for b in got)
 
     def test_literal_chebyshev_form_at_square_arguments(self):
         # (2s-k)(q-1) = 4 for (k, s, q) = (3, 2, 5), so root 2 works
@@ -118,7 +119,7 @@ class TestChebyshevClosed:
             chebyshev_closed_at_square(3, 2, 3, 5, 3)
 
     def test_negative_length_rejected(self):
-        with pytest.raises(ValueError, match="need n >= 0"):
+        with pytest.raises(ValueError, match="need order >= 0"):
             b_closed_chebyshev(4, 2, -1, 0)
 
     def test_outside_the_band_rejected(self):
@@ -127,8 +128,22 @@ class TestChebyshevClosed:
 
     def test_value_is_a_fraction(self):
         # at (k, s, q) = (2, 1, -1) the denominator is 1, so b_n = 0 for n >= 2
-        assert [b_closed_chebyshev(2, 1, n, -1) for n in range(4)] == [1, 2, 0, 0]
-        assert all(type(b_closed_chebyshev(2, 1, n, -1)) is Fraction for n in range(4))
+        assert b_closed_chebyshev(2, 1, 3, -1) == [1, 2, 0, 0]
+        assert all(type(b) is Fraction for b in b_closed_chebyshev(2, 1, 3, -1))
+
+    def test_one_expansion_per_call(self, monkeypatch):
+        calls = []
+        real = RatFunc.series
+
+        def counting(self, order):
+            calls.append(order)
+            return real(self, order)
+
+        monkeypatch.setattr(RatFunc, "series", counting)
+        for order in (0, 3, 12):
+            calls.clear()
+            assert len(b_closed_chebyshev(4, 3, order, Fraction(1, 2))) == order + 1
+            assert calls == [order]
 
     def test_wrong_denominator_is_caught(self, monkeypatch):
         """A wrong x coefficient in gf_B_small(4, 3) fails the checks that
@@ -186,6 +201,20 @@ def _h_sum_triple_reference(d, q):
     return total
 
 
+def _one_wrong_sign(level):
+    """absdiff._triple_numerator with the sign of its (j, m) = (0, 0) term
+    flipped at one level."""
+    real = absdiff._triple_numerator
+
+    def one_wrong_sign(vs, ell):
+        total = real(vs, ell)
+        if ell != level:
+            return total
+        return total - 2 * XPoly.monomial((-1) ** ell, ell + 1) * vs[0] * vs[ell]
+
+    return one_wrong_sign
+
+
 _rationals_not_one = st.fractions(max_denominator=9).filter(lambda q: q != 1)
 
 
@@ -229,18 +258,32 @@ class TestLargeBand:
     @pytest.mark.parametrize("k,s,level", [(8, 1, 7), (8, 1, 6), (7, 2, 3), (7, 2, 2)])
     def test_a_wrong_triple_term_is_caught(self, monkeypatch, k, s, level):
         # k = d*s + r gives d = 7 at (8, 1) and d = 3 at (7, 2); flip the
-        # sign of the (j, m) = (0, 0) term at level d, then at level d-1
-        real = absdiff._triple_numerator
+        # sign of the (j, m) = (0, 0) term at level d, then at level d-1:
+        # the two band-sum forms differ there, and so do the closed form
+        # and the DP
+        monkeypatch.setattr(absdiff, "_triple_numerator", _one_wrong_sign(level))
+        q = Fraction(1, 2)
+        assert h_sum_squared(level, q) != h_sum_triple(level, q)
+        assert gf_B_large(k, s, q).series(12) != [t(q) for t in b_table(k, s, 12)]
 
-        def one_wrong_sign(vs, ell):
-            total = real(vs, ell)
-            if ell != level:
-                return total
-            return total - 2 * XPoly.monomial((-1) ** ell, ell + 1) * vs[0] * vs[ell]
-
-        monkeypatch.setattr(absdiff, "_triple_numerator", one_wrong_sign)
-        with pytest.raises(InternalInvariantViolation):
-            gf_B_large(k, s, Fraction(1, 2))
+    # the wide pairs of suite_absdiff have d = 2, 3, 4, 2, 2, 2 with k = d*s + r,
+    # and each reads the triple form at levels d and d-1
+    @pytest.mark.parametrize("level, pairs", [
+        (2, [(3, 1), (4, 1), (5, 1), (5, 2), (7, 3), (6, 2)]),
+        (4, [(5, 1)]),
+    ])
+    def test_a_wrong_triple_term_fails_exactly_its_suite_checks(self, monkeypatch, level,
+                                                                 pairs):
+        """The flip fails the band check at its level and above, and the
+        wide-band checks of every pair that reads one of those levels; the
+        suite still returns."""
+        monkeypatch.setattr(absdiff, "_triple_numerator", _one_wrong_sign(level))
+        failed = [(c.name, *c.params.values())
+                  for c in verify.suite_absdiff(nmax=4) if not c.passed]
+        band = [("squared and triple band sums agree", d, "1/2") for d in range(level, 5)]
+        closed = [("wide-band Chebyshev closed form equals DP at a rational", k, s, q)
+                  for k, s in pairs for q in ("0", "-1", "1/2", "2", "7/3")]
+        assert sorted(failed) == sorted(band + closed)
 
     def test_singular_specialization(self):
         with pytest.raises(SingularSpecialization):

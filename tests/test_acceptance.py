@@ -8,6 +8,7 @@ tests/test_acceptance.py` to see them as the suite executes.
 """
 
 import time
+from collections import Counter
 from functools import cache
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from adjstats import oeis, verify
 BFILE_DIR = Path(__file__).resolve().parent.parent / "data" / "bfiles"
 
 # Checks each suite makes at its default grid; a later grid may make more.
-FLOORS = {"kary": 306, "gap": 243, "fibwords": 105, "absdiff": 362,
+FLOORS = {"kary": 306, "gap": 243, "fibwords": 105, "absdiff": 366,
           "partitions": 220, "bijections": 94, "algebra": 102}
 
 
@@ -36,15 +37,29 @@ def run_suite(name):
 
 
 def criterion(label, suite, names=None):
-    """Report the suite's checks, or only those with the given names."""
+    """Report the suite's checks, or only those with the given names.  A
+    check recorded twice with the same name and params is a failure: each
+    identity is checked once per parameter point."""
     checks, seconds = run_suite(suite)
     mine = [c for c in checks if names is None or c.name in names]
     failures = [c.to_dict() for c in mine if not c.passed]
+    seen = Counter((c.name, repr(sorted(c.params.items()))) for c in checks)
+    failures += [f"check {name!r} at {params} recorded {count} times"
+                 for (name, params), count in seen.items() if count > 1]
     failures += [f"no check named {name!r}" for name in names or ()
                  if not any(c.name == name for c in mine)]
     if len(checks) < FLOORS[suite]:
         failures.append(f"suite {suite} made {len(checks)} checks, want >= {FLOORS[suite]}")
     report(label, failures, f" ({len(mine)} checks; suite {suite} {seconds:.2f} s)")
+
+
+def test_a_check_recorded_twice_fails_its_criterion(monkeypatch):
+    check = verify.Check("absdiff", "squared and triple band sums agree",
+                         {"d": 1, "q": "1/2"}, True)
+    monkeypatch.setattr(verify, "SUITES", {"twice": lambda: [check, check]})
+    monkeypatch.setitem(FLOORS, "twice", 0)
+    with pytest.raises(AssertionError, match="recorded 2 times"):
+        criterion("duplicate checks", "twice")
 
 
 def test_criterion_01_five_way_distribution_agreement():

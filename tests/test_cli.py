@@ -348,7 +348,7 @@ class TestOeisCheck:
 COMMAND_ERRORS = [
     (["totals", "--words", "--s", "1", "--n", "2"], "totals --words needs --k"),
     (["bijection", "--composition", "2:3"], "colors {3} outside [1, 2]"),
-    (["bijection", "--composition", "x:1"], "invalid literal for int()"),
+    (["bijection", "--composition", "0:1"], "part size 0 < 1"),
     (["bijection", "--tiling-to-word", "1,3"], "pieces must have length 1 or 2"),
     (["bijection", "--w-to-v", "13"], "(1, 3) contains 1-3 or 2-4"),
     (["bijection", "--v-to-w", "0"], "(0,) has letter 0 outside 1..4"),
@@ -379,6 +379,18 @@ def test_malformed_tiling_is_a_parser_error_with_the_reason(capsys):
     assert captured.err.splitlines()[-1].endswith(
         "argument --tiling-to-word: piece lengths are comma-separated integers, "
         "got '1,,2'")
+
+
+@pytest.mark.parametrize("text", ["x:1", "1:1+", "2:1,a", ""])
+def test_malformed_composition_is_a_parser_error_with_the_form(capsys, text):
+    with pytest.raises(SystemExit) as exc:
+        main(["bijection", "--composition", text])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert "invalid literal" not in captured.err
+    assert captured.err.splitlines()[-1].endswith(
+        "argument --composition: colored compositions are written "
+        f"size:c1,c2+size:c1, got {text!r}")
 
 
 def test_enumeration_cap_is_one_stderr_line(capsys, monkeypatch):

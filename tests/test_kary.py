@@ -107,13 +107,19 @@ class TestAltRecurrence:
     def test_wrong_denominator_is_caught(self, monkeypatch):
         """The recurrence is read off gf_A_reduced, so one wrong coefficient
         of its denominator fails the five-way agreement from n = 1 and the
-        identity with the long form, and the suite still returns."""
+        identity with the long form, and the suite still returns.  The
+        avoidance check reads the same denominator and raises (see
+        TestAvoidCheckedOnce), so the suite's avoidance counts are checked
+        before the perturbation."""
         reduced = kary.gf_A_reduced
 
         def perturbed(params):
             gf = reduced(params)
             return RatFunc(gf.num, gf.den + XPoly.monomial(1, 1))
 
+        monkeypatch.setattr(kary, "_avoid_checked", {})
+        for k in (3, 4):
+            avoid_count(KSParams(k, 2), 12)
         monkeypatch.setattr(kary, "gf_A_reduced", perturbed)
         failed = [(c.name, c.params) for c in verify.suite_kary(kmax=4, smax=2, nmax=5)
                   if not c.passed]
@@ -200,7 +206,7 @@ class TestAvoidCheckedOnce:
         with mock.patch.dict(kary._avoid_checked, clear=True):
             for i, order in enumerate(orders):
                 assert avoid_count(params, order) == _avoid_recheck(params, order)
-                assert kary._avoid_checked[params] == max(orders[: i + 1])
+                assert kary._avoid_checked[params][0] == max(orders[: i + 1])
 
     def test_wrong_total_past_the_checked_length_is_caught(self, monkeypatch):
         params = KSParams(5, 2)
@@ -219,7 +225,7 @@ class TestAvoidCheckedOnce:
         for _ in range(2):
             with pytest.raises(InternalInvariantViolation, match=message):
                 avoid_count(params, 30)
-            assert kary._avoid_checked[params] == 20
+            assert kary._avoid_checked[params][0] == 20
 
     def test_threads_record_only_checked_lengths(self, monkeypatch):
         monkeypatch.setattr(kary, "_avoid_checked", {})
@@ -228,12 +234,12 @@ class TestAvoidCheckedOnce:
 
         def recorded_lengths_were_checked():
             return all((params, n) in checked
-                       for params, length in list(kary._avoid_checked.items())
+                       for params, (length, _) in list(kary._avoid_checked.items())
                        for n in range(length + 1))
 
-        def recording(params, counts, n):
+        def recording(params, dens, counts, n):
             assert recorded_lengths_were_checked()
-            real(params, counts, n)
+            real(params, dens, counts, n)
             checked.add((params, n))
 
         monkeypatch.setattr(kary, "_check_avoid", recording)
@@ -270,15 +276,62 @@ class TestAvoidCheckedOnce:
         checked = []
         real = kary._check_avoid
 
-        def counting(params, counts, n):
+        def counting(params, dens, counts, n):
             checked.append(n)
-            real(params, counts, n)
+            real(params, dens, counts, n)
 
         monkeypatch.setattr(kary, "_check_avoid", counting)
         term = oeis.GENERATORS["avoid-step2-alphabet4"]
         values = [term(n) for n in range(400)]
         assert checked == list(range(400))
         assert values == _avoid_recheck(KSParams(4, 2), 399)
+
+    def test_each_denominator_is_built_once_per_pair(self, monkeypatch):
+        monkeypatch.setattr(kary, "_avoid_checked", {})
+        builds = []
+        for name in ("gf_denominator", "gf_A_reduced"):
+            real = getattr(kary, name)
+
+            def counting(params, name=name, real=real):
+                builds.append((name, params))
+                return real(params)
+
+            monkeypatch.setattr(kary, name, counting)
+        pairs = [KSParams(5, 2), KSParams(14, 1)]
+        for params in pairs:
+            for order in (0, 5, 3, 20, 60):
+                assert avoid_count(params, order) == _avoid_recheck(params, order)
+        assert sorted(builds, key=str) == sorted(
+            [(name, params) for name in ("gf_denominator", "gf_A_reduced") for params in pairs],
+            key=str)
+        builds.clear()
+        avoid_count(KSParams(5, 2), 60)  # nothing left to check
+        avoid_count(KSParams(5, 2), 7)
+        assert builds == []
+
+    @pytest.mark.parametrize("form", ["long", "reduced"])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_a_wrong_denominator_coefficient_is_caught(self, monkeypatch, form, index):
+        """Adding 1 to one coefficient of either q = 0 denominator fails
+        the avoidance check."""
+        bump = XPoly.monomial(1, index)
+        if form == "long":
+            real_long = kary.gf_denominator
+            monkeypatch.setattr(kary, "gf_denominator", lambda params: real_long(params) + bump)
+        else:
+            real_reduced = kary.gf_A_reduced
+
+            def wrong(params):
+                gf = real_reduced(params)
+                return RatFunc(gf.num, gf.den + bump)
+
+            monkeypatch.setattr(kary, "gf_A_reduced", wrong)
+        monkeypatch.setattr(kary, "_avoid_checked", {})
+        params = KSParams(5, 2)
+        with pytest.raises(InternalInvariantViolation,
+                           match=re.escape(f"avoidance recurrences disagree for {params}")):
+            avoid_count(params, 10)
+        assert params not in kary._avoid_checked
 
 
 class TestTotalOccurrences:
