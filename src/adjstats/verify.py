@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import absdiff, bijections, fibwords, kary, oracle, partitions, transfer
 from .algebra import (
+    InternalInvariantViolation,
     QPoly,
     SquareMatrix,
     alt_cheb_sum,
@@ -58,8 +59,8 @@ def suite_kary(kmax=6, smax=4, nmax=8) -> list[Check]:
         params = kary.KSParams(k, s)
         table = kary.a_table(params, nmax)
         alt = kary.a_rec_alt(params, nmax)
-        long_series = kary.gf_A(params).series(nmax)
-        reduced_series = kary.gf_A_reduced(params).series(nmax)
+        long_form, reduced_form = kary.gf_A(params), kary.gf_A_reduced(params)
+        long_series, reduced_series = long_form.series(nmax), reduced_form.series(nmax)
         for n in range(nmax + 1):
             want = oracle.distribution_mu(k, s, n)
             agree = table[n] == alt[n] == long_series[n] == reduced_series[n] == want
@@ -69,12 +70,8 @@ def suite_kary(kmax=6, smax=4, nmax=8) -> list[Check]:
                 agree,
                 "" if agree else f"table={table[n]!r} oracle={want!r}",
             )
-        rec.expect_equal(
-            "long and reduced closed forms are series-identical",
-            {"k": k, "s": s},
-            kary.gf_A(params),
-            kary.gf_A_reduced(params),
-        )
+        rec.expect_equal("long and reduced closed forms are series-identical",
+                         {"k": k, "s": s}, long_form, reduced_form)
         for n in range(nmax + 1):
             rec.expect_equal(
                 "total-count formula equals summed statistic",
@@ -102,15 +99,17 @@ def suite_kary(kmax=6, smax=4, nmax=8) -> list[Check]:
             continue
         while len(want) < 13:
             want.append(sum(c * want[-1 - i] for i, c in enumerate(coeffs)))
-        got = kary.avoid_count(kary.KSParams(k, 2), 12)
+        try:
+            got = kary.avoid_count(kary.KSParams(k, 2), 12)
+        except InternalInvariantViolation as exc:
+            # its recurrence check read a wrong denominator: no counts to compare
+            rec.record("avoidance sequence", {"k": k, "s": 2}, False, str(exc))
+            continue
         rec.expect_equal("avoidance sequence", {"k": k, "s": 2}, got, want)
         for n in range(nmax + 1):
-            rec.expect_equal(
-                "avoider count equals enumeration at q = 0",
-                {"k": k, "s": 2, "n": n},
-                got[n],
-                oracle.distribution_mu(k, 2, n)(0),
-            )
+            rec.expect_equal("avoider count equals enumeration at q = 0",
+                             {"k": k, "s": 2, "n": n},
+                             got[n], oracle.distribution_mu(k, 2, n)(0))
     return rec.checks
 
 

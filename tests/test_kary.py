@@ -107,10 +107,9 @@ class TestAltRecurrence:
     def test_wrong_denominator_is_caught(self, monkeypatch):
         """The recurrence is read off gf_A_reduced, so one wrong coefficient
         of its denominator fails the five-way agreement from n = 1 and the
-        identity with the long form, and the suite still returns.  The
-        avoidance check reads the same denominator and raises (see
-        TestAvoidCheckedOnce), so the suite's avoidance counts are checked
-        before the perturbation."""
+        identity with the long form.  The avoidance check reads the same
+        denominator and raises, so on an emptied store each avoidance
+        sequence fails too, and the suite still returns."""
         reduced = kary.gf_A_reduced
 
         def perturbed(params):
@@ -118,8 +117,6 @@ class TestAltRecurrence:
             return RatFunc(gf.num, gf.den + XPoly.monomial(1, 1))
 
         monkeypatch.setattr(kary, "_avoid_checked", {})
-        for k in (3, 4):
-            avoid_count(KSParams(k, 2), 12)
         monkeypatch.setattr(kary, "gf_A_reduced", perturbed)
         failed = [(c.name, c.params) for c in verify.suite_kary(kmax=4, smax=2, nmax=5)
                   if not c.passed]
@@ -130,7 +127,8 @@ class TestAltRecurrence:
             for check in [("five-way distribution agreement", {"k": k, "s": s, "n": n})
                           for n in range(1, 6)]
             + [("long and reduced closed forms are series-identical", {"k": k, "s": s})]
-        ]
+        ] + [("avoidance sequence", {"k": k, "s": 2}) for k in (3, 4)]
+        assert kary._avoid_checked == {}
 
 
 class TestGeneratingFunction:
