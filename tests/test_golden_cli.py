@@ -162,6 +162,13 @@ def _corpus():
         ["avoid", "--k", "9", "--s", "4", "--n", "0..60"],
         ["verify", "--suite", "fibwords", "--full-report"],
     ]
+    # the bijection suite at the benchmark's order, by summary and with every
+    # check, and a composition chain through parts with several colored cells
+    cmds += [
+        ["verify", "--suite", "bijections", "--nmax", "7"],
+        ["verify", "--suite", "bijections", "--nmax", "7", "--full-report"],
+        ["bijection", "--composition", "3:1,3+1:1+2:2"],
+    ]
     return cmds
 
 
