@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import InternalInvariantViolation
 from .oracle import _walk
@@ -63,17 +64,23 @@ class ColoredComposition:
     parts: tuple[Part, ...]
 
     def __post_init__(self):
+        # one test per part when every part is valid; _reject_part then
+        # names the first of the three checks that fails
         for size, colored in self.parts:
-            if size < 1:
-                raise InvalidComposition(f"part size {size} < 1")
-            if not colored:
-                raise InvalidComposition("a part has an empty color set")
-            if min(colored) < 1 or max(colored) > size:
-                raise InvalidComposition(f"colors {set(colored)} outside [1, {size}]")
+            if size < 1 or not colored or min(colored) < 1 or max(colored) > size:
+                _reject_part(size, colored)
 
     @property
     def total(self) -> int:
         return sum(size for size, _ in self.parts)
+
+
+def _reject_part(size, colored):
+    if size < 1:
+        raise InvalidComposition(f"part size {size} < 1")
+    if not colored:
+        raise InvalidComposition("a part has an empty color set")
+    raise InvalidComposition(f"colors {set(colored)} outside [1, {size}]")
 
 
 def composition_to_maneuvers(comp: ColoredComposition) -> tuple[int, ...]:
@@ -81,31 +88,43 @@ def composition_to_maneuvers(comp: ColoredComposition) -> tuple[int, ...]:
     if not comp.parts:
         raise InvalidComposition("a composition has at least one part")
     ops = []
-    for index, (size, colored) in enumerate(comp.parts):
-        if index > 0:
-            ops.append(1)
+    for size, colored in comp.parts:
+        # a part's moves (opened by a 1): 4s up to its first circled dot, then
+        # a 2 for each later circled dot and a 3 for each plain one
         first = min(colored)
-        ops.extend([4] * (first - 1))
-        for pos in range(first + 1, size + 1):
-            ops.append(2 if pos in colored else 3)
+        ops.append(1)
+        if first > 1:
+            ops += (4,) * (first - 1)
+        if size > first:
+            ops += (3,) * (size - first)
+            if len(colored) > 1:
+                before = len(ops) - size - 1  # ops[before + pos] is cell pos's move
+                for pos in range(first + 1, size + 1):
+                    if pos in colored:
+                        ops[before + pos] = 2
+    del ops[0]  # the first part is not opened by a move
     return tuple(ops)
 
 
 def maneuvers_to_composition(ops) -> ColoredComposition:
     """Replay construction moves from the single circled dot."""
     ops = maneuvers_to_v_word(ops)
-    sizes, circled = [1], [[1]]  # each part's size and its circled positions
+    parts = []
+    size, circled = 1, [1]  # the open part's size and its circled positions
     for op in ops:
         if op == 1:
-            sizes.append(1)
-            circled.append([1])
-            continue
-        sizes[-1] += 1
-        if op == 2:
-            circled[-1].append(sizes[-1])
-        elif op == 4:
-            circled[-1][-1] += 1  # the new plain dot goes before the last circled one
-    return ColoredComposition(tuple(zip(sizes, map(frozenset, circled))))
+            parts.append((size, frozenset(circled)))
+            size, circled = 1, [1]
+        else:
+            size += 1
+            if op == 2:
+                circled.append(size)
+            elif op == 4:
+                # a 4 follows only a 1 or a 4, so the part has one circled
+                # dot, and the new plain dot goes before it
+                circled[0] = size
+    parts.append((size, frozenset(circled)))
+    return ColoredComposition(tuple(parts))
 
 
 def maneuvers_to_v_word(ops) -> tuple[int, ...]:
@@ -157,24 +176,13 @@ def v_to_w(word) -> tuple[int, ...]:
     word = tuple(word)
     if not is_v_word(word):
         raise _not_in_family(word, "2-4 or 3-4")
-    out = []
-    i = 0
-    n = len(word)
-    while i < n:
-        if word[i] == 1:
-            j = i
-            while j < n and word[j] == 1:
-                j += 1
-            if j < n and word[j] == 3:
-                out.append(3)
-                out.extend([4] * (j - i))
-                i = j + 1
-            else:
-                out.extend([1] * (j - i))
-                i = j
-        else:
-            out.append(word[i])
-            i += 1
+    out = list(word)
+    # right to left, each 1 right before a 3 swaps into 3 4, so the 3 moves
+    # to the front of its run of 1s and leaves a 4 behind for each
+    for i in range(len(out) - 2, -1, -1):
+        if out[i] == 1 and out[i + 1] == 3:
+            out[i] = 3
+            out[i + 1] = 4
     result = tuple(out)
     if not is_w_word(result):
         raise InternalInvariantViolation(f"v_to_w produced {result}, not a w-word")
@@ -186,20 +194,13 @@ def w_to_v(word) -> tuple[int, ...]:
     word = tuple(word)
     if not is_w_word(word):
         raise _not_in_family(word, "1-3 or 2-4")
-    out = []
-    i = 0
-    n = len(word)
-    while i < n:
-        if word[i] == 3:
-            j = i + 1
-            while j < n and word[j] == 4:
-                j += 1
-            out.extend([1] * (j - i - 1))
-            out.append(3)
-            i = j
-        else:
-            out.append(word[i])
-            i += 1
+    out = list(word)
+    # left to right, each 4 right after a 3 swaps into 1 3, so the 3 moves
+    # to the end of its run of 4s and leaves a 1 behind for each
+    for i in range(1, len(out)):
+        if out[i] == 4 and out[i - 1] == 3:
+            out[i - 1] = 1
+            out[i] = 3
     result = tuple(out)
     if not is_v_word(result):
         raise InternalInvariantViolation(f"w_to_v produced {result}, not a v-word")
@@ -261,36 +262,44 @@ def colored_compositions(total: int):
     if total < 1:
         raise ValueError("need total >= 1")
 
+    menus = {}  # part size -> every (size, color) part, built once per call
     # the part sizes, as a word over {1, 2} saying after each of the first
     # total - 1 cells whether a part ends (1) or goes on (2)
     for cuts, _, _ in _walk(2, total - 1):
-        ends = [i + 1 for i, c in enumerate(cuts + (1,)) if c == 1]
-        sizes = [b - a for a, b in zip([0] + ends, ends)]
-        color_menus = []
+        sizes = []
+        size = 1
+        for c in cuts:
+            if c == 1:
+                sizes.append(size)
+                size = 1
+            else:
+                size += 1
+        sizes.append(size)
         for size in sizes:
-            menu = [
-                frozenset(sub)
-                for r in range(1, size + 1)
-                for sub in itertools.combinations(range(1, size + 1), r)
-            ]
-            color_menus.append(menu)
-        for colors in itertools.product(*color_menus):
-            yield ColoredComposition(tuple(zip(sizes, colors)))
+            if size not in menus:
+                cells = range(1, size + 1)
+                menus[size] = [(size, frozenset(sub)) for r in cells
+                               for sub in itertools.combinations(cells, r)]
+        for parts in itertools.product(*map(menus.__getitem__, sizes)):
+            yield ColoredComposition(parts)
+
+
+_WORD = itemgetter(0)  # the word of a walk's (word, key, top) item
 
 
 def v_words(n: int):
     """All 4-ary words of length n avoiding adjacent 2-4 and 3-4."""
-    return (w for w, _, _ in _walk(n=n, **_V_FAMILY))
+    return map(_WORD, _walk(n=n, **_V_FAMILY))
 
 
 def w_words(n: int):
     """All 4-ary words of length n avoiding adjacent 1-3 and 2-4."""
-    return (w for w, _, _ in _walk(n=n, **_W_FAMILY))
+    return map(_WORD, _walk(n=n, **_W_FAMILY))
 
 
 def jpp_words(n: int):
     """All level-free no-1-3 ternary words of length n starting with 2."""
-    return (w for w, _, _ in _walk(n=n, **_JPP_FAMILY))
+    return map(_WORD, _walk(n=n, **_JPP_FAMILY))
 
 
 def tilings(n: int):

@@ -1,11 +1,12 @@
 import itertools
+import json
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjstats import bijections, verify
+from adjstats import bijections, cli, verify
 from adjstats.algebra import InternalInvariantViolation
 from adjstats.bijections import (
     ColoredComposition,
@@ -37,12 +38,45 @@ def part(size, *colors):
     return (size, frozenset(colors))
 
 
+def _reference_guard(parts):
+    """ColoredComposition's three checks written out one by one: the
+    reference for the single test its valid parts pass."""
+    for size, colored in parts:
+        if size < 1:
+            raise InvalidComposition(f"part size {size} < 1")
+        if not colored:
+            raise InvalidComposition("a part has an empty color set")
+        if min(colored) < 1 or max(colored) > size:
+            raise InvalidComposition(f"colors {set(colored)} outside [1, {size}]")
+
+
+def _outcome(check, parts):
+    """The class and message of what `check(parts)` raises, or None."""
+    try:
+        check(parts)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
 class TestCompositions:
     def test_validation(self):
         with pytest.raises(InvalidComposition):
             ColoredComposition((part(2),))  # empty color set
         with pytest.raises(InvalidComposition):
             ColoredComposition((part(2, 3),))  # color outside the part
+
+    def test_guard_matches_the_three_reference_checks(self):
+        # every part size -1..5 against every subset of -1..6, as each kind of
+        # color container, alone and after a valid part
+        for size in range(-1, 6):
+            for r in range(9):
+                for colors in itertools.combinations(range(-1, 7), r):
+                    for kind in (frozenset, set, tuple, list):
+                        for parts in (((size, kind(colors)),),
+                                      ((1, frozenset({1})), (size, kind(colors)))):
+                            assert (_outcome(ColoredComposition, parts)
+                                    == _outcome(_reference_guard, parts)), parts
 
     def test_encode_examples(self):
         assert composition_to_maneuvers(ColoredComposition((part(1, 1),))) == ()
@@ -213,6 +247,92 @@ def test_rewriting_round_trips_beyond_the_suite_grid(v, w):
     assert v_to_w(w_to_v(w)) == w
 
 
+@st.composite
+def compositions_up_to(draw, max_total=40):
+    """A colored composition of a total in 1..max_total, part by part."""
+    left = draw(st.integers(1, max_total))
+    parts = []
+    while left:
+        size = draw(st.integers(1, left))
+        parts.append((size, frozenset(draw(st.sets(st.integers(1, size), min_size=1)))))
+        left -= size
+    return ColoredComposition(tuple(parts))
+
+
+def _encode_reference(comp):
+    """composition_to_maneuvers written cell by cell: the reference for its
+    part-by-part form."""
+    ops = []
+    for index, (size, colored) in enumerate(comp.parts):
+        if index > 0:
+            ops.append(1)
+        first = min(colored)
+        ops.extend([4] * (first - 1))
+        for pos in range(first + 1, size + 1):
+            ops.append(2 if pos in colored else 3)
+    return tuple(ops)
+
+
+def _v_to_w_reference(word):
+    """v_to_w's rewriting run by run: each maximal run 1^d 3 found by index,
+    then replaced by 3 4^d.  The reference for its one-pass form."""
+    out = []
+    i = 0
+    n = len(word)
+    while i < n:
+        if word[i] == 1:
+            j = i
+            while j < n and word[j] == 1:
+                j += 1
+            if j < n and word[j] == 3:
+                out.append(3)
+                out.extend([4] * (j - i))
+                i = j + 1
+            else:
+                out.extend([1] * (j - i))
+                i = j
+        else:
+            out.append(word[i])
+            i += 1
+    return tuple(out)
+
+
+def _w_to_v_reference(word):
+    """w_to_v's rewriting run by run: each run 3 4^d replaced by 1^d 3.  The
+    reference for its one-pass form."""
+    out = []
+    i = 0
+    n = len(word)
+    while i < n:
+        if word[i] == 3:
+            j = i + 1
+            while j < n and word[j] == 4:
+                j += 1
+            out.extend([1] * (j - i - 1))
+            out.append(3)
+            i = j
+        else:
+            out.append(word[i])
+            i += 1
+    return tuple(out)
+
+
+@settings(max_examples=80, deadline=None)
+@given(compositions_up_to())
+def test_composition_moves_beyond_the_suite_grid(comp):
+    moves = composition_to_maneuvers(comp)
+    assert moves == _encode_reference(comp)
+    assert len(moves) == comp.total - 1 and is_v_word(moves)
+    assert maneuvers_to_composition(moves) == comp
+
+
+@settings(max_examples=80, deadline=None)
+@given(family_words("v"), family_words("w"))
+def test_rewriting_matches_the_run_by_run_reference(v, w):
+    assert v_to_w(v) == _v_to_w_reference(v)
+    assert w_to_v(w) == _w_to_v_reference(w)
+
+
 @settings(max_examples=60, deadline=None)
 @given(family_words("jpp"), tilings_up_to())
 def test_tiling_round_trips_beyond_the_suite_grid(word, tiling):
@@ -238,16 +358,76 @@ def test_predicates_reject_a_bad_letter_or_a_banned_pair(family, data):
 
 def test_suite_applies_each_map_once_per_object(monkeypatch):
     calls = Counter()
-    for name in ("v_to_w", "w_to_v", "jpp_to_tiling", "tiling_to_jpp"):
-        def counted(word, name=name, original=getattr(bijections, name)):
+    for name in ("v_to_w", "w_to_v", "jpp_to_tiling", "tiling_to_jpp",
+                 "composition_to_maneuvers", "maneuvers_to_composition",
+                 "maneuvers_to_v_word", "is_v_word", "is_w_word"):
+        def counted(arg, name=name, original=getattr(bijections, name)):
             calls[name] += 1
-            return original(word)
+            return original(arg)
         monkeypatch.setattr(bijections, name, counted)
+
+    def counted_family(total, original=bijections.colored_compositions):
+        for comp in original(total):
+            calls["colored_compositions items"] += 1
+            yield comp
+
+    def counted_guard(self, original=ColoredComposition.__post_init__):
+        calls["ColoredComposition guard"] += 1
+        original(self)
+
+    monkeypatch.setattr(bijections, "colored_compositions", counted_family)
+    monkeypatch.setattr(ColoredComposition, "__post_init__", counted_guard)
     checks = verify.suite_bijections(nmax=4, tiling_nmax=6)
     assert checks and all(c.passed for c in checks)
+    objects = sum(1 for n in range(5) for _ in v_words(n))
+    assert objects == sum(1 for n in range(5) for _ in w_words(n)) == 231
     assert calls == {
-        "v_to_w": sum(1 for n in range(5) for _ in v_words(n)),
-        "w_to_v": sum(1 for n in range(5) for _ in w_words(n)),
+        "v_to_w": objects,
+        "w_to_v": objects,
         "jpp_to_tiling": sum(1 for n in range(7) for _ in jpp_words(n)),
         "tiling_to_jpp": sum(1 for n in range(7) for _ in tilings(n)),
+        "colored_compositions items": objects,
+        "composition_to_maneuvers": objects,
+        "maneuvers_to_composition": objects,
+        # the guards: each rewriting map checks its input and its output, each
+        # replay checks its moves, and each composition is checked when it is
+        # generated and when it is rebuilt
+        "maneuvers_to_v_word": objects,
+        "is_v_word": 3 * objects,
+        "is_w_word": 2 * objects,
+        "ColoredComposition guard": 2 * objects,
     }
+
+
+def _raising(exc):
+    def broken(arg):
+        raise exc
+    return broken
+
+
+@pytest.mark.parametrize("name, exc, check", [
+    ("v_to_w", InternalInvariantViolation("v_to_w produced (5,), not a w-word"),
+     "composition and rewriting maps accept their families"),
+    ("w_to_v", InvalidWord("(1, 3) contains 1-3 or 2-4"),
+     "composition and rewriting maps accept their families"),
+    ("maneuvers_to_v_word", InvalidSequence("moves must be in 1..4"),
+     "composition and rewriting maps accept their families"),
+    ("composition_to_maneuvers", InvalidComposition("a part has an empty color set"),
+     "composition and rewriting maps accept their families"),
+    ("jpp_to_tiling", InvalidWord("(2, 2) is not a level-free no-1-3 word starting with 2"),
+     "pairing maps accept their families"),
+    ("tiling_to_jpp", InternalInvariantViolation("no word for this tiling"),
+     "pairing maps accept their families"),
+])
+def test_a_raising_map_fails_each_level_and_verify_still_reports(monkeypatch, capsys,
+                                                                  name, exc, check):
+    monkeypatch.setattr(bijections, name, _raising(exc))
+    failed = [c for c in verify.suite_bijections(nmax=3) if not c.passed]
+    # every level fails, from n = 0, whose one object is the empty word
+    levels = 13 if check.startswith("pairing") else 4
+    assert [(c.name, c.params, c.detail) for c in failed] == [
+        (check, {"n": n}, f"{type(exc).__name__}: {exc}") for n in range(levels)]
+    assert cli.main(["verify", "--suite", "bijections", "--nmax", "3"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["failed"] == levels
+    assert report["rows"] == [c.to_dict() for c in failed]
