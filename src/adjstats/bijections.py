@@ -56,7 +56,7 @@ class InvalidWord(ValueError):
 Part = tuple[int, frozenset]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ColoredComposition:
     """A composition whose part of size i carries a nonempty subset of
     [1, i] as its color."""
