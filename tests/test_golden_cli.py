@@ -169,6 +169,12 @@ def _corpus():
         ["verify", "--suite", "bijections", "--nmax", "7", "--full-report"],
         ["bijection", "--composition", "3:1,3+1:1+2:2"],
     ]
+    # every suite's report order at a small grid, and every gap check with its
+    # params at the default grid
+    cmds += [
+        ["verify", "--suite", "all", "--nmax", "3", "--full-report"],
+        ["verify", "--suite", "gap", "--full-report"],
+    ]
     return cmds
 
 
