@@ -32,6 +32,7 @@ from .algebra import (
     mat_mul,
     specialize_q,
 )
+from .kary import KSParams
 from .transfer import transfer_dp
 
 
@@ -151,6 +152,14 @@ def _band_sweep(d: int) -> tuple[list, list]:
     return vs, levels
 
 
+def _one_minus(q_val, message) -> Fraction:
+    """1 - q at an exact rational q; q = 1 collapses the wide-band forms."""
+    q = Fraction(q_val)
+    if q == 1:
+        raise SingularSpecialization(message)
+    return 1 - q
+
+
 def h_sum_squared(d: int, q_val) -> RatFunc:
     """Band sum in the squared form:
     sum_{l=0}^{d} x^2 (1-q) (U_{l+1} + U_l + (-1)^l)^2
@@ -159,10 +168,7 @@ def h_sum_squared(d: int, q_val) -> RatFunc:
     V_l(y) = y^l U_l(1/(2y)), the level-l term is the x-polynomial ratio
     x N_l^2 / ((1+2y)^2 V_{l+1} V_l), N_l = V_{l+1} + y V_l + (-1)^l y^(l+1);
     the sum is read off `_band_sweep` over one common denominator."""
-    q = Fraction(q_val)
-    if q == 1:
-        raise SingularSpecialization("q = 1 collapses the Chebyshev argument")
-    c = 1 - q
+    c = _one_minus(q_val, "q = 1 collapses the Chebyshev argument")
     p, _, den = _band_sweep(d)[1][-1]
     y = XPoly.var()
     return RatFunc(y * p, c * (1 + 2 * y) ** 2 * den).scale_x(c)
@@ -175,10 +181,7 @@ def h_sum_triple(d: int, q_val) -> RatFunc:
     In V-polynomials the level-l term is the literal double sum over
     (j, m) of (-1)^(l+m-j) V_j V_{l-m} y^(l+1-j+m), over
     (1-q) V_{l+1} V_l; the sum is read off `_band_sweep`."""
-    q = Fraction(q_val)
-    if q == 1:
-        raise SingularSpecialization("q = 1 collapses the Chebyshev argument")
-    c = 1 - q
+    c = _one_minus(q_val, "q = 1 collapses the Chebyshev argument")
     _, t, den = _band_sweep(d)[1][-1]
     return RatFunc(t, c * den).scale_x(c)
 
@@ -196,14 +199,11 @@ def gf_B_large(k: int, s: int, q_val) -> RatFunc:
         B(x) = (1-q) D_d / ((1-q) D_d - r T_d - (s-r) T_{d-1} V_{d+1})
 
     with y = x(1-q) substituted."""
-    if regime(k, s) != "large":
+    params = KSParams(k, s)
+    if params.steps < 2:
         raise WrongRegime(f"(k, s) = {(k, s)} needs k >= 2s+1")
-    q = Fraction(q_val)
-    if q == 1:
-        raise SingularSpecialization("q = 1; the series is 1/(1-kx), use the DP")
-    c = 1 - q
-    r = (k - 1) % s + 1
-    d = (k - r) // s
+    c = _one_minus(q_val, "q = 1; the series is 1/(1-kx), use the DP")
+    r, d = params.rem, params.steps
     vs, levels = _band_sweep(d)
     _, t_d, den = levels[d + 1]
     t_prev = levels[d][1]

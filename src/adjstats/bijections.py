@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .algebra import InternalInvariantViolation
-from .oracle import _walk
+from .oracle import _walk, words
 
 
 class InvalidComposition(ValueError):
@@ -265,7 +265,7 @@ def colored_compositions(total: int):
     menus = {}  # part size -> every (size, color) part, built once per call
     # the part sizes, as a word over {1, 2} saying after each of the first
     # total - 1 cells whether a part ends (1) or goes on (2)
-    for cuts, _, _ in _walk(2, total - 1):
+    for cuts in words(2, total - 1):
         sizes = []
         size = 1
         for c in cuts:

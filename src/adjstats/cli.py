@@ -9,7 +9,9 @@ error.
 
 Each `_cmd_*` returns (payload, failed).  `main` writes the payload and
 exits 1 when a check failed; a command reports bad input by raising
-ValueError, which `main` writes as one `error: ` line and exits 2.
+ValueError, which `main` writes as one `error: ` line and exits 2.  A
+library self-check that trips is one `internal check failed: ` line and
+exit 1, with nothing on stdout.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from fractions import Fraction
 
 from . import absdiff, bijections, kary, oeis, oracle, partitions, verify
-from .algebra import QPoly
+from .algebra import InternalInvariantViolation, QPoly
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -401,6 +403,9 @@ def main(argv=None) -> int:
     except oracle.EnumerationTooLarge as exc:
         print(f"enumeration too large: {exc}", file=sys.stderr)
         return 2
+    except InternalInvariantViolation as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,8 @@ class KSParams:
     k = rem + s*steps, 1 <= rem <= s, steps >= 0.
 
     steps + 1 is the longest chain a, a+s, a+2s, ... that fits in [1, k];
-    it controls the order of every recurrence below.
+    it controls the order of every recurrence below.  Every module reads
+    the decomposition from here.
     """
 
     k: int
@@ -164,7 +165,7 @@ def gap_distribution(params: KSParams, r: int, n: int) -> QPoly:
 def unit_column_det(m: int, s: int) -> XPoly:
     """Determinant of unit_column_matrix(m, s) in closed form:
     sum_{i=0}^{d} (-(1-q)x)^i where m = d*s + r with 1 <= r <= s."""
-    d = (m - 1) // s
+    d = KSParams(m, s).steps
     term = XPoly.monomial(QPoly((-1, 1)), 1)  # (q-1) x
     acc = XPoly((1,))
     out = XPoly((1,))

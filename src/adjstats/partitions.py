@@ -64,6 +64,12 @@ def _check_cap(n: int, cap: int) -> None:
         raise EnumerationTooLarge(f"B_{n} growth sequences exceed cap {cap}")
 
 
+def _growth_count(n: int, bound: int) -> int:
+    """The number of growth sequences of length n with maximum at most
+    `bound`, read off their oracle tally; 0 below bound 0."""
+    return _tally(n, bound, frozenset(), 1, True).total() if bound >= 0 else 0
+
+
 def _at_most(n: int, k: int, s: int, cap: int) -> QPoly:
     """Distribution of adjacent (a, a+s) pairs over the growth sequences of
     length n with maximum letter at most k, by direct scan.  No sequence
@@ -72,7 +78,7 @@ def _at_most(n: int, k: int, s: int, cap: int) -> QPoly:
     if k < 0:
         return QPoly(())
     k = min(k, max(n, 1))
-    visited = _tally(n, k, frozenset(), 1, True).total()
+    visited = _growth_count(n, k)
     if visited != sum(stirling_table(n)[n][: k + 1]):
         raise InternalInvariantViolation(f"walk visited {visited} of S({n}, 0..{k}) sequences")
     return _marginal(n, k, 1, (s,), True)

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import random
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from . import absdiff, bijections, fibwords, kary, oracle, partitions, transfer
 from .algebra import (
@@ -48,6 +50,18 @@ class _Recorder:
         ok = got == want
         self.record(name, params, ok, "" if ok else f"got {got!r}, want {want!r}")
 
+    @contextmanager
+    def route(self, name, params):
+        """Compute check `name` at `params` in this block, which is given
+        `expect(got, want)` for it.  A route whose own check trips there, or
+        a map that rejects an object the suite made, fails that check with
+        the error as its detail and ends the block."""
+        try:
+            yield partial(self.expect_equal, name, params)
+        except (InternalInvariantViolation, bijections.InvalidComposition,
+                bijections.InvalidSequence, bijections.InvalidWord) as exc:
+            self.record(name, params, False, f"{type(exc).__name__}: {exc}")
+
 
 def _rise_pairs(kmax, smax):
     return [(k, s) for s in range(1, smax + 1) for k in range(s + 1, kmax + 1)]
@@ -62,23 +76,18 @@ def suite_kary(kmax=6, smax=4, nmax=8) -> list[Check]:
         long_form, reduced_form = kary.gf_A(params), kary.gf_A_reduced(params)
         long_series, reduced_series = long_form.series(nmax), reduced_form.series(nmax)
         for n in range(nmax + 1):
-            want = oracle.distribution_mu(k, s, n)
-            agree = table[n] == alt[n] == long_series[n] == reduced_series[n] == want
-            rec.record(
-                "five-way distribution agreement",
-                {"k": k, "s": s, "n": n},
-                agree,
-                "" if agree else f"table={table[n]!r} oracle={want!r}",
-            )
+            point = {"k": k, "s": s, "n": n}
+            with rec.route("five-way distribution agreement", point):
+                want = oracle.distribution_mu(k, s, n)
+                agree = table[n] == alt[n] == long_series[n] == reduced_series[n] == want
+                rec.record("five-way distribution agreement", point, agree,
+                           "" if agree else f"table={table[n]!r} oracle={want!r}")
         rec.expect_equal("long and reduced closed forms are series-identical",
                          {"k": k, "s": s}, long_form, reduced_form)
         for n in range(nmax + 1):
-            rec.expect_equal(
-                "total-count formula equals summed statistic",
-                {"k": k, "s": s, "n": n},
-                kary.total_occurrences(params, n),
-                oracle.total_mu_oracle(k, s, n),
-            )
+            with rec.route("total-count formula equals summed statistic",
+                           {"k": k, "s": s, "n": n}) as expect:
+                expect(kary.total_occurrences(params, n), oracle.total_mu_oracle(k, s, n))
     # alphabets not larger than the rise: distribution collapses to k^n
     for s in range(1, smax + 1):
         for k in range(1, s + 1):
@@ -99,17 +108,13 @@ def suite_kary(kmax=6, smax=4, nmax=8) -> list[Check]:
             continue
         while len(want) < 13:
             want.append(sum(c * want[-1 - i] for i, c in enumerate(coeffs)))
-        try:
+        with rec.route("avoidance sequence", {"k": k, "s": 2}) as expect:
             got = kary.avoid_count(kary.KSParams(k, 2), 12)
-        except InternalInvariantViolation as exc:
-            # its recurrence check read a wrong denominator: no counts to compare
-            rec.record("avoidance sequence", {"k": k, "s": 2}, False, str(exc))
-            continue
-        rec.expect_equal("avoidance sequence", {"k": k, "s": 2}, got, want)
-        for n in range(nmax + 1):
-            rec.expect_equal("avoider count equals enumeration at q = 0",
-                             {"k": k, "s": 2, "n": n},
-                             got[n], oracle.distribution_mu(k, 2, n)(0))
+            expect(got, want)
+            for n in range(nmax + 1):
+                with rec.route("avoider count equals enumeration at q = 0",
+                               {"k": k, "s": 2, "n": n}) as expect:
+                    expect(got[n], oracle.distribution_mu(k, 2, n)(0))
     return rec.checks
 
 
@@ -120,12 +125,10 @@ def suite_gap(kmax=4, nmax=8, smax=3) -> list[Check]:
             params = kary.KSParams(k, s)
             for r in (1, 2, 3):
                 for n in range(nmax + 1):
-                    rec.expect_equal(
-                        "gap statistic factors through adjacent case",
-                        {"k": k, "s": s, "r": r, "n": n},
-                        kary.gap_distribution(params, r, n),
-                        oracle.distribution_gap(k, s, r, n),
-                    )
+                    with rec.route("gap statistic factors through adjacent case",
+                                   {"k": k, "s": s, "r": r, "n": n}) as expect:
+                        expect(kary.gap_distribution(params, r, n),
+                               oracle.distribution_gap(k, s, r, n))
     return rec.checks
 
 
@@ -169,13 +172,12 @@ def suite_fibwords() -> list[Check]:
     descent = fibwords.gf_descent(Fraction(2, 5), Fraction(3, 7)).series(nmax_oracle)
     for n in range(1, nmax_oracle + 1):
         jd = oracle.joint_lev_des(n)
-        got = fibwords.totals(n)
-        want = (
-            oracle.joint_lev_asc(n).deriv_p()(1, 1),
-            oracle.joint_lev_asc(n).deriv_q()(1, 1),
-            jd.deriv_q()(1, 1),
-        )
-        rec.expect_equal("statistic totals match enumeration", {"n": n}, got, want)
+        with rec.route("statistic totals match enumeration", {"n": n}) as expect:
+            expect(fibwords.totals(n), (
+                oracle.joint_lev_asc(n).deriv_p()(1, 1),
+                oracle.joint_lev_asc(n).deriv_q()(1, 1),
+                jd.deriv_q()(1, 1),
+            ))
         rec.expect_equal(
             "level/descent closed form matches enumeration",
             {"n": n},
@@ -183,20 +185,16 @@ def suite_fibwords() -> list[Check]:
             jd(Fraction(2, 5), Fraction(3, 7)),
         )
     for n in range(1, nmax_totals + 1):
-        lev, asc, des = fibwords.totals(n)
-        rec.expect_equal(
-            "totals sum to (n-1) times the word count",
-            {"n": n},
-            lev + asc + des,
-            (n - 1) * fib[2 * n + 2],
-        )
-        if n >= 5:
-            rec.record(
-                "strict ordering levels > ascents > descents",
-                {"n": n},
-                lev > asc > des,
-                f"({lev}, {asc}, {des})",
-            )
+        with rec.route("totals sum to (n-1) times the word count", {"n": n}) as expect:
+            lev, asc, des = fibwords.totals(n)
+            expect(lev + asc + des, (n - 1) * fib[2 * n + 2])
+            if n >= 5:
+                rec.record(
+                    "strict ordering levels > ascents > descents",
+                    {"n": n},
+                    lev > asc > des,
+                    f"({lev}, {asc}, {des})",
+                )
     rec.record(
         "Fibonacci-Lucas convolution identity",
         {"order": nmax_totals},
@@ -212,12 +210,9 @@ def suite_absdiff(kmax=6, smax=3, nmax=8) -> list[Check]:
         for k in range(1, kmax + 1):
             table = absdiff.b_table(k, s, nmax)
             for n in range(nmax + 1):
-                rec.expect_equal(
-                    "jump DP equals enumeration",
-                    {"k": k, "s": s, "n": n},
-                    table[n],
-                    oracle.distribution_nu(k, s, n),
-                )
+                with rec.route("jump DP equals enumeration",
+                               {"k": k, "s": s, "n": n}) as expect:
+                    expect(table[n], oracle.distribution_nu(k, s, n))
     q_points = [Fraction(0), Fraction(-1), Fraction(1, 2), Fraction(2), Fraction(7, 3)]
     for k, s in [(2, 1), (3, 2), (4, 2), (4, 3), (5, 3), (6, 3)]:
         table = absdiff.b_table(k, s, nmax_series)
@@ -257,7 +252,7 @@ def suite_absdiff(kmax=6, smax=3, nmax=8) -> list[Check]:
     wide = [(3, 1), (4, 1), (5, 1), (5, 2), (7, 3), (6, 2)]
     # each pair reads the band sum at levels d, d-1 (k = d*s + r); its two forms
     # agree at one q != 1 exactly when they agree as polynomials in y = x(1-q)
-    for d in sorted({(k - 1) // s - i for k, s in wide for i in (0, 1)}):
+    for d in sorted({kary.KSParams(k, s).steps - i for k, s in wide for i in (0, 1)}):
         rec.expect_equal(
             "squared and triple band sums agree",
             {"d": d, "q": "1/2"},
@@ -295,12 +290,6 @@ def suite_absdiff(kmax=6, smax=3, nmax=8) -> list[Check]:
     return rec.checks
 
 
-def _growth_count(n, bound):
-    """The number of growth sequences of length n with maximum at most
-    `bound`, read off their oracle tally; 0 below bound 0."""
-    return oracle._tally(n, bound, frozenset(), 1, True).total() if bound >= 0 else 0
-
-
 def suite_partitions(kmax=5, nmax=9) -> list[Check]:
     rec = _Recorder("partitions")
     bell = partitions.bell_list(12)
@@ -308,7 +297,7 @@ def suite_partitions(kmax=5, nmax=9) -> list[Check]:
         rec.expect_equal(
             "growth-sequence count is the Bell number",
             {"n": n},
-            _growth_count(n, max(n, 1)),
+            partitions._growth_count(n, max(n, 1)),
             bell[n],
         )
     table = partitions.stirling_table(nmax)
@@ -317,41 +306,31 @@ def suite_partitions(kmax=5, nmax=9) -> list[Check]:
             rec.expect_equal(
                 "filtered count is the Stirling number",
                 {"n": n, "k": k},
-                _growth_count(n, k) - _growth_count(n, k - 1),
+                partitions._growth_count(n, k) - partitions._growth_count(n, k - 1),
                 table[n][k],
             )
     for s in (2, 3):
         for k in range(s + 1, kmax + 1):
             series = partitions.gf_P(k, s).series(nmax)
             for n in range(nmax + 1):
-                rec.expect_equal(
-                    "block-count closed form equals enumeration",
-                    {"k": k, "s": s, "n": n},
-                    series[n],
-                    partitions.p_dist_oracle(n, k, s),
-                )
+                with rec.route("block-count closed form equals enumeration",
+                               {"k": k, "s": s, "n": n}) as expect:
+                    expect(series[n], partitions.p_dist_oracle(n, k, s))
             for n in range(k + 1, nmax + 1):
-                rec.expect_equal(
-                    "Stirling total formula equals marked enumeration",
-                    {"k": k, "s": s, "n": n},
-                    partitions.total_pnk(n, k, s),
-                    partitions.p_dist_oracle(n, k, s).derivative()(1),
-                )
+                with rec.route("Stirling total formula equals marked enumeration",
+                               {"k": k, "s": s, "n": n}) as expect:
+                    expect(partitions.total_pnk(n, k, s),
+                           partitions.p_dist_oracle(n, k, s).derivative()(1))
     for s in (2, 3, 4):
         for n in range(2, 11):
-            rec.expect_equal(
-                "Bell-number grand total equals enumeration",
-                {"s": s, "n": n},
-                partitions.q_total(n, s),
-                partitions.p_total_all_oracle(n, s),
-            )
+            with rec.route("Bell-number grand total equals enumeration",
+                           {"s": s, "n": n}) as expect:
+                expect(partitions.q_total(n, s), partitions.p_total_all_oracle(n, s))
     for n in range(2, nmax + 1):
-        rec.expect_equal(
-            "grand total is the sum of per-block-count totals",
-            {"s": 2, "n": n},
-            sum(partitions.total_pnk(n, k, 2) for k in range(3, n)),
-            partitions.q_total(n, 2),
-        )
+        with rec.route("grand total is the sum of per-block-count totals",
+                       {"s": 2, "n": n}) as expect:
+            expect(sum(partitions.total_pnk(n, k, 2) for k in range(3, n)),
+                   partitions.q_total(n, 2))
     for n in range(1, 13):
         rec.expect_equal(
             "weighted Stirling row sums telescope to Bell differences",
@@ -369,29 +348,21 @@ def suite_partitions(kmax=5, nmax=9) -> list[Check]:
             b,
         )
         for n in range(nmax + 1):
-            rec.expect_equal(
-                "adjacent-successor closed form equals enumeration",
-                {"k": k, "n": n},
-                a[n],
-                partitions.p_dist_oracle(n, k, 1),
-            )
+            with rec.route("adjacent-successor closed form equals enumeration",
+                           {"k": k, "n": n}) as expect:
+                expect(a[n], partitions.p_dist_oracle(n, k, 1))
     return rec.checks
 
 
-# What a bijection map raises on an object outside its family, or when its
-# own output check fails: on a generated object, a failed check at that n
-_MAP_ERRORS = (InternalInvariantViolation, bijections.InvalidComposition,
-               bijections.InvalidSequence, bijections.InvalidWord)
-
-
-def suite_bijections(nmax=10, tiling_nmax=12) -> list[Check]:
+def suite_bijections(nmax=10) -> list[Check]:
     """Each map runs once per object; the round trips read its images back.
     A map that raises on a generated object fails that length's check."""
     rec = _Recorder("bijections")
-    fib = fibwords.fib_list(tiling_nmax + 2)
+    longest_strip = 12  # the pairing maps run on every strip of length 0..12
+    fib = fibwords.fib_list(longest_strip + 2)
     avoiders = kary.a_rec_alt(kary.KSParams(4, 2), nmax)
     for n in range(nmax + 1):
-        try:
+        with rec.route("composition and rewriting maps accept their families", {"n": n}):
             comps = list(bijections.colored_compositions(n + 1))
             mans = [bijections.composition_to_maneuvers(c) for c in comps]
             vws = sorted(bijections.v_words(n))
@@ -400,56 +371,49 @@ def suite_bijections(nmax=10, tiling_nmax=12) -> list[Check]:
             back = {w: bijections.w_to_v(w) for w in wws}
             decoded = all(bijections.maneuvers_to_composition(m) == c
                           for c, m in zip(comps, mans))
-        except _MAP_ERRORS as exc:
-            rec.record("composition and rewriting maps accept their families", {"n": n},
-                       False, f"{type(exc).__name__}: {exc}")
-            continue
-        target = oracle.count_avoiders(4, n, frozenset({(1, 3), (2, 4)}))
-        rec.expect_equal(
-            "compositions biject onto move words",
-            {"n": n},
-            sorted(mans),
-            vws,
-        )
-        rec.record("composition round trip is the identity", {"n": n}, decoded)
-        rec.expect_equal("rewriting maps onto the 1-3/2-4 avoiders", {"n": n},
-                         sorted(forward.values()), wws)
-        rec.record(
-            "rewriting round trips are the identity",
-            {"n": n},
-            all(back.get(w) == v for v, w in forward.items())
-            and all(forward.get(v) == w for w, v in back.items()),
-        )
-        chain = {len(comps), len(vws), len(wws), target, avoiders[n](0)}
-        rec.record("all five family sizes coincide", {"n": n}, len(chain) == 1, str(chain))
-    for n in range(tiling_nmax + 1):
-        try:
+            target = oracle.count_avoiders(4, n, frozenset({(1, 3), (2, 4)}))
+            rec.expect_equal(
+                "compositions biject onto move words",
+                {"n": n},
+                sorted(mans),
+                vws,
+            )
+            rec.record("composition round trip is the identity", {"n": n}, decoded)
+            rec.expect_equal("rewriting maps onto the 1-3/2-4 avoiders", {"n": n},
+                             sorted(forward.values()), wws)
+            rec.record(
+                "rewriting round trips are the identity",
+                {"n": n},
+                all(back.get(w) == v for v, w in forward.items())
+                and all(forward.get(v) == w for w, v in back.items()),
+            )
+            chain = {len(comps), len(vws), len(wws), target, avoiders[n](0)}
+            rec.record("all five family sizes coincide", {"n": n}, len(chain) == 1,
+                       str(chain))
+    for n in range(longest_strip + 1):
+        with rec.route("pairing maps accept their families", {"n": n}):
             jw = list(bijections.jpp_words(n))
             tl = sorted(bijections.tilings(n))
             pair = {w: bijections.jpp_to_tiling(w) for w in jw}
             unpair = {t: bijections.tiling_to_jpp(t) for t in tl}
-        except _MAP_ERRORS as exc:
-            rec.record("pairing maps accept their families", {"n": n}, False,
-                       f"{type(exc).__name__}: {exc}")
-            continue
-        rec.expect_equal(
-            "level-free words are counted by Fibonacci numbers",
-            {"n": n},
-            len(jw),
-            fib[n + 1],
-        )
-        rec.expect_equal(
-            "pairing map is a bijection onto tilings",
-            {"n": n},
-            sorted(pair.values()),
-            tl,
-        )
-        rec.record(
-            "tiling round trips are the identity",
-            {"n": n},
-            all(unpair.get(t) == w for w, t in pair.items())
-            and all(pair.get(w) == t for t, w in unpair.items()),
-        )
+            rec.expect_equal(
+                "level-free words are counted by Fibonacci numbers",
+                {"n": n},
+                len(jw),
+                fib[n + 1],
+            )
+            rec.expect_equal(
+                "pairing map is a bijection onto tilings",
+                {"n": n},
+                sorted(pair.values()),
+                tl,
+            )
+            rec.record(
+                "tiling round trips are the identity",
+                {"n": n},
+                all(unpair.get(t) == w for w, t in pair.items())
+                and all(pair.get(w) == t for t, w in unpair.items()),
+            )
     return rec.checks
 
 

@@ -377,15 +377,15 @@ def test_suite_applies_each_map_once_per_object(monkeypatch):
 
     monkeypatch.setattr(bijections, "colored_compositions", counted_family)
     monkeypatch.setattr(ColoredComposition, "__post_init__", counted_guard)
-    checks = verify.suite_bijections(nmax=4, tiling_nmax=6)
+    checks = verify.suite_bijections(nmax=4)
     assert checks and all(c.passed for c in checks)
     objects = sum(1 for n in range(5) for _ in v_words(n))
     assert objects == sum(1 for n in range(5) for _ in w_words(n)) == 231
     assert calls == {
         "v_to_w": objects,
         "w_to_v": objects,
-        "jpp_to_tiling": sum(1 for n in range(7) for _ in jpp_words(n)),
-        "tiling_to_jpp": sum(1 for n in range(7) for _ in tilings(n)),
+        "jpp_to_tiling": sum(1 for n in range(13) for _ in jpp_words(n)),
+        "tiling_to_jpp": sum(1 for n in range(13) for _ in tilings(n)),
         "colored_compositions items": objects,
         "composition_to_maneuvers": objects,
         "maneuvers_to_composition": objects,

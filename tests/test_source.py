@@ -76,3 +76,19 @@ def test_every_definition_is_referenced():
                 if mentions[node.name] <= own:
                     found.append(f"{path.name}:{node.lineno} {node.name}")
     assert not found, f"definitions named nowhere else: {', '.join(found)}"
+
+
+def test_verify_records_a_failing_route_one_way():
+    """verify.py handles exceptions in two places only: the recorder's
+    route, which fails a check when a route's own check trips, and the LU
+    sample, which draws a new point when the one it drew is degenerate."""
+    tree = _parse(ROOT / "src" / "adjstats" / "verify.py")
+    handlers = sorted((fn.name, ast.unparse(handler.type) if handler.type else "")
+                      for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                      for handler in ast.walk(fn) if isinstance(handler, ast.ExceptHandler))
+    assert handlers == [
+        ("route", "(InternalInvariantViolation, bijections.InvalidComposition, "
+                  "bijections.InvalidSequence, bijections.InvalidWord)"),
+        ("suite_absdiff", "absdiff.DegeneratePoint"),
+    ]
+    assert sum(isinstance(node, ast.Try) for node in ast.walk(tree)) == 2
