@@ -358,7 +358,7 @@ def suite_bijections(nmax=10) -> list[Check]:
     """Each map runs once per object; the round trips read its images back.
     A map that raises on a generated object fails that length's check."""
     rec = _Recorder("bijections")
-    longest_strip = 12  # the pairing maps run on every strip of length 0..12
+    longest_strip = 12
     fib = fibwords.fib_list(longest_strip + 2)
     avoiders = kary.a_rec_alt(kary.KSParams(4, 2), nmax)
     for n in range(nmax + 1):
