@@ -28,6 +28,10 @@ from fractions import Fraction
 from . import absdiff, bijections, kary, oeis, oracle, partitions, verify
 from .algebra import InternalInvariantViolation, QPoly
 
+# the most cells a `bijection --composition` may total: its move list and
+# JSON grow with the total, which an argv of a few bytes can make huge
+_MAX_COMPOSITION_CELLS = 10**6
+
 
 def _parse_rational(text: str) -> Fraction:
     try:
@@ -245,6 +249,9 @@ def _cmd_bijection(args):
             return {"command": "bijection", "map": name, "input": shown_in(value),
                     "output": shown_out(fn(value))}, False
     comp = bijections.ColoredComposition(args.composition)
+    if comp.total > _MAX_COMPOSITION_CELLS:
+        raise ValueError(f"a composition may total at most {_MAX_COMPOSITION_CELLS} "
+                         f"cells, got {comp.total}")
     moves = bijections.composition_to_maneuvers(comp)
     v_word = bijections.maneuvers_to_v_word(moves)
     return {
@@ -289,6 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
         "and set partitions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # name -> subcommand parser, which `main` hands a request to directly
+    parser._commands = sub.choices
 
     p = sub.add_parser("dist", help="distribution of the rise/jump count")
     p.add_argument("--stat", choices=("mu", "nu"), required=True,
@@ -382,21 +391,34 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The one parser of this process: built on the first `main` call, not
-    at import, and shared by every later call.  `parse_args` leaves no
-    state on it."""
+    at import, and shared by every later call.  Parsing leaves no state on
+    it or on its subcommand parsers."""
     return build_parser()
 
 
-def main(argv=None) -> int:
+def _parse(argv: list) -> argparse.Namespace:
+    """Parse argv as the top-level parser would, but a request that starts
+    with a subcommand's name only by that subcommand's parser."""
     parser = _parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     for token in argv:
         flag, sep, value = token.partition("=")
         if flag.startswith("-") and sep and value == "--":
             # Python 3.11's argparse drops an explicit "--" value and stores []
             # without calling the option's type or checking its choices
             parser.error(f"argument {flag}: expected one argument")
-    args = parser.parse_args(argv)
+    command = parser._commands.get(argv[0]) if argv else None
+    if command is None:  # no argv, -h, an unknown command or a leading option
+        return parser.parse_args(argv)
+    # the top-level parser hands every later token to the subcommand's parser
+    # and reports what it leaves over; doing that here parses each token once
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
+def main(argv=None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         payload, failed = args.fn(args)
         _emit(payload, args.format, args.out)

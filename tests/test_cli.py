@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from adjstats import absdiff, cli, kary, oracle, partitions, transfer
+from adjstats import absdiff, bijections, cli, kary, oracle, partitions, transfer
 from adjstats.algebra import RatFunc, XPoly
 from adjstats.cli import main
 
@@ -237,6 +238,36 @@ class TestBijection:
         if "composition" in row:
             assert json.loads(row["composition"]) == payload["composition"]
 
+    @pytest.mark.parametrize("text, total", [
+        ("1000000000:1", 10**9),
+        ("999999:1+2:1,2", 10**6 + 1),
+    ])
+    def test_composition_past_the_cell_limit_builds_no_move(self, capsys, monkeypatch,
+                                                            text, total):
+        def never(comp):
+            raise AssertionError("a move was built past the limit")
+
+        monkeypatch.setattr(bijections, "composition_to_maneuvers", never)
+        code = main(["bijection", "--composition", text])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == (f"error: a composition may total at most 1000000 cells, "
+                                f"got {total}\n")
+
+    def test_part_checks_come_before_the_cell_limit(self, capsys):
+        code = main(["bijection", "--composition", "1000000000:0"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: colors {0} outside [1, 1000000000]\n"
+
+    def test_composition_of_exactly_the_limit_is_accepted(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_MAX_COMPOSITION_CELLS", 5)
+        code, out = run(capsys, "bijection", "--composition", "3:1,3+2:2")
+        assert code == 0 and json.loads(out)["maneuvers"] == [3, 2, 1, 4]
+        code = main(["bijection", "--composition", "3:1,3+3:2"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: a composition may total at most 5 cells, got 6\n")
+
 
 class TestVerifyCommand:
     def test_passing_suite(self, capsys):
@@ -444,6 +475,21 @@ def test_invalid_input_is_usage_error(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.fixture
+def parses(monkeypatch):
+    """The parsers, in order, whose `parse_known_args` runs; `parse_args`
+    and a subcommand action both go through it."""
+    seen = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        seen.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    return seen
+
+
 class TestSharedParser:
     """`main` builds one parser per process, on its first call, and reuses it."""
 
@@ -453,7 +499,8 @@ class TestSharedParser:
         yield
         cli._parser.cache_clear()
 
-    def test_built_once_across_many_calls(self, capsys, monkeypatch, tmp_path, cleared):
+    def test_built_once_across_many_calls(self, capsys, monkeypatch, tmp_path, cleared,
+                                          parses):
         bfile = tmp_path / "b007070.txt"
         bfile.write_text("0 1\n1 4\n2 14\n")
         calls = []
@@ -490,6 +537,20 @@ class TestSharedParser:
         assert len(codes) >= 50
         assert codes == [expected for argv, expected in argvs] * 4
         assert len(calls) == 1
+        # one parse per request: its subcommand's parser, or the top-level
+        # one for `frobnicate`
+        shared = cli._parser()
+        assert parses == [shared._commands.get(argv[0], shared) for argv, _ in argvs] * 4
+
+    def test_cache_clear_resets_the_dispatch_map(self, cleared, parses):
+        argv = ["avoid", "--k", "4", "--s", "2", "--n", "3"]
+        cli._parse(argv)
+        first = cli._parser()
+        cli._parser.cache_clear()
+        cli._parse(argv)
+        second = cli._parser()
+        assert first is not second
+        assert parses == [first._commands["avoid"], second._commands["avoid"]]
 
     def test_import_builds_no_parser(self):
         src = Path(cli.__file__).resolve().parents[1]
@@ -551,10 +612,15 @@ class TestSharedParser:
         ]
         fresh = cli.build_parser()
         expected = [vars(fresh.parse_args(argv)) for argv in argvs] * 20
+        # the dispatch path parses by the subcommand's parser, whose namespace
+        # lacks only the command name
+        dispatched = [{k: v for k, v in args.items() if k != "command"} for args in expected]
         shared = cli._parser()
 
         def parse_all(worker):
-            return [vars(shared.parse_args(argv)) for _ in range(20) for argv in argvs]
+            # full parses on the shared parser interleaved with dispatched ones
+            return [(vars(shared.parse_args(argv)), vars(cli._parse(argv)))
+                    for _ in range(20) for argv in argvs]
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -564,4 +630,48 @@ class TestSharedParser:
                            for f in [pool.submit(parse_all, i) for i in range(4)]]
         finally:
             sys.setswitchinterval(interval)
-        assert results == [expected] * 4
+        assert results == [list(zip(expected, dispatched))] * 4
+
+
+class TestOneParse:
+    """A request that names a subcommand is parsed once, by that subcommand's
+    parser; any other argv goes to the top-level parser."""
+
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "0..4", "--q", "1/3"],
+        ["totals", "--partitions", "--s", "2", "--n", "4"],
+        ["verify", "--suite", "algebra", "--nmax", "2"],
+        ["bijection", "--v-to-w", "113"],
+    ], ids=lambda argv: argv[0])
+    def test_a_known_subcommand_is_parsed_once(self, parses, argv):
+        args = cli._parse(argv)
+        assert parses == [cli._parser()._commands[argv[0]]]
+        del parses[:]
+        full = cli.build_parser().parse_args(argv)
+        assert len(parses) == 2  # the top-level parse, then the subcommand's
+        assert vars(args) == {k: v for k, v in vars(full).items() if k != "command"}
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["--", "dist"],
+                                      ["--bogus"]],
+                             ids=lambda argv: " ".join(argv) or "empty")
+    def test_any_other_argv_reaches_the_top_level_parser(self, capsys, parses, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli._parse(argv)
+        assert exc.value.code == (0 if argv == ["-h"] else 2)
+        assert parses == [cli._parser()]
+        captured = capsys.readouterr()
+        assert (captured.out + captured.err).startswith(cli._parser().format_usage())
+
+    @pytest.mark.parametrize("tail, left", [
+        (["extra"], "extra"),
+        (["--", "x"], "-- x"),
+        (["x", "--", "-y"], "x -- -y"),
+    ])
+    def test_leftover_tokens_are_a_top_level_usage_error(self, capsys, parses, tail, left):
+        argv = ["avoid", "--k", "4", "--s", "2", "--n", "3", *tail]
+        with pytest.raises(SystemExit) as exc:
+            cli._parse(argv)
+        assert exc.value.code == 2 and parses == [cli._parser()._commands["avoid"]]
+        err = capsys.readouterr().err
+        assert err.startswith(cli._parser().format_usage())
+        assert err.endswith(f"\nadjstats: error: unrecognized arguments: {left}\n")

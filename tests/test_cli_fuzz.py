@@ -2,7 +2,8 @@
 
 Every subcommand, flag and mutually exclusive group can be drawn, with junk
 values, missing required flags and flags of other subcommands mixed in.
-Whatever the input, `main` must exit 0, 1 or 2 and print no traceback.
+Whatever the input, `main` must exit 0, 1 or 2 and print no traceback, and
+its parse must end as a fresh parser's full parse does.
 Values are bounded (k <= 6, n <= 8, s <= 4, a small --cap, verify grids
 <= 3) so that every example runs well under a second.  The `all` and
 `bijections` suites are left out: their grids ignore --nmax.
@@ -13,10 +14,10 @@ import io
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from adjstats import oeis
+from adjstats import cli, oeis
 from adjstats.cli import main
 
 JUNK = st.sampled_from(["", " ", "x", "abc", "-1", "-7", "1.5", "1e3", "0x10", "1/0", "--",
@@ -142,3 +143,48 @@ def test_any_argv_exits_0_1_or_2_without_a_traceback(argv, bfile):
     assert "Traceback" not in err.getvalue()
     if code == 2:
         assert out.getvalue() == "", argv
+
+
+def _outcome(parse, argv):
+    """What one parse of argv ends in: its exit code (None when it returns),
+    stdout, stderr, and the namespace it returns less `command`, the name
+    of the subcommand, which nothing reads."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            args = parse(argv)
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue(), None
+    namespace = {k: v for k, v in vars(args).items() if k != "command"}
+    return None, out.getvalue(), err.getvalue(), namespace
+
+
+def _full_parse(argv):
+    """A fresh parser's full parse, after the one check `main` makes first:
+    an option given the value `--` in `=` form is a usage error."""
+    parser = cli.build_parser()
+    for token in argv:
+        flag, sep, value = token.partition("=")
+        if flag.startswith("-") and sep and value == "--":
+            parser.error(f"argument {flag}: expected one argument")
+    return parser.parse_args(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=argvs())
+@example(argv=[])
+@example(argv=["dist", "--bogus"])
+@example(argv=["avoid", "--k", "4", "--s", "2", "--n", "3", "--bogus", "1"])
+@example(argv=["avoid", "--k", "4", "--s", "2", "--n", "3", "extra"])
+@example(argv=["avoid", "--k", "4", "--s", "2", "--n", "3", "--", "x"])
+@example(argv=["dist", "--", "x"])
+@example(argv=["verify", "-x"])
+@example(argv=["verify", "--suite", "kary", "--ver"])
+@example(argv=["verify", "--suite", "kary", "--kmax", "2", "--nmax", "2", "--ful"])
+@example(argv=["dist", "--he"])
+@example(argv=["gap", "-h"])
+@example(argv=["-h", "gap"])
+@example(argv=["--", "gap"])
+@example(argv=["gap", "--k=--"])
+def test_mains_parse_ends_as_the_full_parse_does(argv):
+    assert _outcome(cli._parse, argv) == _outcome(_full_parse, argv)

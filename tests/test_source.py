@@ -92,3 +92,11 @@ def test_verify_records_a_failing_route_one_way():
         ("suite_absdiff", "absdiff.DegeneratePoint"),
     ]
     assert sum(isinstance(node, ast.Try) for node in ast.walk(tree)) == 2
+
+
+def test_cli_uses_public_argparse_api_only():
+    """`main` hands a request to its subcommand's parser through what
+    `add_subparsers` returns, not through argparse's private members."""
+    private = {"_actions", "_SubParsersAction", "_subparsers", "_option_string_actions"}
+    found = sorted(private & set(_names_read(_parse(ROOT / "src" / "adjstats" / "cli.py"))))
+    assert not found, f"src/adjstats/cli.py names private argparse members: {found}"
