@@ -175,6 +175,16 @@ def _corpus():
         ["verify", "--suite", "all", "--nmax", "3", "--full-report"],
         ["verify", "--suite", "gap", "--full-report"],
     ]
+    # tables whose letters fall into few classes of equal entries: a wide
+    # jump band with seven classes, rise chains of three letters, and a
+    # middle-band jump table checked against its closed form
+    cmds += [
+        ["dist", "--stat", "nu", "--k", "20", "--s", "3", "--n", "0..40"],
+        ["dist", "--stat", "mu", "--k", "9", "--s", "4", "--n", "0..60", "--q", "5/2"],
+        ["avoid", "--k", "9", "--s", "4", "--n", "0..200"],
+        ["dist", "--stat", "nu", "--k", "5", "--s", "3", "--n", "0..30", "--verify",
+         "--cap", "100000"],
+    ]
     return cmds
 
 
