@@ -32,6 +32,10 @@ from .algebra import InternalInvariantViolation, QPoly
 # JSON grow with the total, which an argv of a few bytes can make huge
 _MAX_COMPOSITION_CELLS = 10**6
 
+# the longest length `--n` may ask for: a table is filled up to its longest
+# length, and its memory and time grow faster than the square of it
+_MAX_LENGTH = 1000
+
 
 def _parse_rational(text: str) -> Fraction:
     try:
@@ -50,6 +54,8 @@ def _parse_range(text: str) -> range:
         raise argparse.ArgumentTypeError(f"empty range: {text!r}")
     if out[0] < 0:
         raise argparse.ArgumentTypeError(f"lengths must be >= 0: {text!r}")
+    if out[-1] > _MAX_LENGTH:
+        raise argparse.ArgumentTypeError(f"lengths must be <= {_MAX_LENGTH}: {text!r}")
     return out
 
 

@@ -12,6 +12,7 @@ k, so the distribution for k blocks is bound k's minus bound k - 1's.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 from .algebra import (
@@ -26,17 +27,20 @@ from .kary import KSParams, gf_A, gf_denominator, unit_column_det
 from .oracle import DEFAULT_CAP, _marginal, _tally, _walk
 
 
-def bell_list(n: int) -> list[int]:
-    """Bell numbers B_0..B_n via the Bell triangle."""
-    out = [1]
+def _bell_numbers():
+    """B_0, B_1, ... without end, one row of the Bell triangle each."""
     row = [1]
-    for _ in range(n):
+    while True:
+        yield row[0]
         nxt = [row[-1]]
         for v in row:
             nxt.append(nxt[-1] + v)
         row = nxt
-        out.append(row[0])
-    return out
+
+
+def bell_list(n: int) -> list[int]:
+    """Bell numbers B_0..B_n via the Bell triangle."""
+    return list(islice(_bell_numbers(), max(n, 0) + 1))
 
 
 def stirling_table(n: int) -> list[list[int]]:
@@ -60,7 +64,9 @@ def enumerate_rgf(n: int, k: int | None = None, cap: int = DEFAULT_CAP):
 
 
 def _check_cap(n: int, cap: int) -> None:
-    if n >= 0 and bell_list(n)[n] > cap:
+    """Raise when B_n exceeds cap.  Bell numbers never decrease, so the
+    triangle stops at the first one above cap."""
+    if n >= 0 and any(bell > cap for bell in islice(_bell_numbers(), n + 1)):
         raise EnumerationTooLarge(f"B_{n} growth sequences exceed cap {cap}")
 
 

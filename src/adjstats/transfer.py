@@ -11,6 +11,18 @@ holds every shorter length too.  One table is stored per mark set and
 ring; it keeps the total of every length and the last row only, grows on
 demand, and a shorter request reads its prefix.
 
+Many letters share one entry in every row: the letters at one place of
+their chains a, a+s, a+2s, ... for rises by s, the outer letters of the
+middle band for jumps.  A table fills one entry per class of such
+letters.  The classes are the coarsest partition of the alphabet on which
+every row is constant: row 1 is all ones, so refinement starts from one
+class, and it splits letters by the summed coefficient of their marks
+from each class, monomial by monomial, until no class splits
+(lumpability, Kemeny and Snell, Finite Markov Chains, 1960, 6.3).  Entry
+C of row n is then total[n-1] plus those summed terms times row n - 1,
+and total n sums |C| entry C.  `fresh_rows` fills the same step over
+singleton classes, so each letter's entry is computed on its own.
+
 Every entry is one Python int.  A polynomial entry is stored as its value
 at q = 2^w, and a PQPoly one also at p = 2^(wD), D above every q-degree
 an entry reaches (Kronecker substitution; Schonhage 1982): the
@@ -72,7 +84,7 @@ def fresh_rows(k: int, marks: tuple, order: int, one) -> list:
     the letter i, for n = 0..order; filled fresh and stored nowhere."""
     if k < 1 or order < 0:
         raise ValueError("need k >= 1 and order >= 0")
-    table = _Table(k, marks, one, order)
+    table = _Table(k, marks, one, order, [[i] for i in range(k)])
     row, total = table.row, table.totals[-1]
     rows = [(), tuple(map(table.decode, row))]
     for _ in range(2, order + 1):
@@ -82,14 +94,14 @@ def fresh_rows(k: int, marks: tuple, order: int, one) -> list:
 
 
 def _next_row(into, prev_row, prev_total):
-    """Row n and its total from row n - 1 and total n - 1: into[i] lists
-    the (j, shift, c) terms of row[i] - total[n-1], each c * prev_row[j]
-    shifted left by `shift` bits."""
-    row = []
-    for terms in into:
+    """Row n and its total from row n - 1 and total n - 1: into[C] is the
+    size of class C and the (D, shift, c) terms of row[C] - total[n-1],
+    each c * prev_row[D] shifted left by `shift` bits."""
+    row, total = [], 0
+    for size, terms in into:
         entry = prev_total
-        for j, shift, c in terms:
-            x = prev_row[j] << shift
+        for d, shift, c in terms:
+            x = prev_row[d] << shift
             if c == 1:
                 entry += x
             elif c == -1:
@@ -97,7 +109,8 @@ def _next_row(into, prev_row, prev_total):
             else:
                 entry += c * x
         row.append(entry)
-    return row, sum(row)
+        total += entry if size == 1 else size * entry
+    return row, total
 
 
 def _monomials(x, variables):
@@ -109,26 +122,82 @@ def _monomials(x, variables):
             for rest, c in _monomials(coeff, variables - 1)]
 
 
+def _classes(k, terms):
+    """The coarsest partition of the letters 0..k-1 on which every row is
+    constant, from terms[i], the (j, exps, c) terms of letter i: two
+    letters share a class when, for each class D and each exponent tuple,
+    the coefficients c of their terms from D sum alike.
+
+    One class is split at a time by the summed terms from one splitter
+    class, the whole alphabet first.  A split class queues its pieces as
+    splitters, all but its largest unless it was queued itself: the sum
+    over that piece is the sum over the class less the others (Hopcroft
+    1971; Valmari and Franceschinis 2010), so a letter is summed over
+    O(log k) times.  Classes are listed by their first letter."""
+    readers = [[] for _ in range(k)]
+    for i, letter_terms in enumerate(terms):
+        for j, exps, c in letter_terms:
+            readers[j].append((i, exps, c))
+    blocks, block_of = [set(range(k))], [0] * k
+    todo, queued = [0], {0}
+    while todo:
+        b = todo.pop()
+        queued.discard(b)
+        sums = {}
+        for j in blocks[b]:
+            for i, exps, c in readers[j]:
+                got = sums.setdefault(i, {})
+                got[exps] = got.get(exps, 0) + c
+        moving = {}  # block -> signature -> letters; a zero sum stays put
+        for i, got in sums.items():
+            signature = frozenset(item for item in got.items() if item[1])
+            if signature:
+                moving.setdefault(block_of[i], {}).setdefault(signature, []).append(i)
+        for y, groups in moving.items():
+            groups = list(groups.values())
+            if len(groups) == 1 and len(groups[0]) == len(blocks[y]):
+                continue
+            for letters in groups:
+                blocks[y].difference_update(letters)
+            if not blocks[y]:
+                blocks[y] = set(groups.pop())
+            pieces = [y]
+            for letters in groups:
+                pieces.append(len(blocks))
+                blocks.append(set(letters))
+                for i in letters:
+                    block_of[i] = pieces[-1]
+            if y not in queued:
+                pieces.remove(max(pieces, key=lambda x: len(blocks[x])))
+            todo += [x for x in pieces if x not in queued]
+            queued.update(pieces)
+    return sorted(sorted(block) for block in blocks)
+
+
 class _Table:
     """One mark set over one ring: the packed totals of lengths 0..n, the
-    packed row of length n, and the packing they share.
+    packed row of length n, one entry per class of letters, and the
+    packing they share.
 
     The width w is chosen for every length up to `capacity`.  A word of
     length m weighs a product of m - 1 weights, so no coefficient of an
     entry exceeds k^m L^(m-1) in size, L the largest L1 norm of a weight
     (and of 1); w is that bound's bit length plus a sign bit, in whole
     bytes.  D is one more than the largest q-degree an entry can reach.
-    Integer tables are not packed and never outgrow their capacity."""
+    Integer tables are not packed and never outgrow their capacity.
+
+    `classes` partitions the letters 0..k-1; by default it is the coarsest
+    one on which every row is constant."""
 
     __slots__ = ("k", "ring", "terms", "norm", "degree", "capacity", "width", "stride",
                  "into", "row", "totals", "decoded")
 
-    def __init__(self, k, marks, one, capacity):
+    def __init__(self, k, marks, one, capacity, classes=None):
         self.ring = ring = type(one)
         if ring not in _VARIABLES or one != 1:
             raise ValueError(f"{one!r} is not the unit of int, QPoly or PQPoly")
         variables = _VARIABLES[ring]
-        self.k, self.terms = k, [[] for _ in range(k)]
+        self.k, terms = k, [[] for _ in range(k)]
         norms, degrees = [1], [0]
         for (a, b), weight in marks:
             if not (1 <= a <= k and 1 <= b <= k):
@@ -139,13 +208,24 @@ class _Table:
             for exps, c in _monomials(delta, variables):
                 if type(c) is not int:
                     raise ValueError(f"weight {weight!r} has a non-integer coefficient")
-                self.terms[b - 1].append((a - 1, exps, c))
+                terms[b - 1].append((a - 1, exps, c))
             monomials = _monomials(weight, variables)
             norms.append(sum(abs(c) for _, c in monomials))
             degrees += [exps[-1] for exps, _ in monomials if exps]
         if len({pair for pair, _ in marks}) != len(marks):
             raise ValueError("a pair is marked more than once")
         self.norm, self.degree = max(norms), max(degrees)
+        if classes is None:
+            classes = _classes(k, terms)
+        class_of = {i: d for d, letters in enumerate(classes) for i in letters}
+        # (size, (D, exps, c) terms) per class, read off its first letter
+        self.terms = []
+        for letters in classes:
+            summed = {}
+            for j, exps, c in terms[letters[0]]:
+                summed[class_of[j], exps] = summed.get((class_of[j], exps), 0) + c
+            self.terms.append((len(letters), [(d, exps, c) for (d, exps), c in summed.items()
+                                              if c]))
         self.decoded = {}
         self.refill(capacity)
 
@@ -161,9 +241,10 @@ class _Table:
             self.stride = self.degree * (capacity - 1) + 1
             strides = (w,) if self.ring is QPoly else (w * self.stride, w)
         self.capacity = capacity
-        self.into = [[(j, sum(e * s for e, s in zip(exps, strides)), c) for j, exps, c in terms]
-                     for terms in self.terms]
-        self.row, self.totals = [1] * self.k, [1, self.k]
+        self.into = [(size, [(d, sum(e * s for e, s in zip(exps, strides)), c)
+                             for d, exps, c in terms])
+                     for size, terms in self.terms]
+        self.row, self.totals = [1] * len(self.terms), [1, self.k]
 
     def extend(self, order):
         """Append the totals of lengths up to `order`."""

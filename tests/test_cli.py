@@ -435,6 +435,36 @@ def test_enumeration_cap_is_one_stderr_line(capsys, monkeypatch):
     assert captured.err == "enumeration too large: 4^400 words exceed cap 100\n"
 
 
+LONG_REQUESTS = [
+    ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "0..5000"],
+    ["dist", "--stat", "nu", "--k", "3", "--s", "1", "--n", "1001"],
+    ["totals", "--words", "--k", "3", "--s", "1", "--n", "2..1001"],
+    ["totals", "--partitions", "--s", "2", "--n", "3000"],
+    ["avoid", "--k", "7", "--s", "1", "--n", "20000"],
+    ["partition-dist", "--n", "999..1001", "--k", "3", "--s", "1"],
+    ["gap", "--k", "3", "--s", "1", "--r", "2", "--n", "0..1001"],
+]
+
+
+@pytest.mark.parametrize("argv", LONG_REQUESTS, ids=" ".join)
+def test_a_length_past_the_cap_is_a_usage_error(capsys, monkeypatch, argv):
+    def no_table(*args):
+        raise AssertionError("a table was built")
+
+    monkeypatch.setattr(transfer, "_Table", no_table)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(
+        f"argument --n: lengths must be <= 1000: {argv[argv.index('--n') + 1]!r}")
+
+
+def test_lengths_up_to_the_cap_parse():
+    assert cli._parse_range("1000") == range(1000, 1001)
+    assert cli._parse_range("0..1000") == range(1001)
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["dist", "--stat", "mu"])  # missing required arguments

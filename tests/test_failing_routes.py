@@ -3,7 +3,8 @@
 Each case breaks one self-checking route: the oracle tally (one word
 dropped from every tally of one length), the Lucas numbers behind the
 fibwords totals, the Bell numbers behind the partition grand totals, or
-the avoidance recurrences.  A suite records a failed check at each point
+the avoidance recurrences; or one value, a letter of the per-letter DP
+rows.  A suite records a failed check at each point
 that reads the broken route and passes every other check; `verify` on the
 command line reports those failures and exits 1; any other command prints
 one `internal check failed: ` line and exits 1.
@@ -13,7 +14,7 @@ import json
 
 import pytest
 
-from adjstats import cli, fibwords, kary, oracle, partitions, verify
+from adjstats import cli, fibwords, kary, oracle, partitions, transfer, verify
 from adjstats.algebra import XPoly
 
 ROUTE = "InternalInvariantViolation: "
@@ -140,6 +141,25 @@ def test_a_wrong_bell_number_fails_the_grand_totals_that_read_it(monkeypatch, ca
     ] + [("weighted Stirling row sums telescope to Bell differences", {"n": 12},
           failed[-1][2])]
     assert not failed[-1][2].startswith(ROUTE)
+
+
+def test_one_letter_off_in_the_fresh_rows_fails_the_outer_letter_check(monkeypatch, capsys):
+    """The middle-band check reads each letter's own entry: with letter 1
+    off by one at length 2, it fails at n = 2 for every pair, and every
+    other check of the suite still passes."""
+    fill = transfer.fresh_rows
+
+    def letter_one_off(k, marks, order, one):
+        rows = fill(k, marks, order, one)
+        rows[2] = (rows[2][0] + 1,) + rows[2][1:]
+        return rows
+
+    monkeypatch.setattr(transfer, "fresh_rows", letter_one_off)
+    failed = _failed_in_suite_and_cli(capsys, "absdiff", kmax=1, smax=1, nmax=3)
+    assert [(name, params) for name, params, _ in failed] == [
+        ("outer letters share one distribution", {"k": k, "s": s, "n": 2})
+        for k, s in [(2, 1), (3, 2), (4, 2), (4, 3), (5, 3), (6, 3)]
+    ]
 
 
 def _one_internal_line(capsys, argv, message):

@@ -185,6 +185,15 @@ def _corpus():
         ["dist", "--stat", "nu", "--k", "5", "--s", "3", "--n", "0..30", "--verify",
          "--cap", "100000"],
     ]
+    # a length past the cap of --n, once per command that takes it (exit 2,
+    # nothing on stdout)
+    cmds += [
+        ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "1001"],
+        ["totals", "--words", "--k", "3", "--s", "1", "--n", "0..1001"],
+        ["avoid", "--k", "3", "--s", "1", "--n", "1001"],
+        ["partition-dist", "--n", "1001", "--k", "3", "--s", "1"],
+        ["gap", "--k", "3", "--s", "1", "--r", "1", "--n", "0..1001"],
+    ]
     return cmds
 
 

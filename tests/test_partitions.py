@@ -51,6 +51,27 @@ class TestEnumeration:
             list(enumerate_rgf(12, cap=10**5))
 
 
+    def test_cap_stops_at_the_first_bell_number_above_it(self, monkeypatch):
+        """B_6 = 203 is the first Bell number above 100, so a length of a
+        billion reads seven of them, and the message names the length."""
+        bells = partitions._bell_numbers
+        read = []
+
+        def counted():
+            for bell in bells():
+                read.append(bell)
+                yield bell
+
+        monkeypatch.setattr(partitions, "_bell_numbers", counted)
+        with pytest.raises(EnumerationTooLarge, match=r"^B_1000000000 growth sequences "
+                                                       r"exceed cap 100$"):
+            p_dist_oracle(10**9, 3, 1, cap=100)
+        assert read == [1, 1, 2, 5, 15, 52, 203]
+        read.clear()
+        partitions._check_cap(5, 100)
+        assert read == [1, 1, 2, 5, 15, 52]
+
+
 class TestStirlingBell:
     def test_bell(self):
         assert bell_list(8) == [1, 1, 2, 5, 15, 52, 203, 877, 4140]

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjstats import absdiff, transfer
+from adjstats import absdiff, kary, transfer
 from adjstats.algebra import Poly, PQPoly, QPoly, XPoly
 from adjstats.oracle import count_avoiders
 from adjstats.transfer import fresh_rows, transfer_dp
@@ -160,6 +160,114 @@ def test_matches_the_row_formula(ring, data):
     got = fresh_rows(k, marks, max(orders), one)
     assert got == rows
     assert all(type(entry) is type(one) for row in got for entry in row)
+
+
+@st.composite
+def shaped_mark_sets(draw, weights):
+    """(k, marks): every rise by s or every jump of size s under one drawn
+    weight, whose letters fall into few classes, or a random mark set."""
+    shape = draw(st.sampled_from(["rise", "jump", "random"]))
+    if shape == "random":
+        return draw(mark_sets(weights))
+    k, s, weight = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(weights)
+    pairs = {(i - s, i) for i in range(s + 1, k + 1)}
+    if shape == "jump":
+        pairs |= {(i + s, i) for i in range(1, k - s + 1)}
+    return k, tuple((pair, weight) for pair in sorted(pairs))
+
+
+def letter_terms(k, marks, one):
+    """The (j, exps, c) terms of each letter: those of a table whose
+    classes are the single letters."""
+    table = transfer._Table(k, marks, one, 1, [[i] for i in range(k)])
+    return [terms for _, terms in table.terms]
+
+
+def classes_by_rounds(k, terms):
+    """The coarsest partition on which every row is constant, refined by
+    whole rounds: each round splits every class by the summed terms of its
+    letters from every class, until a round splits none."""
+    block = [0] * k
+    while True:
+        signatures = []
+        for i in range(k):
+            summed = {}
+            for j, exps, c in terms[i]:
+                summed[block[j], exps] = summed.get((block[j], exps), 0) + c
+            signatures.append((block[i], frozenset(x for x in summed.items() if x[1])))
+        ids = {}
+        refined = [ids.setdefault(signature, len(ids)) for signature in signatures]
+        if len(ids) == len(set(block)):
+            return sorted([i for i in range(k) if block[i] == b] for b in set(block))
+        block = refined
+
+
+@pytest.mark.parametrize("ring", RINGS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_class_totals_match_every_letter(ring, data):
+    """A table filled over classes of letters against the letters filled
+    one by one and against every word.  The classes are the coarsest
+    partition refined by whole rounds, and the letters of one class share
+    every entry."""
+    weights, one = RINGS[ring]
+    k, marks = data.draw(shaped_mark_sets(weights))
+    n = data.draw(st.integers(1, 4))
+    rows = fresh_rows(k, marks, n, one)
+    totals = fresh_fill(k, marks, n, one)
+    for m in range(1, n + 1):
+        assert totals[m] == sum(rows[m][1:], rows[m][0])
+    assert totals[n] == brute_force(k, marks, n)[0]
+    terms = letter_terms(k, marks, one)
+    classes = transfer._classes(k, terms)
+    assert classes == classes_by_rounds(k, terms)
+    for letters in classes:
+        assert all(rows[m][i] == rows[m][letters[0]] for m in range(1, n + 1) for i in letters)
+    assert len(transfer._Table(k, marks, one, n).row) == len(classes)
+
+
+@pytest.mark.parametrize("marks,k,classes", [
+    (kary._rise_marks(kary.KSParams(7, 3), QPoly.var()), 7, [[0, 1, 2], [3, 4, 5], [6]]),
+    (absdiff._jump_marks(8, 2), 8, [[0, 1, 6, 7], [2, 3, 4, 5]]),
+    (absdiff._jump_marks(5, 3), 5, [[0, 1, 3, 4], [2]]),
+])
+def test_letters_sharing_an_entry_form_one_class(marks, k, classes):
+    assert transfer._classes(k, letter_terms(k, marks, QPoly.const(1))) == classes
+
+
+@pytest.mark.parametrize("k,s", [(1, 1), (4, 1), (6, 2), (7, 3), (9, 4), (12, 5), (20, 3)])
+def test_a_rise_table_keeps_one_entry_per_chain_place(k, s):
+    """Letters at one place of their chains a, a+s, a+2s, ... share an
+    entry, so a rise table keeps steps + 1 of them."""
+    params = kary.KSParams(k, s)
+    with mock.patch.dict(transfer._tables, clear=True):
+        kary.a_table(params, 3)
+        [table] = transfer._tables.values()
+    assert len(table.row) == params.steps + 1
+
+
+@pytest.mark.parametrize("k,s,count", [(8, 2, 2), (5, 3, 2), (20, 3, 7), (4, 1, 2)])
+def test_jump_table_class_counts(k, s, count):
+    with mock.patch.dict(transfer._tables, clear=True):
+        absdiff.b_table(k, s, 3)
+        [table] = transfer._tables.values()
+    assert len(table.row) == count
+
+
+def test_fresh_rows_fill_every_letter_apart():
+    """Twenty letters of seven classes give twenty entries a row, and no
+    classes are formed for them."""
+    with mock.patch.object(transfer, "_classes", side_effect=AssertionError):
+        rows = fresh_rows(20, absdiff._jump_marks(20, 3), 6, QPoly.const(1))
+    assert rows[0] == () and all(len(row) == 20 for row in rows[1:])
+
+
+def test_a_long_chain_splits_into_single_letters():
+    """Every letter of a chain of rises by 1 over 3,000 letters is its own
+    class, the deepest refinement there is."""
+    k = 3000
+    marks = kary._rise_marks(kary.KSParams(k, 1), QPoly.var())
+    assert transfer._classes(k, letter_terms(k, marks, QPoly.const(1))) == [[i] for i in range(k)]
 
 
 def test_weight_outside_the_ring_of_one_rejected():
