@@ -9,7 +9,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly, specialize_q
+from .algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly
 from .transfer import transfer_dp
 
 
@@ -64,18 +64,13 @@ def a_rec_alt(params: KSParams, order: int) -> list[QPoly]:
     return out
 
 
-def gf_denominator(params: KSParams) -> XPoly:
-    """Denominator of the long-form generating function, coefficients in q."""
+def gf_denominator(params: KSParams, q=QPoly.var()) -> XPoly:
+    """Denominator of the long-form generating function, with coefficients
+    in q, or in the ring of the point q given (integers at q = 0)."""
     k, s = params.k, params.s
-    q = QPoly.var()
     one_m_q = 1 - q
-    lead = XPoly(
-        (
-            QPoly((1,)),
-            -(QPoly((k - 2,)) + 2 * q),
-            -((k + s - 1 + q) * one_m_q),
-        )
-    )
+    # q**0 is the 1 of q's ring
+    lead = XPoly((q**0, -(k - 2 + 2 * q), -((k + s - 1 + q) * one_m_q)))
     # (rem*(1 + (1-q)x) - s) * x * ((q-1)x)^(steps+1)
     factor = XPoly((params.rem - s, params.rem * one_m_q))
     tail = factor * XPoly.monomial((q - 1) ** (params.steps + 1), params.steps + 2)
@@ -90,14 +85,15 @@ def gf_A(params: KSParams) -> RatFunc:
     return RatFunc(num, gf_denominator(params))
 
 
-def gf_A_reduced(params: KSParams) -> RatFunc:
+def gf_A_reduced(params: KSParams, q=QPoly.var()) -> RatFunc:
     """The same generating function after cancelling (1 + (1-q)x)^2:
-    1 / (1 - sum_{i=0}^{steps} (q-1)^i (k - i s) x^(i+1))."""
+    1 / (1 - sum_{i=0}^{steps} (q-1)^i (k - i s) x^(i+1)), at q as in
+    gf_denominator."""
     k, s = params.k, params.s
-    coeffs, power = [QPoly((1,))], QPoly((1,))  # power = (q-1)^i
+    coeffs, power = [q**0], q**0  # power = (q-1)^i
     for i in range(params.steps + 1):
         coeffs.append(-(power * (k - i * s)))
-        power = power * QPoly((-1, 1))
+        power = power * (q - 1)
     return RatFunc(XPoly((1,)), XPoly(coeffs))
 
 
@@ -130,8 +126,7 @@ def avoid_count(params: KSParams, order: int) -> list[int]:
     checked, dens = _avoid_checked.get(params, (-1, None))
     if order > checked:
         if dens is None:
-            dens = tuple(specialize_q(den, 0).coeffs
-                         for den in (gf_denominator(params), gf_A_reduced(params).den))
+            dens = (gf_denominator(params, 0).coeffs, gf_A_reduced(params, 0).den.coeffs)
         for n in range(checked + 1, order + 1):
             _check_avoid(params, dens, counts, n)
         _avoid_checked[params] = (order, dens)

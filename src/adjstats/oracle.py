@@ -1,17 +1,19 @@
 """Brute-force ground truth for word statistics.
 
-One depth-first walk, `_walk`, visits every sequence of a family and
-carries its difference profile packed into one integer key.  A family
-is data: an alphabet 1..k, banned pairs, a gap and the growth flag, which
-gives the restricted growth functions with maximum at most k.  `_count`
-tallies the keys of one length: it walks the prefixes m letters short of
-the end, and for each prefix state lists once the key increments of the
-m-letter suffixes that may follow it, so every word adds its own key
-once without a tuple or a generator step of its own.  Every statistic
-is read off the packed keys of that tally, a digit at a time, in one
-layout for words and growth sequences alike.  Nothing comes from a
-recurrence, a closed form or a DP table, so these values are the
-independent reference that every other module is checked against.
+One walk, `_walk`, visits every sequence of a family in lexicographic
+order and carries its difference profile packed into one integer key.  A
+family is data: an alphabet 1..k, banned pairs, a gap and the growth
+flag, which gives the restricted growth functions with maximum at most k.
+`_count` tallies the keys of one length by meeting in the middle
+(Horowitz and Sahni 1974): it counts the keys of the prefixes m letters
+short of the end per junction state, counts once per state the key
+increments of the m-letter suffixes that may follow it, and multiplies
+the two counters out.  Every prefix and every suffix is visited; words are
+combined only by distributivity.  Every statistic is read off the packed
+keys of that tally, a digit at a time, in one layout for words and
+growth sequences alike.  Nothing comes from a recurrence, a closed form
+or a DP table, so these values are the independent reference that every
+other module is checked against.
 """
 
 from __future__ import annotations
@@ -19,17 +21,30 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import lru_cache
-from operator import add
 
 from .algebra import EnumerationTooLarge, InternalInvariantViolation, PQPoly, QPoly
 
 DEFAULT_CAP = 10**8
-_SUFFIX_WORDS = 256  # `_count` lists at least this many suffixes per state, where k allows
 
 
 def words(k, n):
     """All k-ary words of length n, streamed in lexicographic order."""
     return itertools.product(range(1, k + 1), repeat=n)
+
+
+@lru_cache(maxsize=32)
+def _walk_tables(k, n, banned, growth):
+    """The `step` and `after` tables of `_walk` for one family, shared (as
+    tuples) by every walk of it; a count makes one walk per junction state."""
+    base = max(n, 2)
+    # step[a][b]: what a pair (a, b) adds to the key; row 0 is "no pair yet"
+    step = tuple(tuple(base ** (b - a + k - 1) if a and b else 0 for b in range(k + 1))
+                 for a in range(k + 1))
+    # after[a][top]: the letters that may follow a when the maximum is top
+    after = tuple(tuple(tuple(b for b in range(1, (min(top + 1, k) if growth else k) + 1)
+                              if (a, b) not in banned) for top in range(k + 1))
+                  for a in range(k + 1))
+    return step, after
 
 
 def _walk(k, n, banned=frozenset(), gap=1, growth=False, start=((), 0), stop=None):
@@ -43,7 +58,11 @@ def _walk(k, n, banned=frozenset(), gap=1, growth=False, start=((), 0), stop=Non
     With a `start` (word, maximum) and a `stop` length, it visits only the
     extensions of that word to length `stop`, and `key` counts only the
     pairs whose second letter is new.  The start word needs only the last
-    `gap` letters of a longer prefix, since no new pair reaches further."""
+    `gap` letters of a longer prefix, since no new pair reaches further.
+
+    Each length up to `stop` - 1 is built as one list that extends the
+    last in order; the words of length `stop` are visited as each entry
+    of the last list is extended, and never stored together."""
     if n < 0:
         raise ValueError("need n >= 0")
     word, top = start
@@ -52,49 +71,51 @@ def _walk(k, n, banned=frozenset(), gap=1, growth=False, start=((), 0), stop=Non
         yield word, 0, top
         return
     k = max(k, 0)
-    base = max(n, 2)
-    # step[a][b]: what a pair (a, b) adds to the key; row 0 is "no pair yet"
-    step = [[base ** (b - a + k - 1) if a and b else 0 for b in range(k + 1)]
-            for a in range(k + 1)]
-    # after[a][top]: the letters that may follow a when the maximum is top
-    after = [[tuple(b for b in range(1, (min(top + 1, k) if growth else k) + 1)
-                    if (a, b) not in banned) for top in range(k + 1)]
-             for a in range(k + 1)]
-    last = stop - 1
-    stack = [(word, 0, top)]
-    while stack:
-        word, key, top = stack.pop()
-        i = len(word)
+    step, after = _walk_tables(k, n, frozenset(banned), growth)
+    level = [(word, 0, top)]
+    for i in range(len(word), stop - 1):
+        # `for row in (...,)` binds the parent's row once for its children
+        level = [(word + (c,), key + row[c], top if top >= c else c)
+                 for word, key, top in level
+                 for row in (step[word[i - gap] if i >= gap else 0],)
+                 for c in after[word[-1] if word else 0][top]]
+    i = stop - 1
+    for word, key, top in level:
         row = step[word[i - gap] if i >= gap else 0]
-        letters = after[word[-1] if word else 0][top]
-        if i == last:
-            for c in letters:
-                yield word + (c,), key + row[c], top if top >= c else c
-        else:
-            for c in reversed(letters):
-                stack.append((word + (c,), key + row[c], top if top >= c else c))
+        for c in after[word[-1] if word else 0][top]:
+            yield word + (c,), key + row[c], top if top >= c else c
 
 
 def _count(k, n, banned, gap, growth):
-    """Counter {key: number of words} over `_walk(k, n, banned, gap, growth)`.
+    """Counter {key: number of words} over `_walk(k, n, banned, gap, growth)`,
+    met in the middle.
 
-    Each prefix m letters short of n adds its own key to every entry of
-    the list of suffix key increments for its state, the last `gap`
-    letters and (with `growth`) the maximum; m is the least length with
-    k^m >= _SUFFIX_WORDS.  A list is built once per state, by the same
-    walk, and lives only for this count."""
+    m is the largest length <= n // 2 with k^m <= 1024.  The walk to
+    length n - m gives, per junction state (the last `gap` letters and,
+    with `growth`, the maximum), how many prefixes carry each key.  One
+    walk of the m-letter extensions of each state gives how many suffixes
+    add each key increment.  A word is one prefix and one suffix of the
+    same state, and its key is their sum, so key p + s gains c * d for
+    every prefix entry (p, c) and suffix entry (s, d) of a state."""
     m = 0
-    while m < n and k**m < _SUFFIX_WORDS:
+    while m < n // 2 and k ** (m + 1) <= 1024:
         m += 1
-    counts = Counter()
-    suffixes = {}
+    prefixes = {}
     for word, key, top in _walk(k, n, banned, gap, growth, stop=n - m):
         state = word[-gap:], top if growth else 0
-        suffix = suffixes.get(state)
-        if suffix is None:
-            suffix = suffixes[state] = [inc for _, inc, _ in _walk(
-                k, n, banned, gap, growth, start=(state[0], top), stop=len(state[0]) + m)]
-        counts.update(map(add, itertools.repeat(key), suffix))
+        keys = prefixes.get(state)
+        if keys is None:
+            keys = prefixes[state] = {}
+        keys[key] = keys.get(key, 0) + 1
+    counts = Counter()
+    get = counts.get
+    for (tail, top), keys in prefixes.items():
+        suffixes = Counter(inc for _, inc, _ in _walk(
+            k, n, banned, gap, growth, start=(tail, top), stop=len(tail) + m))
+        entries = list(keys.items())
+        for inc, d in suffixes.items():
+            for key, c in entries:
+                counts[key + inc] = get(key + inc, 0) + c * d
     return counts
 
 

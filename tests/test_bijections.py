@@ -1,6 +1,8 @@
 import itertools
 import json
+import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -77,6 +79,31 @@ class TestCompositions:
                                       ((1, frozenset({1})), (size, kind(colors)))):
                             assert (_outcome(ColoredComposition, parts)
                                     == _outcome(_reference_guard, parts)), parts
+
+    @pytest.mark.parametrize("parts,message", [
+        (((3, frozenset({1, 2.5})),), "colors {1, 2.5} are not all integers"),
+        (((3, frozenset({1.0})),), "colors {1.0} are not all integers"),
+        (((1, frozenset({1})), (30, (1, Fraction(29)))),
+         "colors {1, Fraction(29, 1)} are not all integers"),
+        (((2.5, frozenset({1})),), "part size 2.5 is not an integer"),
+        (((3.0, frozenset({1})),), "part size 3.0 is not an integer"),
+    ])
+    def test_non_integer_cells_are_rejected(self, parts, message):
+        with pytest.raises(InvalidComposition) as caught:
+            ColoredComposition(parts)
+        assert str(caught.value) == message
+
+    def test_large_parts_pass_the_same_checks(self):
+        """Parts of size len(_CELLS) and above are checked cell by cell."""
+        for size in range(12, 40):
+            for colors in ({1}, {size}, {1, size // 2, size}):
+                comp = ColoredComposition(((size, frozenset(colors)),))
+                assert maneuvers_to_composition(composition_to_maneuvers(comp)) == comp
+            for colors, message in [({0}, f"colors {{0}} outside [1, {size}]"),
+                                    ({size + 1}, f"colors {{{size + 1}}} outside [1, {size}]"),
+                                    ({1, 2.5}, "colors {1, 2.5} are not all integers")]:
+                with pytest.raises(InvalidComposition, match=re.escape(message)):
+                    ColoredComposition(((size, frozenset(colors)),))
 
     def test_encode_examples(self):
         assert composition_to_maneuvers(ColoredComposition((part(1, 1),))) == ()

@@ -173,7 +173,7 @@ def _one_internal_line(capsys, argv, message):
 def test_a_tripped_avoidance_check_is_one_stderr_line(monkeypatch, capsys):
     long_form = kary.gf_denominator
     monkeypatch.setattr(kary, "gf_denominator",
-                        lambda params: long_form(params) + XPoly.monomial(1, 1))
+                        lambda params, *q: long_form(params, *q) + XPoly.monomial(1, 1))
     monkeypatch.setattr(kary, "_avoid_checked", {})
     _one_internal_line(capsys, ["avoid", "--k", "5", "--s", "2", "--n", "0..10"],
                        "avoidance recurrences disagree for KSParams(k=5, s=2)")

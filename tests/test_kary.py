@@ -1,13 +1,14 @@
 import re
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjstats import kary, oeis, verify
+from adjstats import kary, oeis, transfer, verify
 from adjstats.algebra import (
     InternalInvariantViolation,
     QPoly,
@@ -112,8 +113,8 @@ class TestAltRecurrence:
         sequence fails too, and the suite still returns."""
         reduced = kary.gf_A_reduced
 
-        def perturbed(params):
-            gf = reduced(params)
+        def perturbed(params, *q):
+            gf = reduced(params, *q)
             return RatFunc(gf.num, gf.den + XPoly.monomial(1, 1))
 
         monkeypatch.setattr(kary, "_avoid_checked", {})
@@ -155,6 +156,34 @@ class TestGeneratingFunction:
         for k, s in [(1, 1), (2, 5), (3, 3)]:
             series = gf_A(KSParams(k, s)).series(8)
             assert series == [QPoly((k**n,)) for n in range(9)]
+
+
+class TestDenominatorsAtAPoint:
+    """gf_denominator and gf_A_reduced take the point q; at q = 0 they are
+    built over the integers, and equal the q-forms set to 0."""
+
+    @pytest.mark.parametrize("k", range(1, 15))
+    def test_integer_denominators_are_the_q_forms_at_zero(self, k):
+        for s in range(1, 8):
+            params = KSParams(k, s)
+            for at_zero, q_form in [(kary.gf_denominator(params, 0), kary.gf_denominator(params)),
+                                    (gf_A_reduced(params, 0).den, gf_A_reduced(params).den)]:
+                assert at_zero == specialize_q(q_form, 0)
+                assert all(type(c) is int for c in at_zero.coeffs)
+
+    def test_avoid_count_at_k_2000_stays_small(self, monkeypatch):
+        """Built over the integers, the q = 0 denominators take O(k) ints;
+        the q-forms hold about k^3 / 3 bits of (q - 1)^i coefficients."""
+        monkeypatch.setattr(kary, "_avoid_checked", {})
+        with mock.patch.dict(transfer._tables, clear=True):
+            tracemalloc.start()
+            try:
+                counts = avoid_count(KSParams(2000, 1), 4)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert counts[:3] == [1, 2000, 2000**2 - 1999]
+        assert peak < 16 * 2**20
 
 
 class TestAvoidCount:
@@ -290,9 +319,9 @@ class TestAvoidCheckedOnce:
         for name in ("gf_denominator", "gf_A_reduced"):
             real = getattr(kary, name)
 
-            def counting(params, name=name, real=real):
+            def counting(params, *q, name=name, real=real):
                 builds.append((name, params))
-                return real(params)
+                return real(params, *q)
 
             monkeypatch.setattr(kary, name, counting)
         pairs = [KSParams(5, 2), KSParams(14, 1)]
@@ -315,12 +344,13 @@ class TestAvoidCheckedOnce:
         bump = XPoly.monomial(1, index)
         if form == "long":
             real_long = kary.gf_denominator
-            monkeypatch.setattr(kary, "gf_denominator", lambda params: real_long(params) + bump)
+            monkeypatch.setattr(kary, "gf_denominator",
+                                lambda params, *q: real_long(params, *q) + bump)
         else:
             real_reduced = kary.gf_A_reduced
 
-            def wrong(params):
-                gf = real_reduced(params)
+            def wrong(params, *q):
+                gf = real_reduced(params, *q)
                 return RatFunc(gf.num, gf.den + bump)
 
             monkeypatch.setattr(kary, "gf_A_reduced", wrong)

@@ -1,4 +1,10 @@
+import itertools
+import tracemalloc
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjstats import oracle, partitions
 from adjstats.algebra import InternalInvariantViolation, PQPoly, QPoly
@@ -228,3 +234,94 @@ def test_negative_length_rejected():
 def test_enumeration_cap():
     with pytest.raises(EnumerationTooLarge):
         distribution_mu(10, 1, 10, cap=10**6)
+
+
+def _reference_profiles(k, n, banned, gap, growth):
+    """{difference profile: number of sequences}, by filtering
+    `itertools.product` and counting each word's differences directly."""
+    counts = Counter()
+    for w in itertools.product(range(1, k + 1), repeat=n):
+        if any(pair in banned for pair in zip((0,) + w, w)):
+            continue
+        if growth and any(c > max(w[:i], default=0) + 1 for i, c in enumerate(w)):
+            continue
+        diffs = [w[i + gap] - w[i] for i in range(n - gap)]
+        counts[tuple(diffs.count(d) for d in range(1 - k, k))] += 1
+    return counts
+
+
+def _tally_profiles(k, n, banned, gap, growth):
+    tally = oracle._tally(n, k, banned, gap, growth)
+    return Counter({oracle._unpack(key, k, n): count for key, count in tally.items()})
+
+
+@st.composite
+def families(draw):
+    """k <= 5, n <= 8, gap <= 3, any banned pairs (first-letter bars (0, b)
+    among them) and growth on or off."""
+    k = draw(st.integers(0, 5))
+    pairs = [(a, b) for a in range(k + 1) for b in range(1, k + 1)]
+    banned = frozenset(draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else ())
+    return k, draw(st.integers(0, 8)), banned, draw(st.integers(1, 3)), draw(st.booleans())
+
+
+class TestMeetInTheMiddle:
+    """`_tally` joins prefix and suffix counters per junction state; it must
+    count exactly the words a plain product scan counts."""
+
+    @given(families())
+    @settings(max_examples=100, deadline=None)
+    def test_tally_matches_a_product_scan(self, family):
+        assert _tally_profiles(*family) == _reference_profiles(*family)
+
+    @pytest.mark.parametrize("k,n,banned,gap,growth", [
+        (3, 0, frozenset(), 1, False),  # the empty word alone
+        (3, 1, frozenset(), 1, False),
+        (3, 1, frozenset({(0, 2)}), 1, True),
+        (0, 0, frozenset(), 1, False),
+        (0, 3, frozenset(), 1, False),  # no letters, no words
+        (1, 5, frozenset(), 1, False),
+        (1, 5, frozenset({(1, 1)}), 2, True),
+        (3, 2, frozenset(), 3, False),  # gap past the word: every profile empty
+        (2, 3, frozenset({(0, 1)}), 5, True),
+        (3, 6, frozenset(), 2, False),  # prefix and suffix of 3 letters
+        (3, 7, frozenset(), 2, False),  # prefix of 4, suffix of 3
+        (2, 9, frozenset({(1, 2)}), 3, False),
+        (2, 10, frozenset({(0, 2), (2, 2)}), 1, True),
+    ])
+    def test_edge_cases(self, k, n, banned, gap, growth):
+        assert _tally_profiles(k, n, banned, gap, growth) == _reference_profiles(
+            k, n, banned, gap, growth)
+
+    def test_a_tally_visits_a_prefix_or_suffix_once(self, monkeypatch):
+        """(k, n) = (6, 7) splits as 6^4 prefixes and 6^3 suffixes for each
+        of the 6 last letters: 2592 visits, under 1 % of the 6^7 words."""
+        visits = []
+        walk = oracle._walk
+
+        def counting(*args, **kwargs):
+            for visit in walk(*args, **kwargs):
+                visits.append(visit)
+                yield visit
+
+        oracle._tally.cache_clear()
+        monkeypatch.setattr(oracle, "_walk", counting)
+        try:
+            tally = oracle._tally(7, 6, frozenset(), 1, False)
+        finally:
+            oracle._tally.cache_clear()
+        assert tally.total() == 6**7
+        assert len(visits) == 6**4 + 6 * 6**3 < 0.03 * 6**7
+
+    def test_a_cap_scale_count_holds_states_and_keys_not_words(self):
+        """3^16 words (43 million, under the default cap): a count keeps
+        the prefix lists and one counter per state, a few MiB, where one
+        int per word would take over 300 MiB."""
+        tracemalloc.start()
+        try:
+            counts = oracle._count(3, 16, frozenset(), 1, False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.total() == 3**16
+        assert peak < 16 * 2**20

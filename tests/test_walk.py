@@ -1,8 +1,8 @@
-"""Differential tests of the depth-first walk behind the oracle, the
+"""Differential tests of the walk behind the oracle, the
 growth-sequence scans and the bijection families, against plain
 `itertools.product` + `pairwise` scanners and a naive recursive
 growth-sequence generator kept here as references; and of the oracle's
-prefix-by-suffix-list count, against a per-word tally of the walk."""
+meet-in-the-middle count, against a per-word tally of the walk."""
 
 import itertools
 from collections import Counter
@@ -136,8 +136,10 @@ def per_word_count(k, n, banned, gap, growth):
 
 
 def block_length(k):
-    """The least m with k^m >= 256: how far short of n the count's prefixes stop."""
-    return next(m for m in itertools.count() if k**m >= oracle._SUFFIX_WORDS)
+    """The least n with k^n >= 256.  The counts at n - 1, n and n + 1 split
+    words of both parities into a suffix of m = n // 2 letters (k^m stays
+    within the count's bound of 1024) and a prefix of the rest."""
+    return next(n for n in itertools.count() if k**n >= 256)
 
 
 @given(banned_sets(first_letter=True), st.integers(1, 4), st.integers(0, 8), st.booleans())
