@@ -55,10 +55,6 @@ class InvalidWord(ValueError):
 
 Part = tuple[int, frozenset]
 
-# _CELLS[size]: the cells 1..size of a part, for the sizes a composition
-# checks in one set test
-_CELLS = tuple(frozenset(range(1, size + 1)) for size in range(17))
-
 
 @dataclass(frozen=True, slots=True)
 class ColoredComposition:
@@ -68,22 +64,21 @@ class ColoredComposition:
     parts: tuple[Part, ...]
 
     def __post_init__(self):
-        # one test per valid part of size below len(_CELLS): its cells are
-        # among 1..size, and their sum is an int only if every cell is one
-        # (a float or Fraction cell makes it a float or Fraction).
-        # _check_part tests every other part and names the check it fails
+        # one test per part when every part is valid; _reject_part then
+        # names the first check that fails.  The sum of the cells is an
+        # int only if every cell is one (a float or Fraction cell makes it
+        # a float or Fraction)
         for size, colored in self.parts:
-            if not (type(size) is int and 0 < size < len(_CELLS) and colored
-                    and _CELLS[size].issuperset(colored) and type(sum(colored)) is int):
-                _check_part(size, colored)
+            if not (type(size) is int and size >= 1 and colored and type(sum(colored)) is int
+                    and min(colored) >= 1 and max(colored) <= size):
+                _reject_part(size, colored)
 
     @property
     def total(self) -> int:
         return sum(size for size, _ in self.parts)
 
 
-def _check_part(size, colored):
-    """Raise InvalidComposition for the first check the part fails."""
+def _reject_part(size, colored):
     if type(size) is not int:
         raise InvalidComposition(f"part size {size!r} is not an integer")
     if size < 1:
@@ -92,8 +87,7 @@ def _check_part(size, colored):
         raise InvalidComposition("a part has an empty color set")
     if type(sum(colored)) is not int:
         raise InvalidComposition(f"colors {set(colored)} are not all integers")
-    if min(colored) < 1 or max(colored) > size:
-        raise InvalidComposition(f"colors {set(colored)} outside [1, {size}]")
+    raise InvalidComposition(f"colors {set(colored)} outside [1, {size}]")
 
 
 def composition_to_maneuvers(comp: ColoredComposition) -> tuple[int, ...]:

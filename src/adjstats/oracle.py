@@ -1,19 +1,19 @@
 """Brute-force ground truth for word statistics.
 
-One walk, `_walk`, visits every sequence of a family in lexicographic
-order and carries its difference profile packed into one integer key.  A
-family is data: an alphabet 1..k, banned pairs, a gap and the growth
-flag, which gives the restricted growth functions with maximum at most k.
-`_count` tallies the keys of one length by meeting in the middle
-(Horowitz and Sahni 1974): it counts the keys of the prefixes m letters
-short of the end per junction state, counts once per state the key
-increments of the m-letter suffixes that may follow it, and multiplies
-the two counters out.  Every prefix and every suffix is visited; words are
-combined only by distributivity.  Every statistic is read off the packed
-keys of that tally, a digit at a time, in one layout for words and
-growth sequences alike.  Nothing comes from a recurrence, a closed form
-or a DP table, so these values are the independent reference that every
-other module is checked against.
+One depth-first walk, `_walk`, visits every sequence of a family in
+lexicographic order and carries its difference profile packed into one
+integer key.  A family is data: an alphabet 1..k, banned pairs, a gap
+and the growth flag, which gives the restricted growth functions with
+maximum at most k.  `_count` tallies the keys of one length by meeting
+in the middle (Horowitz and Sahni 1974): it counts the keys of the
+prefixes m letters short of the end per junction state, counts once per
+state the key increments of the m-letter suffixes that may follow it,
+and multiplies the two counters out.  Every prefix and every suffix is
+visited; words are combined only by distributivity.  Every statistic is
+read off the packed keys of that tally, a digit at a time, in one layout
+for words and growth sequences alike.  Nothing comes from a recurrence,
+a closed form or a DP table, so these values are the independent
+reference that every other module is checked against.
 """
 
 from __future__ import annotations
@@ -58,11 +58,7 @@ def _walk(k, n, banned=frozenset(), gap=1, growth=False, start=((), 0), stop=Non
     With a `start` (word, maximum) and a `stop` length, it visits only the
     extensions of that word to length `stop`, and `key` counts only the
     pairs whose second letter is new.  The start word needs only the last
-    `gap` letters of a longer prefix, since no new pair reaches further.
-
-    Each length up to `stop` - 1 is built as one list that extends the
-    last in order; the words of length `stop` are visited as each entry
-    of the last list is extended, and never stored together."""
+    `gap` letters of a longer prefix, since no new pair reaches further."""
     if n < 0:
         raise ValueError("need n >= 0")
     word, top = start
@@ -72,18 +68,19 @@ def _walk(k, n, banned=frozenset(), gap=1, growth=False, start=((), 0), stop=Non
         return
     k = max(k, 0)
     step, after = _walk_tables(k, n, frozenset(banned), growth)
-    level = [(word, 0, top)]
-    for i in range(len(word), stop - 1):
-        # `for row in (...,)` binds the parent's row once for its children
-        level = [(word + (c,), key + row[c], top if top >= c else c)
-                 for word, key, top in level
-                 for row in (step[word[i - gap] if i >= gap else 0],)
-                 for c in after[word[-1] if word else 0][top]]
-    i = stop - 1
-    for word, key, top in level:
+    last = stop - 1
+    stack = [(word, 0, top)]
+    while stack:
+        word, key, top = stack.pop()
+        i = len(word)
         row = step[word[i - gap] if i >= gap else 0]
-        for c in after[word[-1] if word else 0][top]:
-            yield word + (c,), key + row[c], top if top >= c else c
+        letters = after[word[-1] if word else 0][top]
+        if i == last:
+            for c in letters:
+                yield word + (c,), key + row[c], top if top >= c else c
+        else:
+            for c in reversed(letters):
+                stack.append((word + (c,), key + row[c], top if top >= c else c))
 
 
 def _count(k, n, banned, gap, growth):

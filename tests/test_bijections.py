@@ -94,7 +94,6 @@ class TestCompositions:
         assert str(caught.value) == message
 
     def test_large_parts_pass_the_same_checks(self):
-        """Parts of size len(_CELLS) and above are checked cell by cell."""
         for size in range(12, 40):
             for colors in ({1}, {size}, {1, size // 2, size}):
                 comp = ColoredComposition(((size, frozenset(colors)),))

@@ -315,8 +315,9 @@ class TestMeetInTheMiddle:
 
     def test_a_cap_scale_count_holds_states_and_keys_not_words(self):
         """3^16 words (43 million, under the default cap): a count keeps
-        the prefix lists and one counter per state, a few MiB, where one
-        int per word would take over 300 MiB."""
+        one key counter per junction state and the suffix counter of one
+        state at a time, a few MiB, where one int per word would take over
+        300 MiB."""
         tracemalloc.start()
         try:
             counts = oracle._count(3, 16, frozenset(), 1, False)
