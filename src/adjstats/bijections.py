@@ -12,7 +12,11 @@ plus the separate bijection from ternary words (no 1-3, no equal
 neighbors, first letter 2) onto square-and-domino tilings.
 
 Each word family is an alphabet size and a set of banned adjacent pairs,
-streamed by the oracle's pruned walk and tested against the same data.
+streamed by the oracle's pruned walk and tested against the same data: a
+word is read as bytes, and one compiled pattern per family, built from
+that data, finds a letter outside 1..k, a banned pair or a banned first
+letter.  The two rewriting maps are one substitution each over the bytes,
+one match per run, so their time is linear in the word.
 
 A colored composition is drawn as a row of dots separated by bars, with
 the colored cells circled; every gap between bars holds at least one
@@ -29,12 +33,19 @@ remaining circled/plain dots; parts after the first are opened by a
 move 1.  That convention makes the encoding a bijection -- within a
 part, the leading plain dots can only ever be produced by 4s right
 after the part is opened.
+
+So a move sequence is one segment per part, the segments joined by move
+1, and a part's segment depends on the part alone.  The encoder joins
+segments read from a table keyed by part, and the replay splits the moves
+at each 1 and reads each part from a table keyed by segment.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 from .algebra import InternalInvariantViolation
@@ -55,6 +66,11 @@ class InvalidWord(ValueError):
 
 Part = tuple[int, frozenset]
 
+# the cells 1..s of a part of size s, for s <= 32: a part whose cells all
+# lie in its entry passes the guard's quick test.  Parts of larger sizes
+# read the entry for 32, so the table stays small whatever a size is.
+_CELLS = tuple(frozenset(range(1, size + 1)) for size in range(33))
+
 
 @dataclass(frozen=True, slots=True)
 class ColoredComposition:
@@ -64,74 +80,95 @@ class ColoredComposition:
     parts: tuple[Part, ...]
 
     def __post_init__(self):
-        # one test per part when every part is valid; _reject_part then
-        # names the first check that fails.  The sum of the cells is an
-        # int only if every cell is one (a float or Fraction cell makes it
-        # a float or Fraction)
-        for size, colored in self.parts:
-            if not (type(size) is int and size >= 1 and colored and type(sum(colored)) is int
-                    and min(colored) >= 1 and max(colored) <= size):
-                _reject_part(size, colored)
+        # one quick test per part: an int size >= 1 and a nonempty cell set
+        # whose sum is an int (a float or Fraction cell makes it a float or
+        # Fraction) and that lies in the size's entry of _CELLS.  A part
+        # that fails it, or breaks it, is malformed or has a cell past 32;
+        # then _check_part reads every part exactly
+        try:
+            for size, colored in self.parts:
+                if not (type(size) is int and size >= 1 and colored
+                        and type(sum(colored)) is int
+                        and _CELLS[size if size < 32 else 32].issuperset(colored)):
+                    break
+            else:
+                return
+        except (TypeError, ValueError):
+            pass
+        for part in self.parts:
+            _check_part(part)
 
     @property
     def total(self) -> int:
         return sum(size for size, _ in self.parts)
 
 
-def _reject_part(size, colored):
+def _check_part(part):
+    """Raise InvalidComposition naming the first check that `part` fails;
+    return if it passes them all."""
+    try:
+        size, colored = part
+    except (TypeError, ValueError):
+        raise InvalidComposition(f"part {part!r} is not a (size, colors) pair") from None
     if type(size) is not int:
         raise InvalidComposition(f"part size {size!r} is not an integer")
     if size < 1:
         raise InvalidComposition(f"part size {size} < 1")
-    if not colored:
+    try:
+        cells = set(colored)
+    except TypeError:
+        raise InvalidComposition(f"colors {colored!r} are not a set of cells") from None
+    if not cells:
         raise InvalidComposition("a part has an empty color set")
-    if type(sum(colored)) is not int:
-        raise InvalidComposition(f"colors {set(colored)} are not all integers")
-    raise InvalidComposition(f"colors {set(colored)} outside [1, {size}]")
+    try:
+        integral = type(sum(colored)) is int
+    except TypeError:
+        integral = False
+    if not integral:
+        raise InvalidComposition(f"colors {cells} are not all integers")
+    if min(cells) < 1 or max(cells) > size:
+        raise InvalidComposition(f"colors {cells} outside [1, {size}]")
+
+
+# The part tables below hold 4096 parts each, which is every part of the
+# compositions of at most 11 cells, the default `verify` grid; an entry is
+# as long as its part.
+@lru_cache(maxsize=4096)
+def _part_moves(size: int, cells: frozenset) -> bytes:
+    """The moves of one part after it is opened: a 4 for each plain dot
+    before its first circled dot, then a 2 for each later circled dot and
+    a 3 for each plain one.  The move at index i builds cell i + 2."""
+    first = min(cells)
+    moves = bytearray(b"\x04" * (first - 1) + b"\x03" * (size - first))
+    for cell in cells:
+        if cell > first:
+            moves[cell - 2] = 2
+    return bytes(moves)
+
+
+@lru_cache(maxsize=4096)
+def _segment_part(moves: bytes) -> Part:
+    """The part that one segment of moves builds: inverse of _part_moves."""
+    first = len(moves) - len(moves.lstrip(b"\x04")) + 1
+    return len(moves) + 1, frozenset([first, *(cell for cell, move in enumerate(moves, 2)
+                                               if move == 2)])
 
 
 def composition_to_maneuvers(comp: ColoredComposition) -> tuple[int, ...]:
     """Encode a colored composition of n+1 as its n construction moves."""
     if not comp.parts:
         raise InvalidComposition("a composition has at least one part")
-    ops = []
-    for size, colored in comp.parts:
-        # a part's moves (opened by a 1): 4s up to its first circled dot, then
-        # a 2 for each later circled dot and a 3 for each plain one
-        first = min(colored)
-        ops.append(1)
-        if first > 1:
-            ops += (4,) * (first - 1)
-        if size > first:
-            ops += (3,) * (size - first)
-            if len(colored) > 1:
-                before = len(ops) - size - 1  # ops[before + pos] is cell pos's move
-                for pos in range(first + 1, size + 1):
-                    if pos in colored:
-                        ops[before + pos] = 2
-    del ops[0]  # the first part is not opened by a move
-    return tuple(ops)
+    # each part's moves, the parts after the first opened by a 1; the table
+    # is keyed by a frozenset, which also holds cells given as a set or list
+    return tuple(b"\x01".join([_part_moves(size, frozenset(colored))
+                              for size, colored in comp.parts]))
 
 
 def maneuvers_to_composition(ops) -> ColoredComposition:
-    """Replay construction moves from the single circled dot."""
+    """Replay construction moves from the single circled dot, one part per
+    segment between moves 1."""
     ops = maneuvers_to_v_word(ops)
-    parts = []
-    size, circled = 1, [1]  # the open part's size and its circled positions
-    for op in ops:
-        if op == 1:
-            parts.append((size, frozenset(circled)))
-            size, circled = 1, [1]
-        else:
-            size += 1
-            if op == 2:
-                circled.append(size)
-            elif op == 4:
-                # a 4 follows only a 1 or a 4, so the part has one circled
-                # dot, and the new plain dot goes before it
-                circled[0] = size
-    parts.append((size, frozenset(circled)))
-    return ColoredComposition(tuple(parts))
+    return ColoredComposition(tuple(map(_segment_part, bytes(ops).split(b"\x01"))))
 
 
 def maneuvers_to_v_word(ops) -> tuple[int, ...]:
@@ -149,32 +186,60 @@ _V_FAMILY = {"k": 4, "banned": frozenset({(2, 4), (3, 4)})}
 _W_FAMILY = {"k": 4, "banned": frozenset({(1, 3), (2, 4)})}
 _JPP_FAMILY = {"k": 3, "banned": frozenset({(1, 1), (2, 2), (3, 3), (1, 3), (0, 1), (0, 3)})}
 
-# the pairs (a, b), a in 0..k and b in 1..k, that each family allows
-_V_ALLOWED, _W_ALLOWED, _JPP_ALLOWED = (
-    frozenset(itertools.product(range(f["k"] + 1), range(1, f["k"] + 1))) - f["banned"]
-    for f in (_V_FAMILY, _W_FAMILY, _JPP_FAMILY))
+
+def _flaw_pattern(k, banned) -> re.Pattern:
+    """The pattern that finds, in a word's bytes, a letter outside 1..k, a
+    banned adjacent pair or a banned first letter."""
+    flaws = [b"[^\x01-" + re.escape(bytes([k])) + b"]"]
+    flaws += [(rb"\A" if a == 0 else re.escape(bytes([a]))) + re.escape(bytes([b]))
+              for a, b in sorted(banned)]
+    return re.compile(b"|".join(flaws))
 
 
-def _in_family(word, allowed) -> bool:
-    word = tuple(word)
-    return allowed.issuperset(zip((0,) + word, word))
+_V_FLAW, _W_FLAW, _JPP_FLAW = (_flaw_pattern(**f) for f in (_V_FAMILY, _W_FAMILY, _JPP_FAMILY))
 
 
-def _not_in_family(word, pairs) -> InvalidWord:
+def _in_family(word, flaw) -> bool:
+    # the word is made a tuple first, so that bytes() never reads a number
+    # as a length or a buffer as raw bytes.  A letter that bytes() cannot
+    # take, a float, a string or an int outside 0..255, is in no family
+    try:
+        letters = bytes(tuple(word))
+    except (TypeError, ValueError):
+        return False
+    return flaw.search(letters) is None
+
+
+def _not_in_family(word, flaw, pairs) -> InvalidWord:
     """Why `word` is outside a family over 1..4 that bans `pairs`."""
-    bad = [c for c in word if not 1 <= c <= 4]
-    return InvalidWord(f"{word} has letter {bad[0]} outside 1..4" if bad
+    bad = [c for c in word if not _in_family((c,), flaw)]
+    return InvalidWord(f"{word} has letter {bad[0]!r} outside 1..4" if bad
                        else f"{word} contains {pairs}")
 
 
 def is_v_word(word) -> bool:
     """Member of the family avoiding adjacent 2-4 and 3-4."""
-    return _in_family(word, _V_ALLOWED)
+    return _in_family(word, _V_FLAW)
 
 
 def is_w_word(word) -> bool:
     """Member of the family avoiding adjacent 1-3 and 2-4."""
-    return _in_family(word, _W_ALLOWED)
+    return _in_family(word, _W_FLAW)
+
+
+# A maximal run 1^d 3 (d >= 1) and a run 3 4^d (d >= 1).  The lookbehind
+# starts a match only at a run's first 1, so a long run of 1s that no 3
+# ends is scanned once, not once per letter.
+_ONES_THEN_3 = re.compile(rb"(?<!\x01)\x01+\x03")
+_3_THEN_FOURS = re.compile(rb"\x03\x04+")
+
+
+def _to_3_fours(run: re.Match) -> bytes:
+    return b"\x03" + b"\x04" * (len(run[0]) - 1)
+
+
+def _to_ones_3(run: re.Match) -> bytes:
+    return b"\x01" * (len(run[0]) - 1) + b"\x03"
 
 
 def v_to_w(word) -> tuple[int, ...]:
@@ -182,15 +247,8 @@ def v_to_w(word) -> tuple[int, ...]:
     avoiding 2-4/3-4 onto words avoiding 1-3/2-4."""
     word = tuple(word)
     if not is_v_word(word):
-        raise _not_in_family(word, "2-4 or 3-4")
-    out = list(word)
-    # right to left, each 1 right before a 3 swaps into 3 4, so the 3 moves
-    # to the front of its run of 1s and leaves a 4 behind for each
-    for i in range(len(out) - 2, -1, -1):
-        if out[i] == 1 and out[i + 1] == 3:
-            out[i] = 3
-            out[i + 1] = 4
-    result = tuple(out)
+        raise _not_in_family(word, _V_FLAW, "2-4 or 3-4")
+    result = tuple(_ONES_THEN_3.sub(_to_3_fours, bytes(word)))
     if not is_w_word(result):
         raise InternalInvariantViolation(f"v_to_w produced {result}, not a w-word")
     return result
@@ -200,15 +258,8 @@ def w_to_v(word) -> tuple[int, ...]:
     """Inverse of v_to_w: rewrite each maximal run 3 4^d as 1^d 3."""
     word = tuple(word)
     if not is_w_word(word):
-        raise _not_in_family(word, "1-3 or 2-4")
-    out = list(word)
-    # left to right, each 4 right after a 3 swaps into 1 3, so the 3 moves
-    # to the end of its run of 4s and leaves a 1 behind for each
-    for i in range(1, len(out)):
-        if out[i] == 4 and out[i - 1] == 3:
-            out[i - 1] = 1
-            out[i] = 3
-    result = tuple(out)
+        raise _not_in_family(word, _W_FLAW, "1-3 or 2-4")
+    result = tuple(_3_THEN_FOURS.sub(_to_ones_3, bytes(word)))
     if not is_v_word(result):
         raise InternalInvariantViolation(f"w_to_v produced {result}, not a v-word")
     return result
@@ -216,7 +267,7 @@ def w_to_v(word) -> tuple[int, ...]:
 
 def is_level_free_no13_start2(word) -> bool:
     """Ternary, no adjacent equal letters, no adjacent 1-3, first letter 2."""
-    return _in_family(word, _JPP_ALLOWED)
+    return _in_family(word, _JPP_FLAW)
 
 
 def jpp_to_tiling(word) -> tuple[int, ...]:

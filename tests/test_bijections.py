@@ -69,16 +69,20 @@ class TestCompositions:
             ColoredComposition((part(2, 3),))  # color outside the part
 
     def test_guard_matches_the_three_reference_checks(self):
-        # every part size -1..5 against every subset of -1..6, as each kind of
-        # color container, alone and after a valid part
-        for size in range(-1, 6):
-            for r in range(9):
-                for colors in itertools.combinations(range(-1, 7), r):
-                    for kind in (frozenset, set, tuple, list):
-                        for parts in (((size, kind(colors)),),
-                                      ((1, frozenset({1})), (size, kind(colors)))):
-                            assert (_outcome(ColoredComposition, parts)
-                                    == _outcome(_reference_guard, parts)), parts
+        # every part size -1..5 against every subset of -1..6, and every size
+        # 30..35 against every subset of cells around 32, where the quick
+        # test's cell table ends, as each kind of color container, alone and
+        # after a valid part
+        for sizes, cells in ((range(-1, 6), range(-1, 7)),
+                             (range(30, 36), (0, 1, 31, 32, 33, 34, 35, 36))):
+            for size in sizes:
+                for r in range(len(cells) + 1):
+                    for colors in itertools.combinations(cells, r):
+                        for kind in (frozenset, set, tuple, list):
+                            for parts in (((size, kind(colors)),),
+                                          ((1, frozenset({1})), (size, kind(colors)))):
+                                assert (_outcome(ColoredComposition, parts)
+                                        == _outcome(_reference_guard, parts)), parts
 
     @pytest.mark.parametrize("parts,message", [
         (((3, frozenset({1, 2.5})),), "colors {1, 2.5} are not all integers"),
@@ -87,6 +91,15 @@ class TestCompositions:
          "colors {1, Fraction(29, 1)} are not all integers"),
         (((2.5, frozenset({1})),), "part size 2.5 is not an integer"),
         (((3.0, frozenset({1})),), "part size 3.0 is not an integer"),
+        # malformed parts, alone or after valid parts, one past the cell table
+        (((2, frozenset({"1"})),), "colors {'1'} are not all integers"),
+        (((2, {None}),), "colors {None} are not all integers"),
+        (((2, 5),), "colors 5 are not a set of cells"),
+        (((1, frozenset({1})), (40, {1, 35}), (2, [[1]])), "colors [[1]] are not a set of cells"),
+        (((),), "part () is not a (size, colors) pair"),
+        (((1, frozenset({1})), (2,)), "part (2,) is not a (size, colors) pair"),
+        (((1, frozenset({1}), 2),), "part (1, frozenset({1}), 2) is not a (size, colors) pair"),
+        ((5,), "part 5 is not a (size, colors) pair"),
     ])
     def test_non_integer_cells_are_rejected(self, parts, message):
         with pytest.raises(InvalidComposition) as caught:
@@ -156,6 +169,22 @@ class TestRewriting:
             v_to_w((2, 4))
         with pytest.raises(InvalidWord):
             w_to_v((1, 3))
+
+    @pytest.mark.parametrize("rewrite", [v_to_w, w_to_v])
+    @pytest.mark.parametrize("word, letter", [
+        (("1",), "'1'"),
+        ((1.0, 3.0), "1.0"),
+        ((2, 4.0), "4.0"),
+        ((3, None), "None"),
+        ((2, 300), "300"),
+        ((-1,), "-1"),
+    ])
+    def test_a_letter_that_is_not_an_int_in_range_is_named(self, rewrite, word, letter):
+        with pytest.raises(InvalidWord) as caught:
+            rewrite(word)
+        assert str(caught.value) == f"{word} has letter {letter} outside 1..4"
+        with pytest.raises(InvalidSequence):
+            maneuvers_to_v_word(word)
 
     def test_broken_output_raises_without_assert(self, monkeypatch):
         monkeypatch.setattr(bijections, "is_w_word", lambda word: False)
@@ -233,9 +262,7 @@ class TestFamilyPredicates:
                                        (is_level_free_no13_start2, FAMILIES["jpp"])):
             for n in range(5):
                 for word in itertools.product(range(k + 2), repeat=n):
-                    want = (all(1 <= c <= k for c in word)
-                            and not banned & set(zip((0,) + word, word)))
-                    assert predicate(word) == want, word
+                    assert predicate(word) == _member_by_pairs(word, k, banned), word
 
 
 # alphabet size and banned adjacent pairs, where (0, b) bars b as first letter
@@ -357,6 +384,55 @@ def test_composition_moves_beyond_the_suite_grid(comp):
 def test_rewriting_matches_the_run_by_run_reference(v, w):
     assert v_to_w(v) == _v_to_w_reference(v)
     assert w_to_v(w) == _w_to_v_reference(w)
+
+
+@pytest.mark.parametrize("rewrite, reference, word", [
+    (v_to_w, _v_to_w_reference, (1,) * 200_000 + (3,)),
+    (v_to_w, _v_to_w_reference, (1,) * 200_000 + (2, 1, 3)),
+    (w_to_v, _w_to_v_reference, (3,) + (4,) * 200_000),
+    (w_to_v, _w_to_v_reference, (1,) + (4,) * 100_000 + (3,) + (4,) * 100_000),
+])
+def test_rewriting_a_long_run_matches_the_reference(rewrite, reference, word):
+    # a run of 1s that no 3 ends is scanned once, not once per letter
+    assert rewrite(word) == reference(word)
+
+
+def _member_by_pairs(word, k, banned):
+    """Family membership read from the pair set: every letter an int in
+    1..k, and no banned pair among (0, first letter) and the neighbours."""
+    return (all(type(c) is int and 1 <= c <= k for c in word)
+            and not banned & set(zip((0,) + word, word)))
+
+
+# mostly letters in and next to the alphabets, then any int in -2..300
+# (bytes end at 255) and floats, some equal to a letter
+LETTERS = st.one_of(st.integers(0, 5), st.integers(-2, 300), st.sampled_from([1.0, 3.0, 2.5]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(LETTERS, max_size=12).map(tuple))
+def test_predicates_match_the_pair_set_test(word):
+    for predicate, family in ((is_v_word, "v"), (is_w_word, "w"),
+                              (is_level_free_no13_start2, "jpp")):
+        assert predicate(word) == _member_by_pairs(word, *FAMILIES[family]), (family, word)
+    for rewrite, family in ((v_to_w, "v"), (w_to_v, "w")):
+        if not _member_by_pairs(word, *FAMILIES[family]):
+            with pytest.raises(InvalidWord) as caught:
+                rewrite(word)
+            bad = [c for c in word if not (type(c) is int and 1 <= c <= 4)]
+            if bad:
+                assert f"has letter {bad[0]!r} outside 1..4" in str(caught.value)
+
+
+@settings(max_examples=80, deadline=None)
+@given(compositions_up_to(), st.data())
+def test_cells_in_any_container_encode_and_decode(comp, data):
+    kinds = st.sampled_from([set, list, tuple, lambda cells: list(cells) * 2])
+    held = ColoredComposition(tuple((size, data.draw(kinds)(colored))
+                                    for size, colored in comp.parts))
+    moves = composition_to_maneuvers(held)
+    assert moves == composition_to_maneuvers(comp) == _encode_reference(comp)
+    assert maneuvers_to_composition(moves) == comp
 
 
 @settings(max_examples=60, deadline=None)

@@ -100,3 +100,45 @@ def test_cli_uses_public_argparse_api_only():
     private = {"_actions", "_SubParsersAction", "_subparsers", "_option_string_actions"}
     found = sorted(private & set(_names_read(_parse(ROOT / "src" / "adjstats" / "cli.py"))))
     assert not found, f"src/adjstats/cli.py names private argparse members: {found}"
+
+
+# Unbounded stores that bounding the store (ROADMAP item 6) is to replace
+UNBOUNDED_CACHES = {"oracle._tally", "oracle._marginal", "cli._parser"}
+
+
+def _bound(node):
+    """For a node that names or calls `lru_cache` or `cache`: its literal
+    maxsize, or None if it has no finite literal one.  False for any other
+    node."""
+    called = isinstance(node, ast.Call)
+    name = ast.unparse(node.func if called else node).split(".")[-1]
+    if name not in ("lru_cache", "cache"):
+        return False
+    if name == "cache" or not called:
+        return None
+    sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+    size = sizes[0] if sizes else None
+    finite = (isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0)
+    return size.value if finite else None
+
+
+def test_every_cache_has_a_finite_literal_bound():
+    """A memoised function in src/adjstats names its `lru_cache` maxsize
+    as a positive int literal, and so does a cache made outside a
+    decorator; only the stores listed above are open."""
+    assert _bound(ast.parse("@lru_cache(maxsize=8)\ndef f(): pass").body[0].decorator_list[0]) == 8
+    found = set()
+    for path in SOURCES:
+        tree = _parse(path)
+        decorators, callees = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                decorators.update((id(d), f"{path.stem}.{node.name}") for d in node.decorator_list)
+            elif isinstance(node, ast.Call):
+                callees.add(id(node.func))
+        for node in ast.walk(tree):
+            # a name that is called is judged with its call's arguments
+            if (isinstance(node, ast.Call) or isinstance(node, (ast.Name, ast.Attribute))
+                    and id(node) not in callees) and _bound(node) is None:
+                found.add(decorators.get(id(node), f"{path.name}:{node.lineno}"))
+    assert found <= UNBOUNDED_CACHES, f"unbounded caches: {sorted(found - UNBOUNDED_CACHES)}"
