@@ -203,8 +203,9 @@ def _in_family(word, flaw) -> bool:
     # the word is made a tuple first, so that bytes() never reads a number
     # as a length or a buffer as raw bytes.  A letter that bytes() cannot
     # take, a float, a string or an int outside 0..255, is in no family
+    letters = tuple(word)
     try:
-        letters = bytes(tuple(word))
+        letters = bytes(letters)
     except (TypeError, ValueError):
         return False
     return flaw.search(letters) is None
