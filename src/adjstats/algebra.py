@@ -6,12 +6,14 @@ Everything here is immutable and exact.  All polynomial ring code lives
 once, on `Poly`; `QPoly`, `PQPoly` and `XPoly` only name its variable.
 Coefficients live in whatever ring supports +, -, * and comparison with
 integers: Python ints, fractions.Fraction, or polynomials in a variable
-of lower rank.  The exceptions the modules share live here too.
+of lower rank.  The exceptions and the record base classes the modules
+share live here too.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 
 
 class NotExpandable(ArithmeticError):
@@ -28,6 +30,52 @@ class WrongRegime(ValueError):
 
 class EnumerationTooLarge(RuntimeError):
     """The number of words or growth sequences to scan exceeds the cap."""
+
+
+class _Record:
+    """Base of the modules' record classes.  A record's fields are its
+    class's `__slots__`, in order: records of one class are equal when
+    their fields are, and the repr names each field.  A record that can
+    change is unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if cls.__slots__:
+            # the fields read in C: one field's value, or a tuple of several
+            cls._fields = staticmethod(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            fields = self._fields
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+
+class _Frozen(_Record):
+    """A record whose fields are set once, by `__init__` through
+    `object.__setattr__`, and hashed together.  Copies and pickles are
+    rebuilt through `__init__`."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
 
 def _trim(coeffs):

@@ -44,11 +44,10 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .algebra import InternalInvariantViolation
+from .algebra import InternalInvariantViolation, _Frozen
 from .oracle import _walk, words
 
 
@@ -72,12 +71,15 @@ Part = tuple[int, frozenset]
 _CELLS = tuple(frozenset(range(1, size + 1)) for size in range(33))
 
 
-@dataclass(frozen=True, slots=True)
-class ColoredComposition:
+class ColoredComposition(_Frozen):
     """A composition whose part of size i carries a nonempty subset of
     [1, i] as its color."""
 
-    parts: tuple[Part, ...]
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple[Part, ...]):
+        object.__setattr__(self, "parts", parts)
+        self.__post_init__()
 
     def __post_init__(self):
         # one quick test per part: an int size >= 1 and a nonempty cell set
@@ -95,7 +97,11 @@ class ColoredComposition:
                 return
         except (TypeError, ValueError):
             pass
-        for part in self.parts:
+        try:
+            parts = iter(self.parts)
+        except TypeError:
+            raise InvalidComposition(f"parts {self.parts!r} are not a sequence of parts") from None
+        for part in parts:
             _check_part(part)
 
     @property
@@ -303,7 +309,7 @@ _DOMINO_AFTER = {None: (2, 1), 1: (2, 1), 2: (3, 2), 3: (2, 1)}
 def tiling_to_jpp(tiling) -> tuple[int, ...]:
     """Inverse of jpp_to_tiling."""
     tiling = tuple(tiling)
-    if not all(piece in (1, 2) for piece in tiling):
+    if not all(type(piece) is int and piece in (1, 2) for piece in tiling):
         raise InvalidWord(f"pieces must have length 1 or 2, got {tiling}")
     out: list[int] = []
     prev = None

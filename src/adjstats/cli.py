@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import functools
 import io
 import json
@@ -274,13 +273,14 @@ def _cmd_bijection(args):
 
 def _cmd_oeis_check(args):
     if args.generator is not None:
-        spec = oeis.CheckSpec(args.id, args.generator)
+        base = oeis.CheckSpec(args.id, args.generator)
     elif args.id in oeis.DEFAULT_CHECKS:
-        spec = oeis.DEFAULT_CHECKS[args.id]
+        base = oeis.DEFAULT_CHECKS[args.id]
     else:
         raise ValueError(f"no registered generator for {args.id}; pass --generator")
-    given = {"shift": args.shift, "length": args.length}
-    spec = dataclasses.replace(spec, **{k: v for k, v in given.items() if v is not None})
+    spec = oeis.CheckSpec(base.sequence_id, base.generator,
+                          base.shift if args.shift is None else args.shift,
+                          base.length if args.length is None else args.length)
     try:
         with open(args.bfile) as handle:
             text = handle.read()

@@ -7,14 +7,12 @@ formula, and the reduction of wider gaps to the adjacent case.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
-from .algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly
+from .algebra import InternalInvariantViolation, QPoly, RatFunc, XPoly, _Frozen
 from .transfer import transfer_dp
 
 
-@dataclass(frozen=True)
-class KSParams:
+class KSParams(_Frozen):
     """Alphabet size k and rise size s, with the decomposition
     k = rem + s*steps, 1 <= rem <= s, steps >= 0.
 
@@ -23,12 +21,23 @@ class KSParams:
     the decomposition from here.
     """
 
-    k: int
-    s: int
+    __slots__ = ("k", "s")
 
-    def __post_init__(self):
-        if self.k < 1 or self.s < 1:
+    def __init__(self, k: int, s: int):
+        if k < 1 or s < 1:
             raise ValueError("need k >= 1 and s >= 1")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "s", s)
+
+    # written out, not read through _Record's getter, which is about 1.5
+    # times as slow: the stores per (k, s) hash a KSParams on each request
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.k, self.s) == (other.k, other.s)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.k, self.s))
 
     @property
     def rem(self) -> int:

@@ -7,8 +7,8 @@ both values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from .algebra import _Frozen, _Record
 from .kary import KSParams, avoid_count
 
 
@@ -18,11 +18,13 @@ class BFileParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(_Frozen):
     """Parsed b-file: (index, value) pairs with strictly increasing indices."""
 
-    entries: tuple[tuple[int, int], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "entries", entries)
 
 
 def parse_bfile(text: str) -> BFile:
@@ -99,18 +101,16 @@ GENERATORS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(_Frozen):
     """What to compare: bfile value at index m against generator(m - shift)."""
 
-    sequence_id: str
-    generator: str
-    shift: int = 0
-    length: int = 20
+    __slots__ = ("sequence_id", "generator", "shift", "length")
 
-    def __post_init__(self):
-        if self.length < 1:
+    def __init__(self, sequence_id: str, generator: str, shift: int = 0, length: int = 20):
+        if length < 1:
             raise ValueError("compare length must be >= 1")
+        for name, value in zip(self.__slots__, (sequence_id, generator, shift, length)):
+            object.__setattr__(self, name, value)
 
 
 DEFAULT_CHECKS = {
@@ -120,14 +120,14 @@ DEFAULT_CHECKS = {
 }
 
 
-@dataclass
-class ReconcileReport:
-    sequence_id: str
-    generator: str
-    shift: int
-    rows: list = field(default_factory=list)
-    passed: bool = False
-    complete: bool = False
+class ReconcileReport(_Record):
+    __slots__ = ("sequence_id", "generator", "shift", "rows", "passed", "complete")
+
+    def __init__(self, sequence_id: str, generator: str, shift: int, rows: list | None = None,
+                 passed: bool = False, complete: bool = False):
+        self.sequence_id, self.generator, self.shift = sequence_id, generator, shift
+        self.rows = [] if rows is None else rows
+        self.passed, self.complete = passed, complete
 
     def to_dict(self):
         return {

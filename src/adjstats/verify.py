@@ -10,7 +10,6 @@ from __future__ import annotations
 import random
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -19,6 +18,7 @@ from .algebra import (
     InternalInvariantViolation,
     QPoly,
     SquareMatrix,
+    _Record,
     alt_cheb_sum,
     alt_cheb_sum_closed,
     chebyshev_u,
@@ -26,22 +26,23 @@ from .algebra import (
 )
 
 
-@dataclass
-class Check:
-    suite: str
-    name: str
-    params: dict
-    passed: bool
-    detail: str = ""
+class Check(_Record):
+    __slots__ = ("suite", "name", "params", "passed", "detail")
+
+    def __init__(self, suite: str, name: str, params: dict, passed: bool, detail: str = ""):
+        self.suite, self.name, self.params = suite, name, params
+        self.passed, self.detail = passed, detail
 
     def to_dict(self):
-        return asdict(self)
+        return {"suite": self.suite, "name": self.name, "params": dict(self.params),
+                "passed": self.passed, "detail": self.detail}
 
 
-@dataclass
-class _Recorder:
-    suite: str
-    checks: list = field(default_factory=list)
+class _Recorder(_Record):
+    __slots__ = ("suite", "checks")
+
+    def __init__(self, suite: str):
+        self.suite, self.checks = suite, []
 
     def record(self, name, params, passed, detail=""):
         self.checks.append(Check(self.suite, name, dict(params), bool(passed), detail))
@@ -467,12 +468,13 @@ def run_suites(names, **bounds) -> list[Check]:
     """Run the named suites with optional bound overrides; each bound is
     forwarded only to suites that have a parameter of that name, and a
     note on stderr names every bound a suite does not take."""
-    import inspect
-
     checks = []
     for name in names:
-        fn = SUITES[name]
-        accepted = inspect.signature(fn).parameters
+        fn = inner = SUITES[name]
+        while hasattr(inner, "__wrapped__"):  # a wrapper's own parameters are *args, **kwargs
+            inner = inner.__wrapped__
+        code = inner.__code__
+        accepted = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
         given = {key: value for key, value in bounds.items() if value is not None}
         for key in sorted(given.keys() - accepted):
             print(f"note: suite {name} takes no --{key}; running it without that bound",

@@ -100,6 +100,9 @@ class TestCompositions:
         (((1, frozenset({1})), (2,)), "part (2,) is not a (size, colors) pair"),
         (((1, frozenset({1}), 2),), "part (1, frozenset({1}), 2) is not a (size, colors) pair"),
         ((5,), "part 5 is not a (size, colors) pair"),
+        # parts that cannot be iterated at all
+        (None, "parts None are not a sequence of parts"),
+        (5, "parts 5 are not a sequence of parts"),
     ])
     def test_non_integer_cells_are_rejected(self, parts, message):
         with pytest.raises(InvalidComposition) as caught:
@@ -226,6 +229,11 @@ class TestTilingMap:
             jpp_to_tiling((2, 2))
         with pytest.raises(InvalidWord):
             tiling_to_jpp((3,))
+
+    @pytest.mark.parametrize("tiling", [(1.0,), (2.0,), (True,), (1, 2.0), (2, True, 1)])
+    def test_pieces_that_are_not_ints_are_rejected(self, tiling):
+        with pytest.raises(InvalidWord, match=re.escape(f"got {tiling}")):
+            tiling_to_jpp(tiling)
 
     def test_bijection_and_round_trips(self):
         fib = fib_list(15)

@@ -1,8 +1,14 @@
 """Checks on the package source itself."""
 
 import ast
+import copy
+import pickle
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).parents[1]
 SOURCES = sorted((ROOT / "src" / "adjstats").glob("*.py"))
@@ -142,3 +148,72 @@ def test_every_cache_has_a_finite_literal_bound():
                     and id(node) not in callees) and _bound(node) is None:
                 found.add(decorators.get(id(node), f"{path.name}:{node.lineno}"))
     assert found <= UNBOUNDED_CACHES, f"unbounded caches: {sorted(found - UNBOUNDED_CACHES)}"
+
+
+def test_cli_import_loads_no_dataclasses_or_inspect():
+    """Each console-script call is one process, so `import adjstats.cli`
+    is paid per call; no request needs `dataclasses` or `inspect`, which
+    together took most of that import."""
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import adjstats.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & sys.modules.keys()))")
+    out = subprocess.run([sys.executable, "-I", "-c", probe, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n", f"import adjstats.cli loaded {out.strip()}"
+
+
+def test_record_classes_are_values():
+    """The package's record classes compare, hash and show their fields in
+    order; the frozen ones refuse assignment, and the constructors keep
+    their checks."""
+    from adjstats import bijections, kary, oeis, verify
+
+    comp = bijections.ColoredComposition
+    frozen = [
+        (kary.KSParams(3, 1), kary.KSParams(k=3, s=1), kary.KSParams(3, 2), "k"),
+        (comp(((1, frozenset({1})),)), comp(((1, frozenset({1})),)),
+         comp(((2, frozenset({2})),)), "parts"),
+        (oeis.BFile(((1, 2),)), oeis.BFile(((1, 2),)), oeis.BFile(()), "entries"),
+        (oeis.CheckSpec("A1", "g"), oeis.CheckSpec("A1", "g", 0, length=20),
+         oeis.CheckSpec("A1", "g", shift=1), "shift"),
+    ]
+    for one, same, other, field in frozen:
+        assert one == same and hash(one) == hash(same) and one != other
+        with pytest.raises(AttributeError):
+            setattr(one, field, getattr(other, field))
+        assert one == same
+        assert copy.deepcopy(one) == pickle.loads(pickle.dumps(one)) == one
+    assert kary.KSParams(3, 1) != (3, 1) and kary.KSParams(3, 1).rem == 1
+    assert len({kary.KSParams(3, 1), kary.KSParams(3, 1), kary.KSParams(1, 3)}) == 2
+    assert repr(kary.KSParams(5, 2)) == "KSParams(k=5, s=2)"
+    assert repr(oeis.CheckSpec("A1", "g")) == (
+        "CheckSpec(sequence_id='A1', generator='g', shift=0, length=20)")
+    assert repr(comp(((1, frozenset({1})),))) == "ColoredComposition(parts=((1, frozenset({1})),))"
+    for make, message in [(lambda: kary.KSParams(0, 1), "need k >= 1 and s >= 1"),
+                          (lambda: kary.KSParams(2, 0), "need k >= 1 and s >= 1"),
+                          (lambda: oeis.CheckSpec("A1", "g", length=0),
+                           "compare length must be >= 1")]:
+        with pytest.raises(ValueError) as caught:
+            make()
+        assert str(caught.value) == message
+
+    check = verify.Check("kary", "a check", {"k": 3}, True)
+    assert check == verify.Check("kary", "a check", {"k": 3}, True, "")
+    assert check != verify.Check("kary", "a check", {"k": 3}, False)
+    assert repr(check) == ("Check(suite='kary', name='a check', params={'k': 3}, "
+                           "passed=True, detail='')")
+    row = check.to_dict()
+    assert list(row) == ["suite", "name", "params", "passed", "detail"]
+    row["params"]["k"] = 4
+    assert check.params == {"k": 3}
+    check.detail = "changed"
+    assert check.to_dict()["detail"] == "changed"
+
+    report = oeis.ReconcileReport("A1", "g", 0)
+    assert (report.rows, report.passed, report.complete) == ([], False, False)
+    assert report.rows is not oeis.ReconcileReport("A1", "g", 0).rows
+    assert report == oeis.ReconcileReport("A1", "g", 0, [], False, False)
+    report.passed = True
+    assert report != oeis.ReconcileReport("A1", "g", 0)
+    for mutable in (check, report):
+        with pytest.raises(TypeError):
+            hash(mutable)
