@@ -45,19 +45,14 @@ class DegeneratePoint(ValueError):
 
 
 def regime(k: int, s: int) -> str:
-    if k < 1 or s < 1:
-        raise ValueError("need k >= 1 and s >= 1")
-    if k <= s:
-        return "trivial"
-    if k <= 2 * s:
-        return "small"
-    return "large"
+    """The regime of KSParams(k, s) with 0, 1 or at least 2 steps."""
+    return ("trivial", "small", "large")[min(KSParams(k, s).steps, 2)]
 
 
 def _jump_marks(k: int, s: int) -> tuple:
     """Every jump (i -/+ s, i) marked by q; one mark set covers all three
     regimes because the out-of-range neighbors simply do not exist."""
-    regime(k, s)  # rejects k < 1 and s < 1
+    KSParams(k, s)  # rejects k < 1 and s < 1
     return tuple(((j, i), QPoly.var()) for i in range(1, k + 1) for j in (i - s, i + s)
                  if 1 <= j <= k)
 

@@ -78,30 +78,29 @@ class ColoredComposition(_Frozen):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[Part, ...]):
-        object.__setattr__(self, "parts", parts)
+        try:
+            object.__setattr__(self, "parts", tuple(parts))
+        except TypeError:
+            raise InvalidComposition(f"parts {parts!r} are not a sequence of parts") from None
         self.__post_init__()
 
     def __post_init__(self):
-        # one quick test per part: an int size >= 1 and a nonempty cell set
-        # whose sum is an int (a float or Fraction cell makes it a float or
-        # Fraction) and that lies in the size's entry of _CELLS.  A part
-        # that fails it, or breaks it, is malformed or has a cell past 32;
-        # then _check_part reads every part exactly
-        try:
-            for size, colored in self.parts:
-                if not (type(size) is int and size >= 1 and colored
-                        and type(sum(colored)) is int
+        if not self.parts:
+            raise InvalidComposition("a composition has at least one part")
+        # one quick test per part: an int size >= 1 and a nonempty frozenset
+        # of cells whose sum is an int (a float or Fraction cell makes it a
+        # float or Fraction) and that lies in the size's entry of _CELLS.  A
+        # part that fails it, or breaks it, is malformed, has a cell past 32
+        # or holds its cells in another container; _check_part reads it exactly
+        for part in self.parts:
+            try:
+                size, colored = part
+                if (type(size) is int and size >= 1 and type(colored) is frozenset
+                        and colored and type(sum(colored)) is int
                         and _CELLS[size if size < 32 else 32].issuperset(colored)):
-                    break
-            else:
-                return
-        except (TypeError, ValueError):
-            pass
-        try:
-            parts = iter(self.parts)
-        except TypeError:
-            raise InvalidComposition(f"parts {self.parts!r} are not a sequence of parts") from None
-        for part in parts:
+                    continue
+            except (TypeError, ValueError):
+                pass
             _check_part(part)
 
     @property
@@ -120,14 +119,16 @@ def _check_part(part):
         raise InvalidComposition(f"part size {size!r} is not an integer")
     if size < 1:
         raise InvalidComposition(f"part size {size} < 1")
+    # an iterator of cells, which one read would use up, has no length
     try:
+        len(colored)
         cells = set(colored)
     except TypeError:
         raise InvalidComposition(f"colors {colored!r} are not a set of cells") from None
     if not cells:
         raise InvalidComposition("a part has an empty color set")
     try:
-        integral = type(sum(colored)) is int
+        integral = type(sum(cells)) is int
     except TypeError:
         integral = False
     if not integral:
@@ -162,8 +163,6 @@ def _segment_part(moves: bytes) -> Part:
 
 def composition_to_maneuvers(comp: ColoredComposition) -> tuple[int, ...]:
     """Encode a colored composition of n+1 as its n construction moves."""
-    if not comp.parts:
-        raise InvalidComposition("a composition has at least one part")
     # each part's moves, the parts after the first opened by a 1; the table
     # is keyed by a frozenset, which also holds cells given as a set or list
     return tuple(b"\x01".join([_part_moves(size, frozenset(colored))
@@ -174,7 +173,7 @@ def maneuvers_to_composition(ops) -> ColoredComposition:
     """Replay construction moves from the single circled dot, one part per
     segment between moves 1."""
     ops = maneuvers_to_v_word(ops)
-    return ColoredComposition(tuple(map(_segment_part, bytes(ops).split(b"\x01"))))
+    return ColoredComposition(map(_segment_part, bytes(ops).split(b"\x01")))
 
 
 def maneuvers_to_v_word(ops) -> tuple[int, ...]:

@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
+@functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
     """The one parser of this process: built on the first `main` call, not
     at import, and shared by every later call.  Parsing leaves no state on

@@ -218,5 +218,4 @@ def count_avoiders(k, n, forbidden, cap=DEFAULT_CAP) -> int:
 
 def total_mu_oracle(k, s, n, cap=DEFAULT_CAP) -> int:
     """Summed count of (a, a+s) adjacencies over all k-ary words of length n."""
-    _profiles(k, n, cap)
-    return _marginal(n, k, 1, (s,), False).derivative()(1)
+    return distribution_mu(k, s, n, cap).derivative()(1)

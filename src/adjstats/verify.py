@@ -174,11 +174,9 @@ def suite_fibwords() -> list[Check]:
     for n in range(1, nmax_oracle + 1):
         jd = oracle.joint_lev_des(n)
         with rec.route("statistic totals match enumeration", {"n": n}) as expect:
-            expect(fibwords.totals(n), (
-                oracle.joint_lev_asc(n).deriv_p()(1, 1),
-                oracle.joint_lev_asc(n).deriv_q()(1, 1),
-                jd.deriv_q()(1, 1),
-            ))
+            ja = oracle.joint_lev_asc(n)
+            expect(fibwords.totals(n), (ja.deriv_p()(1, 1), ja.deriv_q()(1, 1),
+                                        jd.deriv_q()(1, 1)))
         rec.expect_equal(
             "level/descent closed form matches enumeration",
             {"n": n},

@@ -36,6 +36,12 @@ class TestRegime:
     def test_classification(self, k, s, want):
         assert regime(k, s) == want
 
+    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("s", range(1, 13))
+    def test_matches_the_band_inequalities(self, k, s):
+        want = "trivial" if k <= s else "small" if k <= 2 * s else "large"
+        assert regime(k, s) == want
+
 
 class TestBTable:
     def test_examples(self):

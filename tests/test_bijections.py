@@ -103,11 +103,39 @@ class TestCompositions:
         # parts that cannot be iterated at all
         (None, "parts None are not a sequence of parts"),
         (5, "parts 5 are not a sequence of parts"),
+        # a one-shot iterator of parts, checked whole; and no parts at all
+        (iter([(1, frozenset({1})), (2, frozenset({3}))]), "colors {3} outside [1, 2]"),
+        ((), "a composition has at least one part"),
     ])
     def test_non_integer_cells_are_rejected(self, parts, message):
         with pytest.raises(InvalidComposition) as caught:
             ColoredComposition(parts)
         assert str(caught.value) == message
+
+    def test_a_one_shot_iterator_of_parts_is_kept_whole(self):
+        comp = ColoredComposition(iter([(1, frozenset({1}))]))
+        assert comp.total == 1 and composition_to_maneuvers(comp) == ()
+
+    def test_a_generator_of_cells_is_rejected_at_construction(self):
+        with pytest.raises(InvalidComposition, match="are not a set of cells"):
+            ColoredComposition(((2, (c for c in [1])),))
+
+    def test_parts_in_a_list_make_the_same_value(self):
+        listed = ColoredComposition([(1, frozenset({1}))])
+        assert listed == ColoredComposition(((1, frozenset({1})),))
+        assert hash(listed) == hash(ColoredComposition(((1, frozenset({1})),)))
+
+    def test_parts_are_read_once(self):
+        # the part of size 40 fails the quick test, so its check is exact
+        class Counted:
+            reads = 0
+
+            def __iter__(self):
+                Counted.reads += 1
+                return iter([(1, frozenset({1})), (40, frozenset({35}))])
+
+        comp = ColoredComposition(Counted())
+        assert Counted.reads == 1 and comp.total == 41
 
     def test_large_parts_pass_the_same_checks(self):
         for size in range(12, 40):

@@ -109,7 +109,7 @@ def test_cli_uses_public_argparse_api_only():
 
 
 # Unbounded stores that bounding the store (ROADMAP item 6) is to replace
-UNBOUNDED_CACHES = {"oracle._tally", "oracle._marginal", "cli._parser"}
+UNBOUNDED_CACHES = {"oracle._tally", "oracle._marginal"}
 
 
 def _bound(node):
