@@ -335,34 +335,19 @@ class XPoly(Poly):
         return cls.var()
 
 
-def _unwrap_const(c):
-    """Reduce a degree-0 polynomial coefficient to its underlying scalar."""
-    while isinstance(c, Poly) and c.degree <= 0:
-        c = c.coeff(0)
-    return c
-
-
 def _div_coeff(a, d0):
-    """Exact division of a series coefficient by the denominator constant."""
-    d0 = _unwrap_const(d0)
-    if d0 == 0:
-        raise NotExpandable("denominator has zero constant term")
+    """Exact division of a series coefficient by the denominator's constant
+    term, a nonzero int or Fraction."""
     if d0 == 1:
         return a
     if d0 == -1:
         return -a
-    if isinstance(d0, int):
-        if isinstance(a, int):
-            quot, rem = divmod(a, d0)
-            return quot if rem == 0 else Fraction(a, d0)
-        if isinstance(a, Fraction):
-            return a / d0
+    if not isinstance(a, (int, Fraction)):
         raise NotExpandable(f"cannot divide {type(a).__name__} coefficient by {d0}")
-    if isinstance(d0, Fraction):
-        if isinstance(a, (int, Fraction)):
-            return a / d0
-        raise NotExpandable(f"cannot divide {type(a).__name__} coefficient by {d0}")
-    raise NotExpandable(f"denominator constant term {d0!r} is not invertible")
+    if isinstance(a, int) and isinstance(d0, int):
+        quot, rem = divmod(a, d0)
+        return quot if rem == 0 else Fraction(a, d0)
+    return a / d0
 
 
 class RatFunc:
@@ -458,9 +443,13 @@ class RatFunc:
         each coefficient costs O(deg den) ring operations.
         """
         den = self.den.coeffs
-        if not den or den[0] == 0:
+        d0 = den[0] if den else 0
+        while isinstance(d0, Poly) and d0.degree <= 0:  # a constant polynomial
+            d0 = d0.coeff(0)
+        if d0 == 0:
             raise NotExpandable("denominator has zero constant term")
-        d0 = den[0]
+        if not isinstance(d0, (int, Fraction)):
+            raise NotExpandable(f"denominator constant term {d0!r} is not invertible")
         out = []
         for n in range(order + 1):
             acc = self.num.coeff(n)

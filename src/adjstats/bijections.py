@@ -87,30 +87,33 @@ class ColoredComposition(_Frozen):
     def __post_init__(self):
         if not self.parts:
             raise InvalidComposition("a composition has at least one part")
-        # one quick test per part: an int size >= 1 and a nonempty frozenset
-        # of cells whose sum is an int (a float or Fraction cell makes it a
-        # float or Fraction) and that lies in the size's entry of _CELLS.  A
-        # part that fails it, or breaks it, is malformed, has a cell past 32
-        # or holds its cells in another container; _check_part reads it exactly
+        # one quick test per part: a tuple of an int size >= 1 and a nonempty
+        # frozenset of cells whose sum is an int (a float or Fraction cell
+        # makes it a float or Fraction) and that lies in the size's entry of
+        # _CELLS.  If a part fails it, or breaks it, every part is read
+        # exactly: a part that is malformed, has a cell past 32 or holds its
+        # cells in another container is stored as (size, frozenset of cells)
         for part in self.parts:
             try:
-                size, colored = part
-                if (type(size) is int and size >= 1 and type(colored) is frozenset
-                        and colored and type(sum(colored)) is int
-                        and _CELLS[size if size < 32 else 32].issuperset(colored)):
-                    continue
+                if type(part) is tuple:
+                    size, colored = part
+                    if (type(size) is int and size >= 1 and type(colored) is frozenset
+                            and colored and type(sum(colored)) is int
+                            and _CELLS[size if size < 32 else 32].issuperset(colored)):
+                        continue
             except (TypeError, ValueError):
                 pass
-            _check_part(part)
+            object.__setattr__(self, "parts", tuple(map(_check_part, self.parts)))
+            return
 
     @property
     def total(self) -> int:
         return sum(size for size, _ in self.parts)
 
 
-def _check_part(part):
+def _check_part(part) -> Part:
     """Raise InvalidComposition naming the first check that `part` fails;
-    return if it passes them all."""
+    return it as (size, frozenset of cells) if it passes them all."""
     try:
         size, colored = part
     except (TypeError, ValueError):
@@ -135,6 +138,7 @@ def _check_part(part):
         raise InvalidComposition(f"colors {cells} are not all integers")
     if min(cells) < 1 or max(cells) > size:
         raise InvalidComposition(f"colors {cells} outside [1, {size}]")
+    return size, frozenset(cells)
 
 
 # The part tables below hold 4096 parts each, which is every part of the
@@ -163,10 +167,8 @@ def _segment_part(moves: bytes) -> Part:
 
 def composition_to_maneuvers(comp: ColoredComposition) -> tuple[int, ...]:
     """Encode a colored composition of n+1 as its n construction moves."""
-    # each part's moves, the parts after the first opened by a 1; the table
-    # is keyed by a frozenset, which also holds cells given as a set or list
-    return tuple(b"\x01".join([_part_moves(size, frozenset(colored))
-                              for size, colored in comp.parts]))
+    # each part's moves, the parts after the first opened by a 1
+    return tuple(b"\x01".join(itertools.starmap(_part_moves, comp.parts)))
 
 
 def maneuvers_to_composition(ops) -> ColoredComposition:

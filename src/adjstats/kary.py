@@ -62,15 +62,11 @@ def a_table(params: KSParams, order: int) -> Sequence[QPoly]:
 def a_rec_alt(params: KSParams, order: int) -> list[QPoly]:
     """The (steps+1)-term recurrence read off the denominator of
     gf_A_reduced, a_n = -sum_{j>=1} den_j a_{n-j}, seeded with rows
-    0..steps taken from the DP table."""
-    den = gf_A_reduced(params).den.coeffs
-    out = list(a_table(params, min(order, params.steps)))
-    for n in range(params.steps + 1, order + 1):
-        acc = QPoly()
-        for j in range(1, len(den)):
-            acc = acc - den[j] * out[n - j]
-        out.append(acc)
-    return out
+    0..steps taken from the DP table: the series of P/den, where P is den
+    times the seed rows cut after x^steps."""
+    den = gf_A_reduced(params).den
+    seed = XPoly(tuple(a_table(params, min(order, params.steps))))
+    return RatFunc(XPoly((den * seed).coeffs[: params.steps + 1]), den).series(order)
 
 
 def gf_denominator(params: KSParams, q=QPoly.var()) -> XPoly:
@@ -146,7 +142,7 @@ def total_occurrences(params: KSParams, n: int) -> int:
     """Total number of (a, a+s) adjacencies over all k-ary words of
     length n: k^(n-2) (k-s) (n-1), and 0 whenever no rise can occur."""
     k, s = params.k, params.s
-    if n < 2 or k <= s:
+    if n < 2 or params.steps == 0:
         return 0
     return k ** (n - 2) * (k - s) * (n - 1)
 

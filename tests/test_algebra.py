@@ -314,6 +314,25 @@ class TestSeries:
         with pytest.raises(NotExpandable):
             f.series(3)
 
+    @pytest.mark.parametrize("num,d0,message", [
+        (1, 0, "denominator has zero constant term"),
+        (1, QPoly(), "denominator has zero constant term"),
+        (1, QPoly.var(), "denominator constant term QPoly([0, 1]) is not invertible"),
+        (QPoly.var(), 2, "cannot divide QPoly coefficient by 2"),
+        (QPoly.var(), Fraction(1, 2), "cannot divide QPoly coefficient by 1/2"),
+    ])
+    def test_a_series_that_cannot_be_expanded_says_why(self, num, d0, message):
+        with pytest.raises(NotExpandable) as caught:
+            RatFunc(XPoly((num,)), XPoly((d0, 1))).series(3)
+        assert str(caught.value) == message
+
+    def test_integers_divide_exactly_and_fractions_by_value(self):
+        twos = RatFunc(XPoly((4,)), XPoly((2, -2))).series(3)
+        assert twos == [2, 2, 2, 2] and all(type(c) is int for c in twos)
+        assert RatFunc(XPoly((1,)), XPoly((2,))).series(0) == [Fraction(1, 2)]
+        third = RatFunc(XPoly((Fraction(1, 3),)), XPoly((Fraction(2, 3), 1)))
+        assert third.series(2) == [Fraction(1, 2), Fraction(-3, 4), Fraction(9, 8)]
+
     @given(
         st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=5),
                  min_size=1, max_size=4),

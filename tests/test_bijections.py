@@ -116,6 +116,25 @@ class TestCompositions:
         comp = ColoredComposition(iter([(1, frozenset({1}))]))
         assert comp.total == 1 and composition_to_maneuvers(comp) == ()
 
+    def test_a_one_shot_iterator_part_is_read_once(self):
+        comp = ColoredComposition((iter([1, frozenset({1})]),))
+        assert comp.total == 1 and composition_to_maneuvers(comp) == ()
+        assert comp == ColoredComposition(((1, frozenset({1})),))
+
+    @pytest.mark.parametrize("parts", [
+        ((2, {1, 2}),),
+        ((2, [2, 1, 1]),),
+        ((2, (1, 2)),),
+        ([2, frozenset({1, 2})],),
+        ((1, [1]), [2, {1, 2}]),
+    ])
+    def test_parts_are_stored_as_a_size_and_a_frozenset(self, parts):
+        comp = ColoredComposition(parts)
+        canonical = ColoredComposition(tuple((size, frozenset(cells)) for size, cells in parts))
+        assert comp == canonical and hash(comp) == hash(canonical)
+        assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is frozenset
+                   for p in comp.parts)
+
     def test_a_generator_of_cells_is_rejected_at_construction(self):
         with pytest.raises(InvalidComposition, match="are not a set of cells"):
             ColoredComposition(((2, (c for c in [1])),))

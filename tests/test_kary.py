@@ -100,10 +100,13 @@ class TestAltRecurrence:
     def test_single_letter_alphabet(self):
         assert all(v == 1 for v in a_rec_alt(KSParams(1, 1), 6))
 
-    @pytest.mark.parametrize("k,s", [(3, 1), (4, 2), (5, 2), (5, 3), (6, 4)])
+    @pytest.mark.parametrize("k,s", [(3, 1), (4, 2), (5, 2), (5, 3), (6, 4),
+                                     (1, 1), (7, 3), (12, 1), (20, 3), (9, 9)])
     def test_equals_table(self, k, s):
+        # every order, those below steps too, where only seed rows are read
         params = KSParams(k, s)
-        assert a_rec_alt(params, 8) == list(a_table(params, 8))
+        for order in range(max(9, params.steps + 4)):
+            assert a_rec_alt(params, order) == list(a_table(params, order))
 
     def test_wrong_denominator_is_caught(self, monkeypatch):
         """The recurrence is read off gf_A_reduced, so one wrong coefficient
@@ -369,9 +372,11 @@ class TestTotalOccurrences:
         assert total_occurrences(KSParams(2, 1), 1) == 0
         assert total_occurrences(KSParams(2, 3), 7) == 0
 
-    @pytest.mark.parametrize("k,s", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3)])
+    # k <= s (steps = 0) is the regime where no rise by s fits
+    @pytest.mark.parametrize("k,s", [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3),
+                                     (1, 1), (2, 3), (3, 3), (4, 1), (5, 2)])
     def test_matches_summed_oracle(self, k, s):
-        for n in range(1, 7):
+        for n in range(7):
             assert total_occurrences(KSParams(k, s), n) == total_mu_oracle(k, s, n)
 
 
