@@ -178,17 +178,16 @@ def _cmd_dist(args):
 
 
 def _cmd_totals(args):
-    if args.family == "words" and args.k is None:
+    if args.family == "partitions" and args.k is None:
+        values = [partitions.q_total(n, args.s) for n in args.n]
+    elif args.family == "partitions":
+        values = partitions._block_totals(args.n, args.k, args.s)
+    elif args.k is None:
         raise ValueError("totals --words needs --k")
-    rows = []
-    for n in args.n:
-        if args.family == "words":
-            value = kary.total_occurrences(kary.KSParams(args.k, args.s), n)
-        elif args.k is not None:
-            value = partitions.total_pnk(n, args.k, args.s)
-        else:
-            value = partitions.q_total(n, args.s)
-        rows.append({"n": n, "total": str(value)})
+    else:
+        params = kary.KSParams(args.k, args.s)
+        values = [kary.total_occurrences(params, n) for n in args.n]
+    rows = [{"n": n, "total": str(value)} for n, value in zip(args.n, values)]
     return {"command": "totals", "family": args.family, "k": args.k, "s": args.s,
             "rows": rows}, False
 

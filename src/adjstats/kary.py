@@ -69,6 +69,15 @@ def a_rec_alt(params: KSParams, order: int) -> list[QPoly]:
     return RatFunc(XPoly((den * seed).coeffs[: params.steps + 1]), den).series(order)
 
 
+def _q_minus_one_pow(e: int) -> QPoly:
+    """(q - 1)^e by the binomial theorem: q^i has (-1)^(e-i) C(e, i), each
+    read off the last by C(e, i+1) = C(e, i) (e-i) / (i+1)."""
+    coeffs = [(-1) ** e]
+    for i in range(e):
+        coeffs.append(-coeffs[-1] * (e - i) // (i + 1))
+    return QPoly(coeffs)
+
+
 def gf_denominator(params: KSParams, q=QPoly.var()) -> XPoly:
     """Denominator of the long-form generating function, with coefficients
     in q, or in the ring of the point q given (integers at q = 0)."""
@@ -78,7 +87,9 @@ def gf_denominator(params: KSParams, q=QPoly.var()) -> XPoly:
     lead = XPoly((q**0, -(k - 2 + 2 * q), -((k + s - 1 + q) * one_m_q)))
     # (rem*(1 + (1-q)x) - s) * x * ((q-1)x)^(steps+1)
     factor = XPoly((params.rem - s, params.rem * one_m_q))
-    tail = factor * XPoly.monomial((q - 1) ** (params.steps + 1), params.steps + 2)
+    e = params.steps + 1
+    power = _q_minus_one_pow(e) if q == QPoly.var() else (q - 1) ** e
+    tail = factor * XPoly.monomial(power, e + 1)
     return lead + tail
 
 

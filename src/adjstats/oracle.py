@@ -10,7 +10,7 @@ prefixes m letters short of the end per junction state, counts once per
 state the key increments of the m-letter suffixes that may follow it,
 and multiplies the two counters out.  Every prefix and every suffix is
 visited; words are combined only by distributivity.  Every statistic is
-read off the packed keys of that tally, a digit at a time, in one layout
+read off the packed keys of that tally in one pass over it, in one layout
 for words and growth sequences alike.  Nothing comes from a recurrence,
 a closed form or a DP table, so these values are the independent
 reference that every other module is checked against.
@@ -93,10 +93,14 @@ def _count(k, n, banned, gap, growth):
     walk of the m-letter extensions of each state gives how many suffixes
     add each key increment.  A word is one prefix and one suffix of the
     same state, and its key is their sum, so key p + s gains c * d for
-    every prefix entry (p, c) and suffix entry (s, d) of a state."""
+    every prefix entry (p, c) and suffix entry (s, d) of a state.  When
+    n - m <= gap, each state is one whole prefix and meeting saves no
+    walk, so m = 0: the count is one plain walk."""
     m = 0
     while m < n // 2 and k ** (m + 1) <= 1024:
         m += 1
+    if n - m <= gap:
+        return Counter(key for _, key, _ in _walk(k, n, banned, gap, growth))
     prefixes = {}
     for word, key, top in _walk(k, n, banned, gap, growth, stop=n - m):
         state = word[-gap:], top if growth else 0
@@ -122,16 +126,18 @@ def _unpack(key, k, n):
     return tuple(key // base**i % base for i in range(2 * k - 1))
 
 
-def _reads(tally, k, n, diffs):
-    """For each key of a tally of `_walk(k, n, ...)`, in order, how many
-    pairs have a difference in `diffs`: the sum of those digits."""
+def _read(tally, k, n, diffs):
+    """[c_0, c_1, ...] in one pass over a tally of `_walk(k, n, ...)`: c_i
+    counts the sequences with i pairs whose difference is in `diffs`, the
+    sum of (at most two) digits of their key.  A missing second digit is
+    read at the place past the key's 2k - 1 digits, where it is 0."""
     base = max(n, 2)
-    reads = [0] * len(tally)
-    for d in diffs:
-        if abs(d) < k:
-            unit = base ** (d + k - 1)
-            reads = [read + key // unit % base for read, key in zip(reads, tally)]
-    return reads
+    units = [base ** (d + k - 1) for d in diffs if abs(d) < k]
+    u, v = units + [base ** (2 * max(k, 0))] * (2 - len(units))
+    coeffs = [0] * base
+    for key, count in tally.items():
+        coeffs[key // u % base + key // v % base] += count
+    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -149,22 +155,13 @@ def _profiles(k, n, cap, banned=frozenset(), gap=1):
     return _tally(n, k, banned, gap, False)
 
 
-def _poly(tally, reads):
-    """Sum of count * q^read over a tally and its `_reads`."""
-    coeffs = Counter()
-    for read, count in zip(reads, tally.values()):
-        coeffs[read] += count
-    return QPoly(coeffs[m] for m in range(max(coeffs, default=-1) + 1))
-
-
 @lru_cache(maxsize=None)
 def _marginal(n, k, gap, diffs, growth):
     """Distribution of the number of indices i with w[i+gap] - w[i] in
     `diffs` over the k-ary words of length n (with `growth`, the growth
     sequences with maximum at most k), built once per argument tuple from
     their tally."""
-    tally = _tally(n, k, frozenset(), gap, growth)
-    return _poly(tally, _reads(tally, k, n, diffs))
+    return QPoly(_read(_tally(n, k, frozenset(), gap, growth), k, n, diffs))
 
 
 def distribution_mu(k, s, n, cap=DEFAULT_CAP) -> QPoly:
@@ -188,11 +185,14 @@ def distribution_gap(k, s, r, n, cap=DEFAULT_CAP) -> QPoly:
 
 
 def _joint(n, second, cap):
-    tally = _profiles(3, n, cap, frozenset({(1, 3)}))
-    by_level = [{} for _ in range(max(n, 1))]
-    for key, level in zip(tally, _reads(tally, 3, n, (0,))):
-        by_level[level][key] = tally[key]
-    return PQPoly(_poly(part, _reads(part, 3, n, second)) for part in by_level)
+    """p^level q^read over 3-ary words avoiding 1-3, where `read` counts
+    the differences in `second`, in one pass over their tally."""
+    base = max(n, 2)
+    level, u, v = (base ** (d + 2) for d in (0,) + second)
+    rows = [[0] * base for _ in range(base)]
+    for key, count in _profiles(3, n, cap, frozenset({(1, 3)})).items():
+        rows[key // level % base][key // u % base + key // v % base] += count
+    return PQPoly(map(QPoly, rows))
 
 
 def joint_lev_asc(n, cap=DEFAULT_CAP) -> PQPoly:

@@ -23,7 +23,7 @@ from .algebra import (
     WrongRegime,
     XPoly,
 )
-from .kary import KSParams, gf_A, gf_denominator, unit_column_det
+from .kary import KSParams, _q_minus_one_pow, gf_A, gf_denominator, unit_column_det
 from .oracle import DEFAULT_CAP, _marginal, _tally, _walk
 
 
@@ -43,12 +43,14 @@ def bell_list(n: int) -> list[int]:
     return list(islice(_bell_numbers(), max(n, 0) + 1))
 
 
-def stirling_table(n: int) -> list[list[int]]:
-    """Table S[m][k] of Stirling numbers of the second kind, 0 <= m, k <= n."""
-    table = [[0] * (n + 1) for _ in range(n + 1)]
+def stirling_table(n: int, kmax: int | None = None) -> list[list[int]]:
+    """Table S[m][k] of Stirling numbers of the second kind, 0 <= m <= n
+    and 0 <= k <= min(kmax, n) (kmax defaults to n)."""
+    cols = n if kmax is None else min(kmax, n)
+    table = [[0] * (cols + 1) for _ in range(n + 1)]
     table[0][0] = 1
     for m in range(1, n + 1):
-        for k in range(1, m + 1):
+        for k in range(1, min(m, cols) + 1):
             table[m][k] = table[m - 1][k - 1] + k * table[m - 1][k]
     return table
 
@@ -85,7 +87,7 @@ def _at_most(n: int, k: int, s: int, cap: int) -> QPoly:
         return QPoly(())
     k = min(k, max(n, 1))
     visited = _growth_count(n, k)
-    if visited != sum(stirling_table(n)[n][: k + 1]):
+    if visited != sum(stirling_table(n, k)[n]):
         raise InternalInvariantViolation(f"walk visited {visited} of S({n}, 0..{k}) sequences")
     return _marginal(n, k, 1, (s,), True)
 
@@ -104,7 +106,13 @@ def p_total_all_oracle(n: int, s: int, cap: int = DEFAULT_CAP) -> int:
 
 def _one_minus_y_pow(m: int) -> XPoly:
     """1 - y^m with y = (q-1)x."""
-    return XPoly((1,)) - XPoly.monomial((QPoly.var() - 1) ** m, m)
+    return XPoly((1,)) - XPoly.monomial(_q_minus_one_pow(m), m)
+
+
+def _need_blocks(k: int, s: int) -> None:
+    """The regime of gf_P and total_pnk."""
+    if s < 2 or k < s + 1:
+        raise WrongRegime("need s >= 2 and k >= s+1")
 
 
 def gf_P(k: int, s: int) -> RatFunc:
@@ -122,8 +130,7 @@ def gf_P(k: int, s: int) -> RatFunc:
     where 1/D_j is the long-form word-distribution denominator for
     alphabet size j.  At q = 1 this collapses to the classical
     x^k / prod_{j=1}^{k} (1-jx)."""
-    if s < 2 or k < s + 1:
-        raise WrongRegime("need s >= 2 and k >= s+1")
+    _need_blocks(k, s)
     params = KSParams(k, s)
     rem, steps = params.rem, params.steps
     q = QPoly.var()
@@ -142,15 +149,18 @@ def gf_P(k: int, s: int) -> RatFunc:
     return RatFunc(num, den)
 
 
-def total_pnk(n: int, k: int, s: int) -> int:
+def total_pnk(n: int, k: int, s: int, table: list | None = None) -> int:
     """Total number of adjacent (a, a+s) pairs over all partitions of an
     n-set with exactly k blocks (s >= 2, k >= s+1):
-    (k-s) S(n-1,k) + sum_{j=s+1}^{k} sum_{t=0}^{n-k-2} S(n-t-2,k) j^t (j-s)."""
-    if s < 2 or k < s + 1:
-        raise WrongRegime("need s >= 2 and k >= s+1")
+    (k-s) S(n-1,k) + sum_{j=s+1}^{k} sum_{t=0}^{n-k-2} S(n-t-2,k) j^t (j-s).
+
+    `table` is a `stirling_table` with rows to n - 1 and columns to k, as
+    `_block_totals` builds once for a range of n; one is built when not
+    given."""
+    _need_blocks(k, s)
     if n <= k:
         return 0
-    table = stirling_table(n)
+    table = table or stirling_table(n - 1, k)
     total = (k - s) * table[n - 1][k]
     for j in range(s + 1, k + 1):
         for t in range(n - k - 1):
@@ -205,6 +215,16 @@ def q_total(n: int, s: int) -> int:
     if total.denominator != 1:
         raise InternalInvariantViolation(f"grand total for n={n}, s={s} not integral")
     return int(total)
+
+
+def _block_totals(ns, k: int, s: int) -> list[int]:
+    """total_pnk(n, k, s) for each n in ns, read from one Stirling table
+    with k + 1 columns built at the longest n once k and s pass their
+    check.  No table is built when every n <= k, where each total is 0."""
+    _need_blocks(k, s)
+    top = max(ns, default=0)
+    table = stirling_table(top, k) if top > k else None
+    return [total_pnk(n, k, s, table) for n in ns]
 
 
 def _e_factor(j: int) -> RatFunc:

@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 import threading
@@ -187,6 +188,27 @@ class TestDenominatorsAtAPoint:
                 tracemalloc.stop()
         assert counts[:3] == [1, 2000, 2000**2 - 1999]
         assert peak < 16 * 2**20
+
+
+class TestQMinusOnePower:
+    """(q - 1)^e is built by the binomial theorem, not by squaring."""
+
+    def test_equals_the_squaring_product(self):
+        for e in range(65):
+            assert kary._q_minus_one_pow(e) == (QPoly.var() - 1) ** e
+
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_long_denominator_tail_is_the_signed_binomials(self, s):
+        """The tail (rem (1 + (1-q)x) - s) x ((q-1)x)^(steps+1) gives
+        x^(steps+2) the coefficient (rem - s)(q-1)^(steps+1), 0 at s = 1,
+        and x^(steps+3) the coefficient -rem (q-1)^(steps+2)."""
+        params = KSParams(4000, s)
+        den = kary.gf_denominator(params)
+        e = params.steps + 1
+        assert den.degree == e + 2
+        for d, scale, power in [(e + 1, params.rem - s, e), (e + 2, -params.rem, e + 1)]:
+            for i in (*range(0, power + 1, 97), power - 1, power, power + 1):
+                assert den.coeff(d, i) == scale * (-1) ** (power - i) * math.comb(power, i)
 
 
 class TestAvoidCount:

@@ -15,6 +15,7 @@ from adjstats.oracle import (
     distribution_mu,
     distribution_nu,
     joint_lev_asc,
+    joint_lev_des,
     total_mu_oracle,
     words,
 )
@@ -191,13 +192,13 @@ def test_one_tally_serves_mu_nu_and_total():
 def test_each_distribution_is_built_once(monkeypatch):
     oracle._marginal.cache_clear()
     built = []
-    real = oracle._poly
+    real = oracle._read
 
-    def counting(tally, stat):
-        built.append(stat)
-        return real(tally, stat)
+    def counting(tally, k, n, diffs):
+        built.append(diffs)
+        return real(tally, k, n, diffs)
 
-    monkeypatch.setattr(oracle, "_poly", counting)
+    monkeypatch.setattr(oracle, "_read", counting)
     try:
         first = [distribution_mu(4, 2, 5), distribution_nu(4, 2, 5),
                  distribution_gap(4, 2, 2, 5)]
@@ -288,6 +289,9 @@ class TestMeetInTheMiddle:
         (3, 7, frozenset(), 2, False),  # prefix of 4, suffix of 3
         (2, 9, frozenset({(1, 2)}), 3, False),
         (2, 10, frozenset({(0, 2), (2, 2)}), 1, True),
+        (4, 5, frozenset(), 3, False),  # n - m <= gap: one plain walk
+        (4, 6, frozenset(), 3, False),
+        (4, 4, frozenset(), 2, False),
     ])
     def test_edge_cases(self, k, n, banned, gap, growth):
         assert _tally_profiles(k, n, banned, gap, growth) == _reference_profiles(
@@ -313,6 +317,22 @@ class TestMeetInTheMiddle:
         assert tally.total() == 6**7
         assert len(visits) == 6**4 + 6 * 6**3 < 0.03 * 6**7
 
+    @pytest.mark.parametrize("k,n,gap", [(4, 5, 3), (4, 6, 3), (4, 4, 2), (3, 2, 3)])
+    def test_a_state_that_is_a_whole_prefix_is_walked_plainly(self, monkeypatch, k, n, gap):
+        """With m letters met, n - m <= gap leaves one prefix per junction
+        state, so the count walks the words once and starts no suffix walk."""
+        calls = []
+        walk = oracle._walk
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "_walk", recording)
+        counts = oracle._count(k, n, frozenset(), gap, False)
+        assert counts.total() == k**n
+        assert calls == [{}]
+
     def test_a_cap_scale_count_holds_states_and_keys_not_words(self):
         """3^16 words (43 million, under the default cap): a count keeps
         one key counter per junction state and the suffix counter of one
@@ -326,3 +346,84 @@ class TestMeetInTheMiddle:
             tracemalloc.stop()
         assert counts.total() == 3**16
         assert peak < 16 * 2**20
+
+
+def _scan_marginal(k, n, gap, diffs, growth):
+    """Distribution of the pairs i with w[i+gap] - w[i] in `diffs`, by
+    filtering `itertools.product` and counting each word directly."""
+    counts = Counter()
+    for w in itertools.product(range(1, k + 1), repeat=n):
+        if growth and any(c > max(w[:i], default=0) + 1 for i, c in enumerate(w)):
+            continue
+        counts[sum(w[i + gap] - w[i] in diffs for i in range(n - gap))] += 1
+    return QPoly(counts[i] for i in range(max(counts, default=-1) + 1))
+
+
+class _CountedTally(Counter):
+    """A tally that records every pass over it."""
+
+    def __init__(self, tally, passes):
+        super().__init__(tally)
+        self.passes = passes
+
+    def items(self):
+        self.passes.append("items")
+        return super().items()
+
+    def keys(self):
+        self.passes.append("keys")
+        return super().keys()
+
+    def values(self):
+        self.passes.append("values")
+        return super().values()
+
+    def __iter__(self):
+        self.passes.append("iter")
+        return super().__iter__()
+
+
+class TestOnePassRead:
+    """A statistic is read off its tally's keys in one pass over them."""
+
+    @given(st.integers(0, 5), st.integers(0, 7), st.integers(1, 3), st.booleans(),
+           st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_marginal_matches_a_product_scan(self, k, n, gap, growth, both, data):
+        s = data.draw(st.integers(0, k + 1))
+        diffs = tuple(sorted({-s, s})) if both else (s,)
+        assert oracle._marginal(n, k, gap, diffs, growth) == _scan_marginal(
+            k, n, gap, diffs, growth)
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_joint_matches_a_product_scan(self, n):
+        asc = des = PQPoly()
+        p, q = PQPoly.p(), PQPoly.q()
+        for w in itertools.product((1, 2, 3), repeat=n):
+            if (1, 3) not in zip(w, w[1:]):
+                diffs = [b - a for a, b in zip(w, w[1:])]
+                level = p ** diffs.count(0)
+                asc += level * q ** (diffs.count(1) + diffs.count(2))
+                des += level * q ** (diffs.count(-1) + diffs.count(-2))
+        assert joint_lev_asc(n) == asc
+        assert joint_lev_des(n) == des
+
+    @pytest.mark.parametrize("read", [
+        lambda: distribution_mu(5, 1, 6),
+        lambda: distribution_nu(5, 2, 6),
+        lambda: distribution_gap(5, 1, 2, 6),
+        lambda: oracle._marginal(7, 3, 1, (2,), True),
+        lambda: joint_lev_asc(6),
+        lambda: joint_lev_des(6),
+    ], ids=["mu", "nu", "gap", "growth", "lev-asc", "lev-des"])
+    def test_a_read_iterates_its_tally_once(self, monkeypatch, read):
+        passes = []
+        tally = oracle._tally
+        monkeypatch.setattr(oracle, "_tally",
+                            lambda *args: _CountedTally(tally(*args), passes))
+        oracle._marginal.cache_clear()
+        try:
+            read()
+        finally:
+            oracle._marginal.cache_clear()
+        assert passes == ["items"]

@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from adjstats import oracle, partitions, verify
+from adjstats import cli, oracle, partitions, verify
 from adjstats.algebra import InternalInvariantViolation, QPoly, specialize_q
 from adjstats.partitions import (
     EnumerationTooLarge,
@@ -229,6 +231,47 @@ class TestGrandTotals:
         for n in (0, 1, 5):  # s is checked before the short lengths
             with pytest.raises(ValueError, match="only for s in"):
                 q_total(n, 5)
+
+
+class TestOneTablePerRequest:
+    """A range of block totals reads one Stirling table, built at its
+    longest n, and equals the one-row requests."""
+
+    @pytest.mark.parametrize("k,s", [(3, 2), (5, 2), (4, 3), (7, 3), (9, 4)])
+    def test_rows_equal_one_row_requests(self, k, s):
+        assert partitions._block_totals(range(0, 30), k, s) == [
+            total_pnk(n, k, s) for n in range(30)]
+        assert partitions._block_totals(range(k + 5, k + 9), k, s) == [
+            total_pnk(n, k, s) for n in range(k + 5, k + 9)]
+
+    @pytest.mark.parametrize("args", [["--s", "2"], ["--s", "3"], ["--s", "4"],
+                                      ["--k", "5", "--s", "2"], ["--k", "6", "--s", "4"]])
+    def test_cli_range_rows_equal_one_row_requests(self, capsys, args):
+        assert cli.main(["totals", "--partitions", *args, "--n", "0..25"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        for n in range(26):
+            assert cli.main(["totals", "--partitions", *args, "--n", str(n)]) == 0
+            assert json.loads(capsys.readouterr().out)["rows"] == [rows[n]]
+
+    def test_one_table_per_request(self, monkeypatch):
+        built = []
+        real = partitions.stirling_table
+        monkeypatch.setattr(partitions, "stirling_table",
+                            lambda *args: built.append(args) or real(*args))
+        partitions._block_totals(range(0, 60), 5, 2)
+        assert built == [(59, 5)]
+        partitions._block_totals(range(0, 9), 9, 2)  # every total is 0: no table
+        assert built == [(59, 5)]
+
+    def test_the_regime_is_checked_before_the_table(self, monkeypatch):
+        monkeypatch.setattr(partitions, "stirling_table", None)
+        with pytest.raises(WrongRegime):
+            partitions._block_totals(range(0, 1000), 900, 10**6)
+
+    def test_stirling_columns_are_a_prefix_of_the_full_table(self):
+        full = stirling_table(12)
+        for kmax in range(15):
+            assert stirling_table(12, kmax) == [row[: kmax + 1] for row in full]
 
 
 class TestSuccessorStatistic:
