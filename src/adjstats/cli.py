@@ -179,7 +179,7 @@ def _cmd_dist(args):
 
 def _cmd_totals(args):
     if args.family == "partitions" and args.k is None:
-        values = [partitions.q_total(n, args.s) for n in args.n]
+        values = partitions._grand_totals(args.n, args.s)
     elif args.family == "partitions":
         values = partitions._block_totals(args.n, args.k, args.s)
     elif args.k is None:

@@ -74,15 +74,7 @@ def step_up_avoiders(n: int, k: int) -> int:
 def step_up_antidiagonals(count: int) -> list[int]:
     """The square array step_up_avoiders(n, k) read by anti-diagonals
     n + k = 0, 1, 2, ... with n ascending inside each diagonal."""
-    out = []
-    diag = 0
-    while len(out) < count:
-        for n in range(diag + 1):
-            out.append(step_up_avoiders(n, diag - n))
-            if len(out) == count:
-                break
-        diag += 1
-    return out
+    return [_antidiagonal_term(i) for i in range(count)]
 
 
 def _antidiagonal_term(n: int) -> int:

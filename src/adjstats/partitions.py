@@ -11,9 +11,7 @@ k, so the distribution for k blocks is bound k's minus bound k - 1's.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
-from math import comb
 
 from .algebra import (
     EnumerationTooLarge,
@@ -149,72 +147,17 @@ def gf_P(k: int, s: int) -> RatFunc:
     return RatFunc(num, den)
 
 
-def total_pnk(n: int, k: int, s: int, table: list | None = None) -> int:
+def total_pnk(n: int, k: int, s: int) -> int:
     """Total number of adjacent (a, a+s) pairs over all partitions of an
     n-set with exactly k blocks (s >= 2, k >= s+1):
-    (k-s) S(n-1,k) + sum_{j=s+1}^{k} sum_{t=0}^{n-k-2} S(n-t-2,k) j^t (j-s).
-
-    `table` is a `stirling_table` with rows to n - 1 and columns to k, as
-    `_block_totals` builds once for a range of n; one is built when not
-    given."""
-    _need_blocks(k, s)
-    if n <= k:
-        return 0
-    table = table or stirling_table(n - 1, k)
-    total = (k - s) * table[n - 1][k]
-    for j in range(s + 1, k + 1):
-        for t in range(n - k - 1):
-            total += table[n - t - 2][k] * j**t * (j - s)
-    return total
+    (k-s) S(n-1,k) + sum_{j=s+1}^{k} sum_{t=0}^{n-k-2} S(n-t-2,k) j^t (j-s)."""
+    return _block_totals((n,), k, s)[0]
 
 
 def q_total(n: int, s: int) -> int:
     """Total number of adjacent (a, a+s) pairs over all partitions of an
-    n-set, from the Bell-number formulas for s = 2, 3, 4.
-
-    The s = 3 and s = 4 formulas have powers like 2^(n-2-j) that go
-    negative at the edge of the sum, so they are evaluated in exact
-    rationals; the result must come out integral.  Below n = 2 there is
-    no adjacent pair, and the total is 0."""
-    if s not in (2, 3, 4):
-        raise ValueError("grand-total formulas exist only for s in {2, 3, 4}")
-    if n < 2:
-        return 0
-    if s == 2:
-        bell = bell_list(n)
-        return (n - 3) * bell[n - 1] - (2 * n - 5) * bell[n - 2] + sum(bell[: n - 2])
-    if s == 3:
-        bell = bell_list(n)
-        total = (
-            Fraction(-1, 2) * bell[n]
-            + Fraction(2 * n - 13, 2) * bell[n - 1]
-            - 3 * (n - 2) * bell[n - 2]
-            + Fraction(2) ** (n - 2)
-            + 2
-        )
-        for j in range(1, n):
-            total += comb(n - 1, j) * (Fraction(2) ** (n - 2 - j) + 2) * bell[j - 1]
-    else:
-        # s = 4: the closed form is naturally indexed one step ahead; m below is
-        # chosen so that the result counts occurrences in partitions of [n]
-        m = n - 1
-        bell = bell_list(m + 2)
-        total = (
-            Fraction(-1, 6) * bell[m + 2]
-            - bell[m + 1]
-            + Fraction(3 * m - 25, 3) * bell[m]
-            - 4 * (m - 1) * bell[m - 1]
-            + Fraction(3**m + 6 * 2**m + 21, 6)
-        )
-        for j in range(1, m + 1):
-            total += (
-                comb(m, j)
-                * Fraction(3 ** (m - j) + 6 * 2 ** (m - j) + 18, 6)
-                * bell[j - 1]
-            )
-    if total.denominator != 1:
-        raise InternalInvariantViolation(f"grand total for n={n}, s={s} not integral")
-    return int(total)
+    n-set, from the Bell-number formulas for s = 2, 3, 4."""
+    return _grand_totals((n,), s)[0]
 
 
 def _block_totals(ns, k: int, s: int) -> list[int]:
@@ -224,20 +167,58 @@ def _block_totals(ns, k: int, s: int) -> list[int]:
     _need_blocks(k, s)
     top = max(ns, default=0)
     table = stirling_table(top, k) if top > k else None
-    return [total_pnk(n, k, s, table) for n in ns]
+    totals = []
+    for n in ns:
+        total = 0
+        if n > k:
+            total = (k - s) * table[n - 1][k]
+            for j in range(s + 1, k + 1):
+                for t in range(n - k - 1):
+                    total += table[n - t - 2][k] * j**t * (j - s)
+        totals.append(total)
+    return totals
 
 
-def _e_factor(j: int) -> RatFunc:
-    """The word-distribution generating function for alphabet size j at
-    s = 1 (numerator (1+(1-q)x)^2 over the long-form denominator)."""
-    return gf_A(KSParams(j, 1))
+def _grand_totals(ns, s: int) -> list[int]:
+    """q_total(n, s) for each n in ns, read from one Bell list built at the
+    longest n (one further at s = 4, which reads B_(n+1)) once s passes
+    its check.  Below n = 2 there is no adjacent pair, and the total is 0.
 
-
-def _e_prime_factor(j: int) -> RatFunc:
-    """_e_factor(j) times (1 + (q-1)x * unit_column_det(j, 1)), the
-    correction for a section that may be followed by its successor letter."""
-    correction = XPoly((QPoly((1,)),)) + XPoly.monomial(QPoly((-1, 1)), 1) * unit_column_det(j, 1)
-    return _e_factor(j) * correction
+    The s = 3 and s = 4 formulas, written in m = n - 1, have denominators
+    2, 3 and 6, and the s = 3 power 2^(m-1-j) reaches 2^(-1) at j = m, so
+    each is summed in integers times 6 and divided once; the result must
+    come out integral.  Their sums over j run backwards, i = m - j, so
+    C(m, i) and the powers 2^i and 3^i are each read off the last."""
+    if s not in (2, 3, 4):
+        raise ValueError("grand-total formulas exist only for s in {2, 3, 4}")
+    bell = bell_list(max(ns, default=0) + (s == 4))
+    totals = []
+    for n in ns:
+        if n < 2:
+            totals.append(0)
+            continue
+        if s == 2:
+            totals.append((n - 3) * bell[n - 1] - (2 * n - 5) * bell[n - 2] + sum(bell[: n - 2]))
+            continue
+        m = n - 1
+        if s == 3:
+            six = (-3 * bell[m + 1] + 3 * (2 * m - 11) * bell[m] - 18 * (m - 1) * bell[m - 1]
+                   + 3 * 2**m + 12)
+        else:
+            six = (-bell[m + 2] - 6 * bell[m + 1] + 2 * (3 * m - 25) * bell[m]
+                   - 24 * (m - 1) * bell[m - 1] + 3**m + 6 * 2**m + 21)
+        binom, two, three = 1, 1, 1
+        for i in range(m):
+            weight = 3 * two + 12 if s == 3 else three + 6 * two + 18
+            six += binom * weight * bell[m - 1 - i]
+            binom = binom * (m - i) // (i + 1)
+            two *= 2
+            three *= 3
+        total, rest = divmod(six, 6)
+        if rest:
+            raise InternalInvariantViolation(f"grand total for n={n}, s={s} not integral")
+        totals.append(total)
+    return totals
 
 
 def gf_P_s1(k: int) -> RatFunc:
@@ -249,9 +230,11 @@ def gf_P_s1(k: int) -> RatFunc:
     if k < 2:
         raise WrongRegime("need k >= 2")
     q = QPoly.var()
-    out = RatFunc(XPoly.monomial(q, k)) * _e_factor(k) / XPoly((1, -1))
+    out = RatFunc(XPoly.monomial(q, k)) * gf_A(KSParams(k, 1)) / XPoly((1, -1))
     for j in range(2, k):
-        out = out * (q - 1 + _e_prime_factor(j))
+        # E'_j: a section that may be followed by its successor letter
+        correction = XPoly((QPoly((1,)),)) + XPoly.monomial(q - 1, 1) * unit_column_det(j, 1)
+        out = out * (q - 1 + gf_A(KSParams(j, 1)) * correction)
     return out
 
 

@@ -194,6 +194,8 @@ def test_a_short_growth_tally_under_partition_dist_is_one_stderr_line(monkeypatc
 
 
 def test_a_fractional_grand_total_is_one_stderr_line(monkeypatch, capsys):
+    """The request reads one Bell list to B_5, so only row 5 reads the
+    broken entry."""
     _break_last_entry(monkeypatch, partitions, "bell_list")
     _one_internal_line(capsys, ["totals", "--partitions", "--s", "3", "--n", "2..5"],
-                       "grand total for n=2, s=3 not integral")
+                       "grand total for n=5, s=3 not integral")

@@ -194,6 +194,10 @@ def _corpus():
         ["partition-dist", "--n", "1001", "--k", "3", "--s", "1"],
         ["gap", "--k", "3", "--s", "1", "--r", "1", "--n", "0..1001"],
     ]
+    # the Bell-number grand totals to n = 150, where every s = 3 and s = 4
+    # sum has as many terms as the row is long
+    cmds += [["totals", "--partitions", "--s", str(s), "--n", "0..150"] for s in (2, 3, 4)]
+    cmds.append(["totals", "--partitions", "--s", "3", "--n", "0..150", "--format", "csv"])
     return cmds
 
 

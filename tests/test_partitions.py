@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -234,8 +236,9 @@ class TestGrandTotals:
 
 
 class TestOneTablePerRequest:
-    """A range of block totals reads one Stirling table, built at its
-    longest n, and equals the one-row requests."""
+    """A range of block totals reads one Stirling table, and a range of
+    grand totals one Bell list, built at its longest n, and equals the
+    one-row requests."""
 
     @pytest.mark.parametrize("k,s", [(3, 2), (5, 2), (4, 3), (7, 3), (9, 4)])
     def test_rows_equal_one_row_requests(self, k, s):
@@ -267,6 +270,47 @@ class TestOneTablePerRequest:
         monkeypatch.setattr(partitions, "stirling_table", None)
         with pytest.raises(WrongRegime):
             partitions._block_totals(range(0, 1000), 900, 10**6)
+
+    @pytest.mark.parametrize("s,extra", [(2, 0), (3, 0), (4, 1)])
+    def test_one_bell_list_per_grand_total_request(self, monkeypatch, s, extra):
+        built = []
+        real = partitions.bell_list
+        monkeypatch.setattr(partitions, "bell_list", lambda n: built.append(n) or real(n))
+        partitions._grand_totals(range(0, 60), s)
+        assert built == [59 + extra]
+
+    def test_the_grand_total_size_is_checked_before_the_list(self, monkeypatch):
+        monkeypatch.setattr(partitions, "bell_list", None)
+        with pytest.raises(ValueError, match="only for s in"):
+            partitions._grand_totals(range(0, 1000), 5)
+
+    @staticmethod
+    def _rational_grand_total(n, s):
+        """The Bell-number formula for s at n >= 2 as first written: one Bell
+        list per row, the s = 3 and s = 4 sums in exact rationals."""
+        if s == 2:
+            bell = bell_list(n)
+            return (n - 3) * bell[n - 1] - (2 * n - 5) * bell[n - 2] + sum(bell[: n - 2])
+        if s == 3:
+            bell = bell_list(n)
+            total = (Fraction(-1, 2) * bell[n] + Fraction(2 * n - 13, 2) * bell[n - 1]
+                     - 3 * (n - 2) * bell[n - 2] + Fraction(2) ** (n - 2) + 2)
+            for j in range(1, n):
+                total += comb(n - 1, j) * (Fraction(2) ** (n - 2 - j) + 2) * bell[j - 1]
+            return total
+        m = n - 1
+        bell = bell_list(m + 2)
+        total = (Fraction(-1, 6) * bell[m + 2] - bell[m + 1]
+                 + Fraction(3 * m - 25, 3) * bell[m] - 4 * (m - 1) * bell[m - 1]
+                 + Fraction(3**m + 6 * 2**m + 21, 6))
+        for j in range(1, m + 1):
+            total += comb(m, j) * Fraction(3 ** (m - j) + 6 * 2 ** (m - j) + 18, 6) * bell[j - 1]
+        return total
+
+    @pytest.mark.parametrize("s", [2, 3, 4])
+    def test_integer_sums_equal_the_rational_formulas(self, s):
+        expected = [0, 0] + [self._rational_grand_total(n, s) for n in range(2, 201)]
+        assert partitions._grand_totals(range(0, 201), s) == expected
 
     def test_stirling_columns_are_a_prefix_of_the_full_table(self):
         full = stirling_table(12)
