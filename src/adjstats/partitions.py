@@ -163,20 +163,19 @@ def q_total(n: int, s: int) -> int:
 def _block_totals(ns, k: int, s: int) -> list[int]:
     """total_pnk(n, k, s) for each n in ns, read from one Stirling table
     with k + 1 columns built at the longest n once k and s pass their
-    check.  No table is built when every n <= k, where each total is 0."""
+    check.  No table is built when every n <= k, where each total is 0.
+    Each letter's inner sum u_j = sum_t S(n-t-2, k) j^t takes one Horner
+    step per length, u_j <- j u_j + S(n-2, k), from 0 at n = k + 1."""
     _need_blocks(k, s)
     top = max(ns, default=0)
-    table = stirling_table(top, k) if top > k else None
-    totals = []
-    for n in ns:
-        total = 0
-        if n > k:
-            total = (k - s) * table[n - 1][k]
-            for j in range(s + 1, k + 1):
-                for t in range(n - k - 1):
-                    total += table[n - t - 2][k] * j**t * (j - s)
-        totals.append(total)
-    return totals
+    rows = [0] * (top + 1)
+    if top > k:
+        table = stirling_table(top, k)
+        sums = [0] * (k - s)  # u_(s+1), ..., u_k
+        for n in range(k + 1, top + 1):
+            sums = [j * u + table[n - 2][k] for j, u in enumerate(sums, s + 1)]
+            rows[n] = (k - s) * table[n - 1][k] + sum(i * u for i, u in enumerate(sums, 1))
+    return [rows[n] if n > k else 0 for n in ns]
 
 
 def _grand_totals(ns, s: int) -> list[int]:
@@ -184,11 +183,12 @@ def _grand_totals(ns, s: int) -> list[int]:
     longest n (one further at s = 4, which reads B_(n+1)) once s passes
     its check.  Below n = 2 there is no adjacent pair, and the total is 0.
 
-    The s = 3 and s = 4 formulas, written in m = n - 1, have denominators
-    2, 3 and 6, and the s = 3 power 2^(m-1-j) reaches 2^(-1) at j = m, so
-    each is summed in integers times 6 and divided once; the result must
-    come out integral.  Their sums over j run backwards, i = m - j, so
-    C(m, i) and the powers 2^i and 3^i are each read off the last."""
+    In m = n - 1 the s = 3 and s = 4 formulas have denominators 2, 3 and 6 (the
+    s = 3 power 2^(m-1-j) is 1/2 at j = m), so each is summed in integers times 6,
+    divided once, and must come out integral.  The sum over j runs backwards,
+    i = m - j, reading C(m, i), 2^i and 3^i off the last.  It stays one binomial
+    sum per row: as running r-Bell sums it runs about 10x faster, but B_n (s = 3)
+    and B_(n+1) (s = 4) cancel out of that form, and that check would not read them."""
     if s not in (2, 3, 4):
         raise ValueError("grand-total formulas exist only for s in {2, 3, 4}")
     bell = bell_list(max(ns, default=0) + (s == 4))

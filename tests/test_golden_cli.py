@@ -198,6 +198,13 @@ def _corpus():
     # sum has as many terms as the row is long
     cmds += [["totals", "--partitions", "--s", str(s), "--n", "0..150"] for s in (2, 3, 4)]
     cmds.append(["totals", "--partitions", "--s", "3", "--n", "0..150", "--format", "csv"])
+    # the Stirling-number block totals far past k, where each row's double
+    # sum has n - k - 1 terms per letter
+    cmds += [
+        ["totals", "--partitions", "--k", "5", "--s", "2", "--n", "0..150"],
+        ["totals", "--partitions", "--k", "9", "--s", "4", "--n", "0..150", "--format", "csv"],
+        ["totals", "--partitions", "--k", "40", "--s", "2", "--n", "0..120"],
+    ]
     return cmds
 
 

@@ -1,6 +1,5 @@
 import pytest
 
-from adjstats import oeis
 from adjstats.oeis import (
     BFileParseError,
     CheckSpec,
@@ -65,10 +64,6 @@ class TestGenerators:
     def test_antidiagonals_follow_a_walk_of_the_diagonals(self):
         walk = [step_up_avoiders(n, diag - n) for diag in range(20) for n in range(diag + 1)]
         assert step_up_antidiagonals(200) == walk[:200]
-
-    def test_antidiagonal_term_reads_its_entry_directly(self):
-        array = step_up_antidiagonals(200)
-        assert [oeis._antidiagonal_term(n) for n in range(200)] == array
 
 
 class TestReconcile:

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjstats import cli, oracle, partitions, verify
 from adjstats.algebra import InternalInvariantViolation, QPoly, specialize_q
@@ -235,6 +237,28 @@ class TestGrandTotals:
                 q_total(n, 5)
 
 
+class TestTotalsReadersAgainstTheOracle:
+    """Both totals readers, on drawn lengths in any order and with repeats,
+    against the scanned distributions: the block totals against the
+    derivative at q = 1 of the exactly-k distribution, the grand totals
+    against the summed count over every growth sequence."""
+
+    lengths = st.lists(st.integers(0, 9), min_size=1, max_size=6)
+
+    @given(st.integers(3, 6).flatmap(lambda k: st.tuples(st.just(k), st.integers(2, k - 1))),
+           lengths)
+    @settings(max_examples=40, deadline=None)
+    def test_block_totals(self, ks, ns):
+        k, s = ks
+        assert partitions._block_totals(ns, k, s) == [
+            p_dist_oracle(n, k, s).derivative()(1) for n in ns]
+
+    @given(st.sampled_from([2, 3, 4]), lengths)
+    @settings(max_examples=30, deadline=None)
+    def test_grand_totals(self, s, ns):
+        assert partitions._grand_totals(ns, s) == [p_total_all_oracle(n, s) for n in ns]
+
+
 class TestOneTablePerRequest:
     """A range of block totals reads one Stirling table, and a range of
     grand totals one Bell list, built at its longest n, and equals the
@@ -311,6 +335,33 @@ class TestOneTablePerRequest:
     def test_integer_sums_equal_the_rational_formulas(self, s):
         expected = [0, 0] + [self._rational_grand_total(n, s) for n in range(2, 201)]
         assert partitions._grand_totals(range(0, 201), s) == expected
+
+    @staticmethod
+    def _double_sum_block_totals(ns, k, s):
+        """The Stirling formula as the paper writes it, summed afresh for
+        every row with a power per term:
+        (k-s) S(n-1,k) + sum_{j=s+1}^{k} sum_{t=0}^{n-k-2} S(n-t-2,k) j^t (j-s)."""
+        table = stirling_table(max(ns), k)
+        totals = []
+        for n in ns:
+            total = 0
+            if n > k:
+                total = (k - s) * table[n - 1][k]
+                for j in range(s + 1, k + 1):
+                    for t in range(n - k - 1):
+                        total += table[n - t - 2][k] * j**t * (j - s)
+            totals.append(total)
+        return totals
+
+    @pytest.mark.parametrize("k,s,top", [(3, 2, 120), (4, 3, 120), (5, 2, 120), (7, 3, 120),
+                                         (9, 4, 120), (12, 11, 120), (40, 2, 60)])
+    def test_recurrence_equals_the_double_sum(self, k, s, top):
+        ns = range(0, top + 1)
+        assert partitions._block_totals(ns, k, s) == self._double_sum_block_totals(ns, k, s)
+
+    @pytest.mark.parametrize("ns", [[90, 3, 89, 90], [7, 7], [60, 0, 59, 6, 5, 61]])
+    def test_rows_come_back_in_the_order_asked(self, ns):
+        assert partitions._block_totals(ns, 5, 2) == self._double_sum_block_totals(ns, 5, 2)
 
     def test_stirling_columns_are_a_prefix_of_the_full_table(self):
         full = stirling_table(12)
