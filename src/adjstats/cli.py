@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import decimal
 import functools
 import io
 import json
@@ -96,8 +97,27 @@ def _word_text(word) -> str:
     return "".join(map(str, word))
 
 
+def _decimal(values: list) -> list[str]:
+    """Integers or Fractions as `str` writes them, exact at any size.
+
+    `str` refuses an integer past the interpreter's digit limit (4,300
+    digits by default); that limit is process-wide, so it is left as it is
+    and such a value goes through `decimal`, which has no limit."""
+    try:
+        return list(map(str, values))
+    except ValueError:
+        pass
+    texts = []
+    for value in values:
+        text = str(decimal.Decimal(value.numerator))
+        if value.denominator != 1:
+            text += "/" + str(decimal.Decimal(value.denominator))
+        texts.append(text)
+    return texts
+
+
 def _poly_json(poly: QPoly) -> dict:
-    return {"var": "q", "coeffs": [str(c) for c in poly.coeffs] or ["0"]}
+    return {"var": "q", "coeffs": _decimal(poly.coeffs) or ["0"]}
 
 
 def _flatten(value):
@@ -160,7 +180,7 @@ def _cmd_dist(args):
         dist = dists[n]
         row = {"n": n, "dist": _poly_json(dist)}
         if args.q is not None:
-            row["value"] = str(dist(args.q))
+            [row["value"]] = _decimal([dist(args.q)])
         if args.verify:
             try:
                 reference = oracle_dist(args.k, args.s, n, args.cap)
@@ -187,14 +207,15 @@ def _cmd_totals(args):
     else:
         params = kary.KSParams(args.k, args.s)
         values = [kary.total_occurrences(params, n) for n in args.n]
-    rows = [{"n": n, "total": str(value)} for n, value in zip(args.n, values)]
+    rows = [{"n": n, "total": text} for n, text in zip(args.n, _decimal(values))]
     return {"command": "totals", "family": args.family, "k": args.k, "s": args.s,
             "rows": rows}, False
 
 
 def _cmd_avoid(args):
     values = kary.avoid_count(kary.KSParams(args.k, args.s), args.n[-1])
-    rows = [{"n": n, "count": str(values[n])} for n in args.n]
+    counts = _decimal([values[n] for n in args.n])
+    rows = [{"n": n, "count": text} for n, text in zip(args.n, counts)]
     return {"command": "avoid", "k": args.k, "s": args.s, "rows": rows}, False
 
 
@@ -210,7 +231,7 @@ def _cmd_partition_dist(args):
             continue
         row = {"n": n, "dist": _poly_json(dist)}
         if args.q is not None:
-            row["value"] = str(dist(args.q))
+            [row["value"]] = _decimal([dist(args.q)])
         rows.append(row)
     return {"command": "partition-dist", "k": args.k, "s": args.s, "rows": rows}, False
 
@@ -289,9 +310,121 @@ def _cmd_oeis_check(args):
     return {"command": "oeis-check", **report.to_dict()}, not report.passed
 
 
-def _add_common(sub) -> None:
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--out", default=None, help="write output to a file")
+class _Option:
+    """One option of a subcommand.  An option with a `const` is a flag that
+    takes no value and stores the const; any other takes one value, which
+    `type` converts and `choices` then limits.  Members of a `group` are
+    mutually exclusive, and exactly one of them must be given."""
+
+    __slots__ = ("flag", "dest", "type", "choices", "default", "required", "help",
+                 "group", "const")
+
+    def __init__(self, flag, type=None, *, choices=None, default=None, required=False,
+                 help=None, group=None, dest=None, const=None):
+        self.flag, self.dest = flag, dest or flag[2:].replace("-", "_")
+        self.type, self.choices, self.default = type, choices, default
+        self.required, self.help, self.group, self.const = required, help, group, const
+
+
+class _Command:
+    """One subcommand: its help line, its `_cmd_*` function and its options,
+    in the order its help lists them."""
+
+    __slots__ = ("help", "fn", "options", "required", "groups", "defaults")
+
+    def __init__(self, help, fn, *options):
+        options += (
+            _Option("--format", choices=("json", "csv"), default="json"),
+            _Option("--out", help="write output to a file"),
+        )
+        self.help, self.fn = help, fn
+        self.options = {option.flag: option for option in options}
+        self.required = frozenset(o.flag for o in options if o.required)
+        self.groups = [frozenset(o.flag for o in options if o.group == group)
+                       for group in dict.fromkeys(o.group for o in options if o.group)]
+        # the namespace of a request that gives no option; the first option
+        # of a shared dest sets its default, as in argparse
+        self.defaults = {}
+        for option in options:
+            self.defaults.setdefault(option.dest, option.default)
+        self.defaults["fn"] = fn
+
+
+# the grammar of the command line, which both `build_parser` and `_read` use
+_COMMANDS = {
+    "dist": _Command(
+        "distribution of the rise/jump count", _cmd_dist,
+        _Option("--stat", choices=("mu", "nu"), required=True,
+                help="mu: signed rise by s; nu: jump of absolute size s"),
+        _Option("--k", int, required=True),
+        _Option("--s", int, required=True),
+        _Option("--n", _parse_range, required=True, help="length or a..b"),
+        _Option("--q", _parse_rational,
+                help="also evaluate at this exact rational, e.g. 7/3; "
+                "write a negative one as --q=-3/5"),
+        _Option("--verify", const=True, default=False,
+                help="cross-check against enumeration and closed forms"),
+        _Option("--cap", _nonnegative, default=oracle.DEFAULT_CAP),
+    ),
+    "totals": _Command(
+        "summed statistic over a whole family", _cmd_totals,
+        _Option("--words", group="family", dest="family", const="words"),
+        _Option("--partitions", group="family", dest="family", const="partitions"),
+        _Option("--k", int, help="alphabet size (words) or block count (partitions)"),
+        _Option("--s", int, required=True),
+        _Option("--n", _parse_range, required=True),
+    ),
+    "avoid": _Command(
+        "words with no rise by s", _cmd_avoid,
+        _Option("--k", int, required=True),
+        _Option("--s", int, required=True),
+        _Option("--n", _parse_range, required=True),
+    ),
+    "partition-dist": _Command(
+        "distribution of (a, a+s) on k-block partitions", _cmd_partition_dist,
+        _Option("--n", _parse_range, required=True),
+        _Option("--k", _nonnegative, required=True),
+        _Option("--s", int, required=True),
+        _Option("--q", _parse_rational),
+        _Option("--cap", _nonnegative, default=oracle.DEFAULT_CAP),
+    ),
+    "gap": _Command(
+        "distribution of w[i+r] - w[i] = s counts", _cmd_gap,
+        _Option("--k", int, required=True),
+        _Option("--s", int, required=True),
+        _Option("--r", int, required=True),
+        _Option("--n", _parse_range, required=True),
+    ),
+    "verify": _Command(
+        "run a cross-validation suite", _cmd_verify,
+        _Option("--suite", choices=sorted(verify.SUITES) + ["all"], required=True),
+        _Option("--kmax", _nonnegative),
+        _Option("--nmax", _nonnegative),
+        _Option("--smax", _nonnegative),
+        _Option("--full-report", const=True, default=False,
+                help="list every check, not only failures"),
+    ),
+    "bijection": _Command(
+        "apply one of the explicit bijections", _cmd_bijection,
+        _Option("--v-to-w", _parse_word, group="map",
+                help="rewrite a word avoiding 2-4/3-4, e.g. 113"),
+        _Option("--w-to-v", _parse_word, group="map"),
+        _Option("--word-to-tiling", _parse_word, group="map"),
+        _Option("--tiling-to-word", _parse_pieces, group="map",
+                help="comma-separated piece lengths, e.g. 1,2,1"),
+        _Option("--composition", _parse_composition, group="map",
+                help="colored composition 'size:c1,c2+size:c1'; prints "
+                "the full chain down to the 1-3/2-4 avoider"),
+    ),
+    "oeis-check": _Command(
+        "reconcile a computed sequence against a local OEIS b-file", _cmd_oeis_check,
+        _Option("--id", required=True),
+        _Option("--bfile", required=True),
+        _Option("--shift", int),
+        _Option("--length", int),
+        _Option("--generator", choices=sorted(oeis.GENERATORS)),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,107 +436,92 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     # name -> subcommand parser, which `main` hands a request to directly
     parser._commands = sub.choices
-
-    p = sub.add_parser("dist", help="distribution of the rise/jump count")
-    p.add_argument("--stat", choices=("mu", "nu"), required=True,
-                   help="mu: signed rise by s; nu: jump of absolute size s")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=_parse_range, required=True, help="length or a..b")
-    p.add_argument("--q", type=_parse_rational, default=None,
-                   help="also evaluate at this exact rational, e.g. 7/3; "
-                   "write a negative one as --q=-3/5")
-    p.add_argument("--verify", action="store_true",
-                   help="cross-check against enumeration and closed forms")
-    p.add_argument("--cap", type=_nonnegative, default=oracle.DEFAULT_CAP)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_dist)
-
-    p = sub.add_parser("totals", help="summed statistic over a whole family")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--words", dest="family", action="store_const", const="words")
-    group.add_argument("--partitions", dest="family", action="store_const",
-                       const="partitions")
-    p.add_argument("--k", type=int, default=None,
-                   help="alphabet size (words) or block count (partitions)")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=_parse_range, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_totals)
-
-    p = sub.add_parser("avoid", help="words with no rise by s")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n", type=_parse_range, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_avoid)
-
-    p = sub.add_parser("partition-dist",
-                       help="distribution of (a, a+s) on k-block partitions")
-    p.add_argument("--n", type=_parse_range, required=True)
-    p.add_argument("--k", type=_nonnegative, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--q", type=_parse_rational, default=None)
-    p.add_argument("--cap", type=_nonnegative, default=oracle.DEFAULT_CAP)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_partition_dist)
-
-    p = sub.add_parser("gap", help="distribution of w[i+r] - w[i] = s counts")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--n", type=_parse_range, required=True)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_gap)
-
-    p = sub.add_parser("verify", help="run a cross-validation suite")
-    p.add_argument("--suite", choices=sorted(verify.SUITES) + ["all"], required=True)
-    p.add_argument("--kmax", type=_nonnegative, default=None)
-    p.add_argument("--nmax", type=_nonnegative, default=None)
-    p.add_argument("--smax", type=_nonnegative, default=None)
-    p.add_argument("--full-report", action="store_true",
-                   help="list every check, not only failures")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("bijection", help="apply one of the explicit bijections")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--v-to-w", type=_parse_word, default=None,
-                       help="rewrite a word avoiding 2-4/3-4, e.g. 113")
-    group.add_argument("--w-to-v", type=_parse_word, default=None)
-    group.add_argument("--word-to-tiling", type=_parse_word, default=None)
-    group.add_argument("--tiling-to-word", type=_parse_pieces, default=None,
-                       help="comma-separated piece lengths, e.g. 1,2,1")
-    group.add_argument("--composition", type=_parse_composition, default=None,
-                       help="colored composition 'size:c1,c2+size:c1'; prints "
-                       "the full chain down to the 1-3/2-4 avoider")
-    _add_common(p)
-    p.set_defaults(fn=_cmd_bijection)
-
-    p = sub.add_parser("oeis-check", help="reconcile a computed sequence "
-                       "against a local OEIS b-file")
-    p.add_argument("--id", required=True)
-    p.add_argument("--bfile", required=True)
-    p.add_argument("--shift", type=int, default=None)
-    p.add_argument("--length", type=int, default=None)
-    p.add_argument("--generator", choices=sorted(oeis.GENERATORS), default=None)
-    _add_common(p)
-    p.set_defaults(fn=_cmd_oeis_check)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        groups = {}
+        for option in command.options.values():
+            target = p
+            if option.group is not None:
+                if option.group not in groups:
+                    groups[option.group] = p.add_mutually_exclusive_group(required=True)
+                target = groups[option.group]
+            if option.const is None:
+                kind = {"type": option.type, "choices": option.choices}
+            else:
+                kind = {"action": "store_const", "const": option.const}
+            target.add_argument(option.flag, dest=option.dest, default=option.default,
+                                required=option.required, help=option.help, **kind)
+        p.set_defaults(fn=command.fn)
     return parser
 
 
 @functools.lru_cache(maxsize=1)
 def _parser() -> argparse.ArgumentParser:
-    """The one parser of this process: built on the first `main` call, not
-    at import, and shared by every later call.  Parsing leaves no state on
-    it or on its subcommand parsers."""
+    """The one parser of this process: built on the first request that
+    `_read` hands on, not at import, and shared by every later one.
+    Parsing leaves no state on it or on its subcommand parsers."""
     return build_parser()
 
 
+def _read(argv: list):
+    """The namespace of a well-formed request, read straight off its
+    subcommand's option table, or None for any argv that argparse must see.
+
+    Well-formed means: a subcommand's name, then options each given once by
+    its exact flag, a flag alone, `--flag value` or `--flag=value`, where a
+    separate value does not start with "-" and no `=` value is "--"; every
+    value passes its type and choices, every required option is given and
+    each group has exactly one member.  Help, an abbreviated flag, a
+    negative number and every usage error fall outside it."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    options, args, given = command.options, dict(command.defaults), set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, sep, text = token.partition("=")
+        option = options.get(flag)
+        if option is None or flag in given:
+            return None
+        given.add(flag)
+        if option.const is not None:
+            if sep:
+                return None
+            args[option.dest] = option.const
+            continue
+        if not sep:
+            text = next(tokens, "-")  # a missing value reads as one starting "-"
+            if text.startswith("-"):
+                return None
+        elif text == "--":
+            return None
+        value = text
+        if option.type is not None:
+            try:
+                value = option.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        args[option.dest] = value
+    if not command.required <= given:
+        return None
+    for group in command.groups:
+        if len(group & given) != 1:
+            return None
+    namespace = argparse.Namespace()
+    vars(namespace).update(args)  # Namespace(**args) without a setattr per name
+    return namespace
+
+
 def _parse(argv: list) -> argparse.Namespace:
-    """Parse argv as the top-level parser would, but a request that starts
-    with a subcommand's name only by that subcommand's parser."""
+    """Parse argv as the top-level parser would: a well-formed request off
+    the option table, and any other argv by argparse, where a request that
+    starts with a subcommand's name is parsed only by that subcommand's
+    parser."""
+    args = _read(argv)
+    if args is not None:
+        return args
     parser = _parser()
     for token in argv:
         flag, sep, value = token.partition("=")

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -465,6 +466,45 @@ def test_lengths_up_to_the_cap_parse():
     assert cli._parse_range("0..1000") == range(1001)
 
 
+def _digits(value) -> str:
+    """An integer, or a Fraction as numerator/denominator, in decimal, 1000
+    digits at a time, so that no conversion meets the interpreter's limit."""
+    if value.denominator != 1:
+        return f"{_digits(value.numerator)}/{_digits(value.denominator)}"
+    value, chunks = value.numerator, []
+    while value >= 10**1000:
+        value, low = divmod(value, 10**1000)
+        chunks.append(f"{low:01000d}")
+    return str(value) + "".join(reversed(chunks))
+
+
+BIG = kary.KSParams(100000, 99999)
+
+# requests whose answers pass the digit limit: argv, the row key, the answer
+PAST_THE_DIGIT_LIMIT = [
+    (["avoid", "--k", "100000", "--s", "99999", "--n", "1000"], "count",
+     lambda: _digits(kary.avoid_count(BIG, 1000)[1000])),
+    (["totals", "--words", "--k", "1000000000", "--s", "1", "--n", "1000"], "total",
+     lambda: _digits(kary.total_occurrences(kary.KSParams(10**9, 1), 1000))),
+    (["dist", "--stat", "mu", "--k", "100000", "--s", "99999", "--n", "900"], "dist",
+     lambda: {"var": "q", "coeffs": list(map(_digits, kary.a_table(BIG, 900)[900].coeffs))}),
+    (["dist", "--stat", "mu", "--k", "100000", "--s", "99999", "--n", "900", "--q",
+      "1/100000"], "value",
+     lambda: _digits(kary.a_table(BIG, 900)[900](Fraction(1, 100000)))),
+]
+
+
+@pytest.mark.parametrize("argv, key, expected", PAST_THE_DIGIT_LIMIT,
+                         ids=[" ".join(argv) for argv, _, _ in PAST_THE_DIGIT_LIMIT])
+def test_answers_past_the_digit_limit_are_exact(capsys, argv, key, expected):
+    limit = sys.get_int_max_str_digits()
+    code, out = run(capsys, *argv)
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    [row] = json.loads(out)["rows"]
+    assert row[key] == expected()
+    assert max(map(len, re.findall(r"\d+", out))) > limit
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
         main(["dist", "--stat", "mu"])  # missing required arguments
@@ -521,7 +561,8 @@ def parses(monkeypatch):
 
 
 class TestSharedParser:
-    """`main` builds one parser per process, on its first call, and reuses it."""
+    """`main` builds one argparse parser per process, on the first request
+    that the option table hands on (help or a usage error), and reuses it."""
 
     @pytest.fixture
     def cleared(self):
@@ -557,23 +598,37 @@ class TestSharedParser:
             (["frobnicate"], 2),
         ]
         codes = []
-        for _ in range(4):
+
+        def run_all(argvs):
             for argv, _expected in argvs:
                 try:
                     codes.append(main(argv))
                 except SystemExit as exc:
                     codes.append(exc.code)
+
+        # help and the usage errors, in the order of `argvs`
+        handed_on = [["dist", "--stat", "mu"], ["avoid", "--help"],
+                     ["bijection", "--v-to-w", "113", "--w-to-v", "344"], ["frobnicate"]]
+        # the well-formed requests alone, errors raised by a command included,
+        # build and run no parser
+        read = [(argv, code) for argv, code in argvs if argv not in handed_on]
+        run_all(read)
+        assert codes == [expected for argv, expected in read]
+        assert calls == [] and parses == []
+        del codes[:]
+        for _ in range(4):
+            run_all(argvs)
         capsys.readouterr()
         assert len(codes) >= 50
         assert codes == [expected for argv, expected in argvs] * 4
         assert len(calls) == 1
-        # one parse per request: its subcommand's parser, or the top-level
-        # one for `frobnicate`
+        # one parse per request that the table hands on: its subcommand's
+        # parser, or the top-level one for `frobnicate`
         shared = cli._parser()
-        assert parses == [shared._commands.get(argv[0], shared) for argv, _ in argvs] * 4
+        assert parses == [shared._commands.get(argv[0], shared) for argv in handed_on] * 4
 
     def test_cache_clear_resets_the_dispatch_map(self, cleared, parses):
-        argv = ["avoid", "--k", "4", "--s", "2", "--n", "3"]
+        argv = ["avoid", "--k", "-4", "--s", "2", "--n", "3"]  # a negative number
         cli._parse(argv)
         first = cli._parser()
         cli._parser.cache_clear()
@@ -639,6 +694,9 @@ class TestSharedParser:
             ["bijection", "--composition", "2:2+1:1"],
             ["bijection", "--word-to-tiling", "232321"],
             ["oeis-check", "--id", "A007070", "--bfile", "b.txt", "--length", "4"],
+            # parsed by argparse: an abbreviated flag and a negative number
+            ["verify", "--suite", "gap", "--nm", "3", "--full"],
+            ["avoid", "--k", "-4", "--s", "2", "--n", "0..5"],
         ]
         fresh = cli.build_parser()
         expected = [vars(fresh.parse_args(argv)) for argv in argvs] * 20
@@ -664,21 +722,45 @@ class TestSharedParser:
 
 
 class TestOneParse:
-    """A request that names a subcommand is parsed once, by that subcommand's
-    parser; any other argv goes to the top-level parser."""
+    """A well-formed request is parsed once, off the option table, without
+    argparse.  Any other request that names a subcommand is parsed once, by
+    that subcommand's parser; any other argv goes to the top-level parser."""
 
     @pytest.mark.parametrize("argv", [
         ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "0..4", "--q", "1/3"],
         ["totals", "--partitions", "--s", "2", "--n", "4"],
         ["verify", "--suite", "algebra", "--nmax", "2"],
         ["bijection", "--v-to-w", "113"],
+        pytest.param(["dist", "--q=-3/5", "--n=0..4", "--verify", "--stat", "nu", "--k", "3",
+                      "--s=1", "--cap", "40", "--format", "csv", "--out", ""],
+                     id="dist, every option"),
+        pytest.param(["totals", "--words", "--k", "3", "--s", "1", "--n", "2..8"],
+                     id="totals --words"),
+        ["avoid", "--k", "4", "--s", "2", "--n", "0..5", "--out=rows.json"],
+        ["partition-dist", "--n", "4..7", "--k", "3", "--s", "2", "--q", "7/3",
+         "--cap", "100"],
+        ["gap", "--r", "2", "--k", "2", "--s", "1", "--n", "3"],
+        pytest.param(["verify", "--suite", "kary", "--kmax", "3", "--nmax", "4", "--smax",
+                      "2", "--full-report"], id="verify, every option"),
+        pytest.param(["bijection", "--composition", "2:2+1:1", "--format", "csv"],
+                     id="bijection --composition"),
+        ["oeis-check", "--id", "A007070", "--bfile", "b.txt", "--shift", "1", "--length",
+         "4", "--generator", "avoid-step2-alphabet4"],
     ], ids=lambda argv: argv[0])
-    def test_a_known_subcommand_is_parsed_once(self, parses, argv):
-        args = cli._parse(argv)
-        assert parses == [cli._parser()._commands[argv[0]]]
-        del parses[:]
+    def test_a_known_subcommand_is_parsed_once(self, monkeypatch, parses, argv):
         full = cli.build_parser().parse_args(argv)
-        assert len(parses) == 2  # the top-level parse, then the subcommand's
+        del parses[:]
+
+        def no_parser():
+            raise AssertionError("a parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", no_parser)
+        cli._parser.cache_clear()
+        try:
+            args = cli._parse(argv)
+        finally:
+            cli._parser.cache_clear()
+        assert parses == []
         assert vars(args) == {k: v for k, v in vars(full).items() if k != "command"}
 
     @pytest.mark.parametrize("argv", [[], ["-h"], ["frobnicate"], ["--", "dist"],

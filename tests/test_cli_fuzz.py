@@ -1,7 +1,9 @@
 """Fuzz the command line with argv drawn from its own option grammar.
 
 Every subcommand, flag and mutually exclusive group can be drawn, with junk
-values, missing required flags and flags of other subcommands mixed in.
+values, negative numbers, missing required flags, repeated and abbreviated
+flags, `=value` given to flags that take none, and flags of other
+subcommands mixed in.
 Whatever the input, `main` must exit 0, 1 or 2 and print no traceback, and
 its parse must end as a fresh parser's full parse does.
 Values are bounded (k <= 6, n <= 8, s <= 4, a small --cap, verify grids
@@ -34,7 +36,8 @@ def _or_junk(values):
 
 
 def _ints(lo, hi):
-    return _or_junk(st.integers(lo, hi).map(str))
+    # a negative number now and then, which argparse takes as a separate value
+    return _or_junk(_sometimes(st.integers(-9, -1), st.integers(lo, hi), 8).map(str))
 
 
 def _joined(sep, items, max_size):
@@ -56,7 +59,8 @@ PARTS = st.tuples(st.integers(-1, 4), _joined(",", st.integers(0, 4), 3)).map(
     lambda part: f"{part[0]}:{part[1]}")
 COMPOSITIONS = _or_junk(_joined("+", PARTS, 4))
 BFILE = "<b-file>"  # replaced by the fixture's path in each example
-OUT = _sometimes(st.just(os.path.join(os.devnull, "rows.json")), st.just(os.devnull), 4)
+OUT = _sometimes(st.sampled_from([os.path.join(os.devnull, "rows.json"), ""]),
+                st.just(os.devnull), 4)
 FLAG = None  # a flag that takes no value
 
 COMMON = {"--format": _or_junk(st.sampled_from(["json", "csv"])), "--out": OUT}
@@ -91,7 +95,11 @@ ALL_FLAGS = sorted({flag for required, optional, group in GRAMMAR.values()
 
 @st.composite
 def _option(draw, flag, values):
+    if draw(st.integers(1, 10)) == 1:  # a prefix argparse may take for the flag
+        flag = flag[:draw(st.integers(3, len(flag)))]
     if values is FLAG:
+        if draw(st.integers(1, 10)) == 1:  # a value given to a flag that takes none
+            return [f"{flag}={draw(st.sampled_from(['', '1', 'x']))}"]
         return [flag]
     value = draw(values)
     return [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
@@ -114,6 +122,8 @@ def argvs(draw):
     if "--verify" in chosen and "--cap" not in chosen:
         chosen.append("--cap")  # the default cap would enumerate 6^8 words
     values = {**required, **optional, **group, **COMMON}
+    if chosen and draw(st.integers(1, 8)) == 1:  # an option given twice
+        chosen.append(draw(st.sampled_from(chosen)))
     groups = [draw(_option(flag, values[flag])) for flag in chosen]
     if draw(st.integers(1, 8)) == 1:  # a flag of another subcommand, or none at all
         flag = draw(st.sampled_from(ALL_FLAGS))
@@ -186,5 +196,21 @@ def _full_parse(argv):
 @example(argv=["-h", "gap"])
 @example(argv=["--", "gap"])
 @example(argv=["gap", "--k=--"])
+@example(argv=["avoid", "--k", "4", "--s", "2", "--n", "3", "--out=--"])
+@example(argv=["oeis-check", "--id=--", "--bfile", "b"])
+@example(argv=["avoid", "--k", "4", "--k=5", "--s", "2", "--n", "3"])
+@example(argv=["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "2", "--verify=1"])
+@example(argv=["totals", "--words=", "--k", "3", "--s", "1", "--n", "2"])
+@example(argv=["dist", "--st", "mu", "--k", "3", "--s", "1", "--n", "2", "--ca", "5"])
+@example(argv=["verify", "--suite", "gap", "--nmax", "2", "--full"])
+@example(argv=["avoid", "--k", "4", "--s", "2", "--n", "3", "--out="])
+@example(argv=["avoid", "--k", "-3", "--s", "-1", "--n", "3"])
+@example(argv=["gap", "--k", "4", "--s", "-2", "--r", "-1", "--n", "3"])
+@example(argv=["verify", "--suite", "kary", "--kmax", "-1", "--nmax", "-2", "--smax", "-3"])
+@example(argv=["oeis-check", "--id", "A007070", "--bfile", "b", "--shift", "-1",
+               "--length", "-2"])
+@example(argv=["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "2", "--cap", "-5"])
+@example(argv=["partition-dist", "--n", "2", "--k", "-1", "--s", "1"])
+@example(argv=["dist", "--stat", "nu", "--k", "3", "--s", "1", "--n", "2", "--q", "-3/5"])
 def test_mains_parse_ends_as_the_full_parse_does(argv):
     assert _outcome(cli._parse, argv) == _outcome(_full_parse, argv)

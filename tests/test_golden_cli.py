@@ -5,7 +5,12 @@ golden_cli.json.  Any change to the numbers, their order or their
 formatting shows up here, so engine rewrites can be checked against the
 output of the code they replace.
 
-Regenerate the digests (only when an output change is intended) with
+The argument parser's own text -- every `-h` page and the stderr of a set
+of usage errors -- is stored verbatim in golden_cli_text.json, at a fixed
+terminal width, so that any change to how the parser is built shows as a
+byte difference.
+
+Regenerate both files (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
@@ -14,6 +19,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -21,6 +27,9 @@ import pytest
 from adjstats.cli import main
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
+GOLDEN_TEXT = Path(__file__).with_name("golden_cli_text.json")
+# argparse wraps help and usage to the terminal width, read from COLUMNS
+COLUMNS = "80"
 
 
 def _corpus():
@@ -208,6 +217,49 @@ def _corpus():
     return cmds
 
 
+def _text_corpus():
+    """Every help page, and usage errors of each kind the parser reports."""
+    cmds = [["-h"]] + [[name, "-h"] for name in (
+        "dist", "totals", "avoid", "partition-dist", "gap", "verify", "bijection",
+        "oeis-check")]
+    cmds += [
+        [],
+        ["frobnicate"],
+        ["--bogus", "dist"],
+        # a missing required option, a bad choice, bad types
+        ["dist", "--stat", "mu"],
+        ["dist", "--stat", "xi", "--k", "3", "--s", "1", "--n", "2"],
+        ["avoid", "--k", "x", "--s", "1", "--n", "2"],
+        ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "2", "--q", "1/0"],
+        ["avoid", "--k", "3", "--s", "1", "--n", "1001"],
+        ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "-2"],
+        # group conflicts and empty groups
+        ["bijection", "--v-to-w", "113", "--w-to-v", "344"],
+        ["totals", "--words", "--partitions", "--s", "1", "--n", "2"],
+        ["bijection"],
+        ["totals", "--s", "1", "--n", "2"],
+        # unrecognized tokens, a missing value, an explicit value for a flag,
+        # an ambiguous abbreviation and an explicit "--" value
+        ["avoid", "--k", "4", "--s", "2", "--n", "3", "extra"],
+        ["avoid", "--k", "4", "--s", "2", "--n", "3", "--bogus", "1"],
+        ["avoid", "--k"],
+        ["verify", "--suite", "gap", "--full-report=1"],
+        ["verify", "--suite", "kary", "--s", "1"],
+        ["gap", "--k=--", "--s", "1", "--r", "1", "--n", "2"],
+    ]
+    return cmds
+
+
+def _run_text(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def _run(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -233,5 +285,17 @@ def test_cli_output_bytes(argv, recorded):
     assert _run(argv) == recorded[" ".join(argv)]
 
 
+@pytest.mark.parametrize("argv", _text_corpus(), ids=lambda argv: " ".join(argv) or "empty")
+def test_parser_text(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    recorded = {" ".join(entry["argv"]): entry
+                for entry in json.loads(GOLDEN_TEXT.read_text())}
+    assert list(recorded) == [" ".join(argv) for argv in _text_corpus()]
+    assert _run_text(argv) == recorded[" ".join(argv)]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps([_run(argv) for argv in _corpus()], indent=1) + "\n")
+    os.environ["COLUMNS"] = COLUMNS
+    GOLDEN_TEXT.write_text(
+        json.dumps([_run_text(argv) for argv in _text_corpus()], indent=1) + "\n")
