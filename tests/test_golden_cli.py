@@ -10,6 +10,11 @@ of usage errors -- is stored verbatim in golden_cli_text.json, at a fixed
 terminal width, so that any change to how the parser is built shows as a
 byte difference.
 
+Two shapes the corpus cannot hold, since their argv names a file, are
+pinned here directly: `oeis-check` against a small mismatching b-file, and
+`--out FILE`, whose file holds the bytes stdout would, for one request of
+each subcommand in both formats.
+
 Regenerate both files (only when an output change is intended) with
 
     PYTHONPATH=src python tests/test_golden_cli.py
@@ -283,6 +288,102 @@ def test_golden_corpus_is_the_recorded_one(recorded):
 @pytest.mark.parametrize("argv", _corpus(), ids=" ".join)
 def test_cli_output_bytes(argv, recorded):
     assert _run(argv) == recorded[" ".join(argv)]
+
+
+# A007070 at indices 0..3 with index 2 wrong: the term there is 14
+OEIS_MISMATCH = "0 1\n1 4\n2 15\n3 48\n"
+
+OEIS_MISMATCH_OUTPUT = {
+    "json": """\
+{
+  "command": "oeis-check",
+  "sequence": "A007070",
+  "generator": "avoid-step2-alphabet4",
+  "shift": 0,
+  "checked": 4,
+  "passed": false,
+  "complete": true,
+  "rows": [
+    {
+      "index": 0,
+      "expected": "1",
+      "computed": "1",
+      "equal": true
+    },
+    {
+      "index": 1,
+      "expected": "4",
+      "computed": "4",
+      "equal": true
+    },
+    {
+      "index": 2,
+      "expected": "15",
+      "computed": "14",
+      "equal": false
+    },
+    {
+      "index": 3,
+      "expected": "48",
+      "computed": "48",
+      "equal": true
+    }
+  ]
+}
+""",
+    "csv": """\
+index,expected,computed,equal
+0,1,1,True
+1,4,4,True
+2,15,14,False
+3,48,48,True
+""",
+}
+
+
+@pytest.fixture
+def mismatch_bfile(tmp_path):
+    path = tmp_path / "b007070.txt"
+    path.write_text(OEIS_MISMATCH)
+    return str(path)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_oeis_check_mismatch_bytes(mismatch_bfile, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["oeis-check", "--id", "A007070", "--bfile", mismatch_bfile,
+                     "--length", "4", "--format", fmt])
+    assert code == 1
+    assert out.getvalue() == OEIS_MISMATCH_OUTPUT[fmt]
+
+
+# one request of each subcommand; "{bfile}" stands for the mismatch b-file
+OUT_CORPUS = [
+    ["dist", "--stat", "nu", "--k", "4", "--s", "2", "--n", "0..6", "--verify", "--q", "7/3"],
+    ["totals", "--partitions", "--k", "3", "--s", "2", "--n", "5..9"],
+    ["avoid", "--k", "4", "--s", "2", "--n", "40..60"],
+    ["partition-dist", "--n", "0..8", "--k", "3", "--s", "2", "--q=5/2"],
+    ["gap", "--k", "3", "--s", "1", "--r", "2", "--n", "0..12"],
+    ["verify", "--suite", "algebra", "--full-report"],
+    ["bijection", "--composition", "3:1,3+1:1+2:2"],
+    ["oeis-check", "--id", "A007070", "--bfile", "{bfile}", "--length", "4"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv", OUT_CORPUS, ids=lambda argv: argv[0])
+def test_out_file_holds_the_stdout_bytes(argv, fmt, mismatch_bfile, tmp_path):
+    argv = [token.format(bfile=mismatch_bfile) for token in argv] + ["--format", fmt]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    target = tmp_path / f"out.{fmt}"
+    quiet = io.StringIO()
+    with contextlib.redirect_stdout(quiet), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv + ["--out", str(target)]) == code
+    assert quiet.getvalue() == ""
+    assert out.getvalue() and target.read_bytes() == out.getvalue().encode()
 
 
 @pytest.mark.parametrize("argv", _text_corpus(), ids=lambda argv: " ".join(argv) or "empty")
