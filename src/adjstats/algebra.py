@@ -6,12 +6,14 @@ Everything here is immutable and exact.  All polynomial ring code lives
 once, on `Poly`; `QPoly`, `PQPoly` and `XPoly` only name its variable.
 Coefficients live in whatever ring supports +, -, * and comparison with
 integers: Python ints, fractions.Fraction, or polynomials in a variable
-of lower rank.  The exceptions and the record base classes the modules
-share live here too.
+of lower rank.  The exceptions, the record base classes and the exact
+decimal text of integers and fractions, which the modules share, live
+here too.
 """
 
 from __future__ import annotations
 
+import decimal
 from fractions import Fraction
 from operator import attrgetter
 
@@ -76,6 +78,25 @@ class _Frozen(_Record):
 
     def __reduce__(self):
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+def _decimal(values: list) -> list[str]:
+    """Integers or Fractions as `str` writes them, exact at any size.
+
+    `str` refuses an integer past the interpreter's digit limit (4,300
+    digits by default); that limit is process-wide, so it is left as it is
+    and such a value goes through `decimal`, which has no limit."""
+    try:
+        return list(map(str, values))
+    except ValueError:
+        pass
+    texts = []
+    for value in values:
+        text = str(decimal.Decimal(value.numerator))
+        if value.denominator != 1:
+            text += "/" + str(decimal.Decimal(value.denominator))
+        texts.append(text)
+    return texts
 
 
 def _trim(coeffs):

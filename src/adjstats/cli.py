@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import decimal
 import functools
 import io
 import json
@@ -26,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import absdiff, bijections, kary, oeis, oracle, partitions, verify
-from .algebra import InternalInvariantViolation, QPoly
+from .algebra import InternalInvariantViolation, QPoly, _decimal
 
 # the most cells a `bijection --composition` may total: its move list and
 # JSON grow with the total, which an argv of a few bytes can make huge
@@ -38,10 +37,14 @@ _MAX_LENGTH = 1000
 
 
 def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}") from None
+    # `Fraction` builds 10**e for an exponent before any check, so a few
+    # bytes of "1e999999999" would ask for an integer of hundreds of MB
+    if "e" not in text and "E" not in text:
+        try:
+            return Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
 def _parse_range(text: str) -> range:
@@ -97,25 +100,6 @@ def _word_text(word) -> str:
     return "".join(map(str, word))
 
 
-def _decimal(values: list) -> list[str]:
-    """Integers or Fractions as `str` writes them, exact at any size.
-
-    `str` refuses an integer past the interpreter's digit limit (4,300
-    digits by default); that limit is process-wide, so it is left as it is
-    and such a value goes through `decimal`, which has no limit."""
-    try:
-        return list(map(str, values))
-    except ValueError:
-        pass
-    texts = []
-    for value in values:
-        text = str(decimal.Decimal(value.numerator))
-        if value.denominator != 1:
-            text += "/" + str(decimal.Decimal(value.denominator))
-        texts.append(text)
-    return texts
-
-
 def _poly_json(poly: QPoly) -> dict:
     return {"var": "q", "coeffs": _decimal(poly.coeffs) or ["0"]}
 
@@ -133,21 +117,87 @@ def _flatten(value):
     return value
 
 
-def _emit(payload: dict, fmt: str, out_path) -> None:
-    if fmt == "json":
-        text = json.dumps(payload, indent=2) + "\n"
+_encode = json.encoder.encode_basestring_ascii
+
+
+def _json_text(payload) -> str:
+    """`json.dumps(payload, indent=2)`, byte for byte.
+
+    With an indent, `json` encodes in pure Python one item at a time; here
+    the text is built in one list of chunks, joined once, and a list of
+    strings -- every coefficient array -- is encoded by one join."""
+    chunks = []
+    _json_chunks(payload, "\n", chunks)
+    return "".join(chunks)
+
+
+def _json_chunks(value, newline: str, chunks: list) -> None:
+    """Append `value`'s JSON to `chunks`, where `newline` is a line break
+    and the indent of the line `value` starts on.  Any type but dict, list,
+    tuple, str, int, bool and None, a subclass of one, or a dict with a key
+    that is not a str is written by `json.dumps`: an encoded string holds
+    no raw line break, so indenting that text is a replace."""
+    kind = type(value)
+    if kind is str:
+        chunks.append(_encode(value))
+    elif kind is int:
+        chunks.append(int.__repr__(value))
+    elif kind is bool:
+        chunks.append("true" if value else "false")
+    elif value is None:
+        chunks.append("null")
+    elif kind is dict:
+        if not value:
+            chunks.append("{}")
+            return
+        start, inner = len(chunks), newline + "  "
+        lead = "{" + inner
+        for key, item in value.items():
+            if type(key) is not str:  # take back this dict's chunks
+                del chunks[start:]
+                chunks.append(json.dumps(value, indent=2).replace("\n", newline))
+                return
+            chunks.append(lead + _encode(key) + ": ")
+            _json_chunks(item, inner, chunks)
+            lead = "," + inner
+        chunks.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        try:  # a TypeError names an item that is not a str
+            chunks.append("[" + inner + ("," + inner).join(map(_encode, value))
+                          + newline + "]")
+        except TypeError:
+            lead = "[" + inner
+            for item in value:
+                chunks.append(lead)
+                _json_chunks(item, inner, chunks)
+                lead = "," + inner
+            chunks.append(newline + "]")
     else:
-        # a payload without rows is one row of its top-level fields
-        rows = payload["rows"] if "rows" in payload else [payload]
-        buf = io.StringIO()
-        if rows:
-            # a row whose check the cap skipped has other keys: take every key
-            fields = list(dict.fromkeys(key for row in rows for key in row))
-            writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-            writer.writeheader()
-            for row in rows:
-                writer.writerow({k: _flatten(v) for k, v in row.items()})
-        text = buf.getvalue()
+        chunks.append(json.dumps(value, indent=2).replace("\n", newline))
+
+
+def _csv_text(payload: dict) -> str:
+    """The payload's rows as CSV, one column per key in the order keys
+    first appear; a row without a key leaves its cell empty."""
+    # a payload without rows is one row of its top-level fields
+    rows = payload["rows"] if "rows" in payload else [payload]
+    if not rows:
+        return ""
+    buf = io.StringIO()
+    # a row whose check the cap skipped has other keys: take every key
+    fields = list(dict.fromkeys(key for row in rows for key in row))
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    writer.writerows([_flatten(row.get(key, "")) for key in fields] for row in rows)
+    return buf.getvalue()
+
+
+def _emit(payload: dict, fmt: str, out_path) -> None:
+    text = _json_text(payload) + "\n" if fmt == "json" else _csv_text(payload)
     if out_path:
         try:
             with open(out_path, "w") as handle:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 
-from .algebra import _Frozen, _Record
+from .algebra import _decimal, _Frozen, _Record
 from .kary import KSParams, avoid_count
 
 
@@ -146,11 +146,12 @@ def reconcile(spec: CheckSpec, bfile: BFile) -> ReconcileReport:
         if n < 0:
             continue
         computed = gen(n)
+        expected_text, computed_text = _decimal([expected, computed])
         report.rows.append(
             {
                 "index": index,
-                "expected": str(expected),
-                "computed": str(computed),
+                "expected": expected_text,
+                "computed": computed_text,
                 "equal": computed == expected,
             }
         )

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import io
 import json
 import re
@@ -10,8 +11,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adjstats import absdiff, bijections, cli, kary, oracle, partitions, transfer
+from adjstats import absdiff, bijections, cli, kary, oeis, oracle, partitions, transfer
 from adjstats.algebra import RatFunc, XPoly
 from adjstats.cli import main
 
@@ -166,6 +169,104 @@ class TestFormats:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith(f"error: cannot write {target}")
         assert "Traceback" not in captured.err
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+JSON_LEAVES = st.one_of(
+    st.text(),
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "é", "\U0001f600",
+                     "a\"b\\c\td"]),
+    st.integers(),
+    st.integers(-10**300, 10**300),
+    st.booleans(),
+    st.none(),
+    st.floats(),  # nan and the infinities included
+    st.builds(_Str, st.text()),
+    st.builds(_Int, st.integers()),
+)
+
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda children: st.one_of(
+    st.lists(children, max_size=4),
+    st.lists(children, max_size=4).map(tuple),
+    st.lists(st.text(), max_size=6),
+    st.dictionaries(st.text(max_size=4), children, max_size=4),
+    st.dictionaries(st.one_of(st.text(max_size=4), st.integers()), children, max_size=3),
+), max_leaves=30)
+
+CSV_CELLS = st.recursive(
+    st.one_of(st.text(max_size=6), st.integers(), st.booleans(), st.none()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+        st.fixed_dictionaries({"var": st.just("q"),
+                               "coeffs": st.lists(st.integers().map(str), max_size=4)}),
+    ), max_leaves=8)
+
+CSV_ROWS = st.lists(st.dictionaries(
+    st.sampled_from(["n", "dist", "value", "warning", "a,b", 'say "q"', ""]), CSV_CELLS,
+    max_size=4), max_size=5)
+
+
+def _dict_writer_text(payload):
+    """The CSV `csv.DictWriter` writes for a payload: the reference the CLI's
+    list-row writer is held to."""
+    rows = payload["rows"] if "rows" in payload else [payload]
+    buf = io.StringIO()
+    if rows:
+        fields = list(dict.fromkeys(key for row in rows for key in row))
+        writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: cli._flatten(v) for k, v in row.items()})
+    return buf.getvalue()
+
+
+class TestWriters:
+    @settings(max_examples=400, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_json_is_json_dumps_indent_2(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), {"a": []}, [{}], {1: "x", "y": [2]}, {"y": [{"z": "0"}], 1: "x"},
+        [[["0"]]], (_Str("s"), "t"),
+        {"k": _Int(3)}, [float("nan"), float("inf"), -float("inf"), 1.5], -10**299,
+    ], ids=repr)
+    def test_json_edge_shapes(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=CSV_ROWS, one_row=st.booleans())
+    def test_csv_is_dict_writer(self, rows, one_row):
+        payload = rows[0] if one_row and rows else {"command": "x", "rows": rows}
+        assert cli._csv_text(payload) == _dict_writer_text(payload)
+
+    @pytest.mark.parametrize("argv", [
+        "dist --stat mu --k 2 --s 1 --n 0..10 --q=-3/5",
+        "dist --stat nu --k 4 --s 2 --n 0..6 --verify --q 7/3",
+        "dist --stat mu --k 7 --s 3 --n 400",
+        "verify --suite fibwords --full-report",
+        "verify --suite partitions --nmax 6 --full-report",
+        "verify --suite all --nmax 3 --full-report",
+    ])
+    def test_json_requests_do_not_reach_json_dumps(self, capsys, monkeypatch, argv):
+        recorded = {" ".join(entry["argv"]): entry for entry in json.loads(
+            (Path(__file__).parent / "golden_cli.json").read_text())}[argv]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        code, out = run(capsys, *argv.split())
+        assert code == recorded["exit"]
+        assert hashlib.sha256(out.encode()).hexdigest() == recorded["sha256"]
 
 
 class TestTotals:
@@ -336,6 +437,17 @@ class TestOeisCheck:
         code = main(["oeis-check", "--id", "A000001", "--bfile", str(bfile)])
         assert code == 2
 
+    def test_a_term_past_the_digit_limit_is_written_in_full(self, capsys, tmp_path):
+        bfile = tmp_path / "b007070.txt"
+        bfile.write_text("10000 5\n")
+        limit = sys.get_int_max_str_digits()
+        code, out = run(capsys, "oeis-check", "--id", "A007070", "--bfile", str(bfile))
+        [row] = json.loads(out)["rows"]
+        assert code == 1 and sys.get_int_max_str_digits() == limit
+        assert (row["expected"], row["equal"]) == ("5", False)
+        assert row["computed"] == _digits(oeis.GENERATORS["avoid-step2-alphabet4"](10000))
+        assert len(row["computed"]) > limit
+
     @pytest.fixture
     def avoiders5(self, tmp_path):
         # words on 5 letters with no rise by 2, at indices 0..6
@@ -503,6 +615,38 @@ def test_answers_past_the_digit_limit_are_exact(capsys, argv, key, expected):
     [row] = json.loads(out)["rows"]
     assert row[key] == expected()
     assert max(map(len, re.findall(r"\d+", out))) > limit
+
+
+EXPONENT_Q = [
+    ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "2", "--q=1e1000000"],
+    ["dist", "--stat", "nu", "--k", "3", "--s", "1", "--n", "2", "--q", "1E5"],
+    ["dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "2", "--q", "2.5e-3"],
+    ["partition-dist", "--n", "3", "--k", "2", "--s", "1", "--q", "3e2"],
+]
+
+
+@pytest.mark.parametrize("argv", EXPONENT_Q, ids=" ".join)
+def test_exponent_notation_in_q_is_a_usage_error(capsys, argv):
+    # neither the option table nor argparse may hand it to Fraction
+    text = argv[-1].removeprefix("--q=")
+    assert cli._read(argv) is None
+    with pytest.raises(SystemExit) as err:
+        cli.build_parser().parse_args(argv)
+    assert err.value.code == 2
+    assert f"not an exact rational: {text!r}" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    captured = capsys.readouterr()
+    assert err.value.code == 2 and captured.out == ""
+    assert f"not an exact rational: {text!r}" in captured.err
+
+
+@pytest.mark.parametrize("text, value", [
+    ("3", Fraction(3)), ("-3/5", Fraction(-3, 5)), ("+2", Fraction(2)),
+    ("0.25", Fraction(1, 4)), ("-.5", Fraction(-1, 2)), ("7/3", Fraction(7, 3)),
+])
+def test_rational_forms_without_an_exponent_parse(text, value):
+    assert cli._parse_rational(text) == value
 
 
 def test_usage_error_exit_code():

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from adjstats.oeis import (
@@ -86,6 +88,20 @@ class TestReconcile:
         assert not report.passed
         bad = [r for r in report.rows if not r["equal"]]
         assert bad == [{"index": 1, "expected": "5", "computed": "4", "equal": False}]
+
+    def test_a_term_past_the_digit_limit_is_written_in_full(self):
+        bfile = parse_bfile("10000 5\n")
+        report = reconcile(CheckSpec("A007070", "avoid-step2-alphabet4", 0, 1), bfile)
+        [row] = report.rows
+        assert (row["expected"], row["equal"]) == ("5", False)
+        # read back 1,000 digits at a time, below the interpreter's limit
+        text, term = row["computed"], GENERATORS["avoid-step2-alphabet4"](10000)
+        assert len(text) > sys.get_int_max_str_digits()
+        value = 0
+        for start in range(0, len(text), 1000):
+            chunk = text[start:start + 1000]
+            value = value * 10**len(chunk) + int(chunk)
+        assert value == term
 
     def test_incomplete_flagged(self):
         bfile = parse_bfile("0 1\n1 4\n")
