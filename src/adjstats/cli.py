@@ -133,10 +133,10 @@ def _json_text(payload) -> str:
 
 def _json_chunks(value, newline: str, chunks: list) -> None:
     """Append `value`'s JSON to `chunks`, where `newline` is a line break
-    and the indent of the line `value` starts on.  Any type but dict, list,
-    tuple, str, int, bool and None, a subclass of one, or a dict with a key
-    that is not a str is written by `json.dumps`: an encoded string holds
-    no raw line break, so indenting that text is a replace."""
+    and the indent of the line `value` starts on.  A payload holds only
+    dicts with str keys, lists, str, int, bool and None; any other type
+    raises TypeError.  Types are matched exactly, except that a str
+    subclass passes as a key or as an item of a list of strings."""
     kind = type(value)
     if kind is str:
         chunks.append(_encode(value))
@@ -147,21 +147,14 @@ def _json_chunks(value, newline: str, chunks: list) -> None:
     elif value is None:
         chunks.append("null")
     elif kind is dict:
-        if not value:
-            chunks.append("{}")
-            return
-        start, inner = len(chunks), newline + "  "
+        inner = newline + "  "
         lead = "{" + inner
-        for key, item in value.items():
-            if type(key) is not str:  # take back this dict's chunks
-                del chunks[start:]
-                chunks.append(json.dumps(value, indent=2).replace("\n", newline))
-                return
+        for key, item in value.items():  # `_encode` refuses a key that is not a str
             chunks.append(lead + _encode(key) + ": ")
             _json_chunks(item, inner, chunks)
             lead = "," + inner
-        chunks.append(newline + "}")
-    elif kind is list or kind is tuple:
+        chunks.append(newline + "}" if value else "{}")
+    elif kind is list:
         if not value:
             chunks.append("[]")
             return
@@ -177,7 +170,7 @@ def _json_chunks(value, newline: str, chunks: list) -> None:
                 lead = "," + inner
             chunks.append(newline + "]")
     else:
-        chunks.append(json.dumps(value, indent=2).replace("\n", newline))
+        raise TypeError(f"no JSON form for {kind.__name__}")
 
 
 def _csv_text(payload: dict) -> str:
@@ -357,7 +350,7 @@ def _cmd_oeis_check(args):
     except OSError as exc:
         raise ValueError(f"cannot read b-file: {exc}") from None
     report = oeis.reconcile(spec, oeis.parse_bfile(text))
-    return {"command": "oeis-check", **report.to_dict()}, not report.passed
+    return {"command": "oeis-check", **report}, not report["passed"]
 
 
 class _Option:
@@ -484,8 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
         "and set partitions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # name -> subcommand parser, which `main` hands a request to directly
-    parser._commands = sub.choices
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
         groups = {}
@@ -566,9 +557,7 @@ def _read(argv: list):
 
 def _parse(argv: list) -> argparse.Namespace:
     """Parse argv as the top-level parser would: a well-formed request off
-    the option table, and any other argv by argparse, where a request that
-    starts with a subcommand's name is parsed only by that subcommand's
-    parser."""
+    the option table, and any other argv by that parser."""
     args = _read(argv)
     if args is not None:
         return args
@@ -579,15 +568,7 @@ def _parse(argv: list) -> argparse.Namespace:
             # Python 3.11's argparse drops an explicit "--" value and stores []
             # without calling the option's type or checking its choices
             parser.error(f"argument {flag}: expected one argument")
-    command = parser._commands.get(argv[0]) if argv else None
-    if command is None:  # no argv, -h, an unknown command or a leading option
-        return parser.parse_args(argv)
-    # the top-level parser hands every later token to the subcommand's parser
-    # and reports what it leaves over; doing that here parses each token once
-    args, extra = command.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:

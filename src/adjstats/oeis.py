@@ -6,9 +6,10 @@ both values.
 
 from __future__ import annotations
 
+import decimal
 import math
 
-from .algebra import _decimal, _Frozen, _Record
+from .algebra import _decimal, _Frozen
 from .kary import KSParams, avoid_count
 
 
@@ -18,18 +19,23 @@ class BFileParseError(ValueError):
         self.lineno = lineno
 
 
-class BFile(_Frozen):
-    """Parsed b-file: (index, value) pairs with strictly increasing indices."""
+def _term(token: str) -> int:
+    """`int(token)`, except that a run of ASCII digits with an optional sign
+    is read exactly past the interpreter's digit limit, which `int` refuses
+    (4,300 digits by default), through `decimal`, which has no limit."""
+    try:
+        return int(token)
+    except ValueError:
+        digits = token[1:] if token[0] in "+-" else token
+        if not (digits.isascii() and digits.isdigit()):
+            raise
+    return int(decimal.Decimal(token))
 
-    __slots__ = ("entries",)
 
-    def __init__(self, entries: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "entries", entries)
-
-
-def parse_bfile(text: str) -> BFile:
-    """Parse OEIS b-file text: one "index value" pair per line, blank lines
-    and lines starting with '#' ignored."""
+def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
+    """Parse OEIS b-file text into its (index, value) pairs, with strictly
+    increasing indices: one "index value" pair per line, blank lines and
+    lines starting with '#' ignored."""
     entries = []
     last_index = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -40,18 +46,19 @@ def parse_bfile(text: str) -> BFile:
         if len(tokens) != 2:
             raise BFileParseError(lineno, f"expected 'index value', got {line!r}")
         try:
-            index, value = int(tokens[0]), int(tokens[1])
+            index, value = int(tokens[0]), _term(tokens[1])
         except ValueError:
             raise BFileParseError(lineno, f"non-integer token in {line!r}") from None
         if last_index is not None and index <= last_index:
             raise BFileParseError(lineno, f"index {index} not increasing")
         last_index = index
         entries.append((index, value))
-    return BFile(tuple(entries))
+    return tuple(entries)
 
 
-def render_bfile(bfile: BFile) -> str:
-    return "".join(f"{i} {v}\n" for i, v in bfile.entries)
+def render_bfile(entries: tuple[tuple[int, int], ...]) -> str:
+    values = _decimal([value for _, value in entries])
+    return "".join(f"{index} {value}\n" for (index, _), value in zip(entries, values))
 
 
 def _avoid_term(k: int, s: int):
@@ -112,49 +119,23 @@ DEFAULT_CHECKS = {
 }
 
 
-class ReconcileReport(_Record):
-    __slots__ = ("sequence_id", "generator", "shift", "rows", "passed", "complete")
-
-    def __init__(self, sequence_id: str, generator: str, shift: int, rows: list | None = None,
-                 passed: bool = False, complete: bool = False):
-        self.sequence_id, self.generator, self.shift = sequence_id, generator, shift
-        self.rows = [] if rows is None else rows
-        self.passed, self.complete = passed, complete
-
-    def to_dict(self):
-        return {
-            "sequence": self.sequence_id,
-            "generator": self.generator,
-            "shift": self.shift,
-            "checked": len(self.rows),
-            "passed": self.passed,
-            "complete": self.complete,
-            "rows": self.rows,
-        }
-
-
-def reconcile(spec: CheckSpec, bfile: BFile) -> ReconcileReport:
+def reconcile(spec: CheckSpec, entries: tuple[tuple[int, int], ...]) -> dict:
     """Compare the first `spec.length` usable b-file entries against the
     registered generator; entries whose shifted index is negative are
-    outside the generator's range and skipped."""
+    outside the generator's range and skipped.  The report is the dict
+    that `oeis-check` prints after its command name."""
     gen = GENERATORS[spec.generator]
-    report = ReconcileReport(spec.sequence_id, spec.generator, spec.shift)
-    for index, expected in bfile.entries:
-        if len(report.rows) == spec.length:
+    rows = []
+    for index, expected in entries:
+        if len(rows) == spec.length:
             break
         n = index - spec.shift
         if n < 0:
             continue
         computed = gen(n)
         expected_text, computed_text = _decimal([expected, computed])
-        report.rows.append(
-            {
-                "index": index,
-                "expected": expected_text,
-                "computed": computed_text,
-                "equal": computed == expected,
-            }
-        )
-    report.complete = len(report.rows) == spec.length
-    report.passed = bool(report.rows) and all(r["equal"] for r in report.rows)
-    return report
+        rows.append({"index": index, "expected": expected_text, "computed": computed_text,
+                     "equal": computed == expected})
+    return {"sequence": spec.sequence_id, "generator": spec.generator, "shift": spec.shift,
+            "checked": len(rows), "passed": bool(rows) and all(r["equal"] for r in rows),
+            "complete": len(rows) == spec.length, "rows": rows}

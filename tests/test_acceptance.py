@@ -108,8 +108,8 @@ def test_criterion_10_oeis_reconciliation(sequence_id):
         pytest.skip(f"user-supplied b-file not present: {path}")
     base = oeis.DEFAULT_CHECKS[sequence_id]
     spec = oeis.CheckSpec(base.sequence_id, base.generator, base.shift, length=20)
-    report_obj = oeis.reconcile(spec, oeis.parse_bfile(path.read_text()))
-    failures = [r for r in report_obj.rows if not r["equal"]]
-    if not report_obj.complete:
-        failures.append(("incomplete", len(report_obj.rows)))
+    result = oeis.reconcile(spec, oeis.parse_bfile(path.read_text()))
+    failures = [r for r in result["rows"] if not r["equal"]]
+    if not result["complete"]:
+        failures.append(("incomplete", len(result["rows"])))
     report(f"10 OEIS reconciliation {sequence_id}", failures)
