@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import re
 
 from .algebra import _decimal, _Frozen
 from .kary import KSParams, avoid_count
@@ -19,23 +20,21 @@ class BFileParseError(ValueError):
         self.lineno = lineno
 
 
-def _term(token: str) -> int:
-    """`int(token)`, except that a run of ASCII digits with an optional sign
-    is read exactly past the interpreter's digit limit, which `int` refuses
-    (4,300 digits by default), through `decimal`, which has no limit."""
-    try:
-        return int(token)
-    except ValueError:
-        digits = token[1:] if token[0] in "+-" else token
-        if not (digits.isascii() and digits.isdigit()):
-            raise
-    return int(decimal.Decimal(token))
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # no "_" and no non-ASCII digit, which `int` takes
+
+
+def _integer(token: str, exact: bool = False) -> int:
+    """A token of `_INTEGER` as an int, else ValueError.  An `exact` read passes
+    the interpreter's `int` digit limit (4,300) through `decimal`, which has none."""
+    if not _INTEGER.fullmatch(token):
+        raise ValueError(f"not an integer: {token!r}")
+    return int(decimal.Decimal(token)) if exact else int(token)
 
 
 def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
     """Parse OEIS b-file text into its (index, value) pairs, with strictly
-    increasing indices: one "index value" pair per line, blank lines and
-    lines starting with '#' ignored."""
+    increasing indices: one "index value" pair of signed ASCII integers per
+    line, blank lines and lines starting with '#' ignored."""
     entries = []
     last_index = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -46,7 +45,7 @@ def parse_bfile(text: str) -> tuple[tuple[int, int], ...]:
         if len(tokens) != 2:
             raise BFileParseError(lineno, f"expected 'index value', got {line!r}")
         try:
-            index, value = int(tokens[0]), _term(tokens[1])
+            index, value = _integer(tokens[0]), _integer(tokens[1], exact=True)
         except ValueError:
             raise BFileParseError(lineno, f"non-integer token in {line!r}") from None
         if last_index is not None and index <= last_index:

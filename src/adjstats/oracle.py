@@ -10,10 +10,10 @@ prefixes m letters short of the end per junction state, counts once per
 state the key increments of the m-letter suffixes that may follow it,
 and multiplies the two counters out.  Every prefix and every suffix is
 visited; words are combined only by distributivity.  Every statistic is
-read off the packed keys of that tally in one pass over it, in one layout
-for words and growth sequences alike.  Nothing comes from a recurrence,
-a closed form or a DP table, so these values are the independent
-reference that every other module is checked against.
+read off the packed keys of that tally by `_read`, in one pass over it and
+one layout for words and growth sequences alike.  Nothing comes from a
+recurrence, a closed form or a DP table, so these values are the
+independent reference that every other module is checked against.
 """
 
 from __future__ import annotations
@@ -32,13 +32,19 @@ def words(k, n):
     return itertools.product(range(1, k + 1), repeat=n)
 
 
+def _layout(k, n):
+    """(base, place): `_walk(k, n, ...)` counts difference d at place(d)."""
+    base = max(n, 2)
+    return base, lambda d: base ** (d + k - 1)
+
+
 @lru_cache(maxsize=32)
 def _walk_tables(k, n, banned, growth):
     """The `step` and `after` tables of `_walk` for one family, shared (as
     tuples) by every walk of it; a count makes one walk per junction state."""
-    base = max(n, 2)
+    _, place = _layout(k, n)
     # step[a][b]: what a pair (a, b) adds to the key; row 0 is "no pair yet"
-    step = tuple(tuple(base ** (b - a + k - 1) if a and b else 0 for b in range(k + 1))
+    step = tuple(tuple(place(b - a) if a and b else 0 for b in range(k + 1))
                  for a in range(k + 1))
     # after[a][top]: the letters that may follow a when the maximum is top
     after = tuple(tuple(tuple(b for b in range(1, (min(top + 1, k) if growth else k) + 1)
@@ -52,7 +58,7 @@ def _walk(k, n, banned=frozenset(), gap=1, growth=False, start=((), 0), stop=Non
     (a pair (0, b) bars b as first letter), in lexicographic order, as
     (word, key, top).  With `growth`, each letter is at most one above the
     running maximum `top`, which gives the restricted growth functions.
-    `key` packs the difference profile: its base-max(n, 2) digit d + k - 1
+    `key` packs the difference profile: its digit at `_layout` place d
     counts the i with w[i+gap] - w[i] = d.
 
     With a `start` (word, maximum) and a `stop` length, it visits only the
@@ -122,22 +128,27 @@ def _count(k, n, banned, gap, growth):
 
 def _unpack(key, k, n):
     """The difference profile packed in a key of `_walk`."""
-    base = max(n, 2)
-    return tuple(key // base**i % base for i in range(2 * k - 1))
+    base, place = _layout(k, n)
+    return tuple(key // place(d) % base for d in range(1 - k, k))
 
 
-def _read(tally, k, n, diffs):
-    """[c_0, c_1, ...] in one pass over a tally of `_walk(k, n, ...)`: c_i
-    counts the sequences with i pairs whose difference is in `diffs`, the
-    sum of (at most two) digits of their key.  A missing second digit is
-    read at the place past the key's 2k - 1 digits, where it is 0."""
-    base = max(n, 2)
-    units = [base ** (d + k - 1) for d in diffs if abs(d) < k]
-    u, v = units + [base ** (2 * max(k, 0))] * (2 - len(units))
-    coeffs = [0] * base
+def _read(tally, k, n, first, second):
+    """rows[i][j] in one pass over a tally of `_walk(k, n, ...)`: how many
+    sequences have i pairs with a difference in `first` (p) and j in
+    `second` (q).  A set's count is the digit at place u of key * m, m adding
+    a key copy per difference shifted to bring its digit to u; a key's digits
+    sum to its pairs, fewer than the base, so the copies add without carry."""
+    base, place = _layout(k, n)
+    marks = []
+    for diffs in (first, second):
+        places = [place(d) for d in set(diffs) if abs(d) < k]
+        u = max(places, default=1)
+        marks += [sum(u // v for v in places), u]
+    mp, up, mq, uq = marks
+    rows = [[0] * base for _ in range(base if mp else 1)]  # no p-mark: every i is 0
     for key, count in tally.items():
-        coeffs[key // u % base + key // v % base] += count
-    return coeffs
+        rows[key * mp // up % base][key * mq // uq % base] += count
+    return rows
 
 
 @lru_cache(maxsize=None)
@@ -156,24 +167,22 @@ def _profiles(k, n, cap, banned=frozenset(), gap=1):
 
 
 @lru_cache(maxsize=None)
-def _marginal(n, k, gap, diffs, growth):
-    """Distribution of the number of indices i with w[i+gap] - w[i] in
-    `diffs` over the k-ary words of length n (with `growth`, the growth
-    sequences with maximum at most k), built once per argument tuple from
-    their tally."""
-    return QPoly(_read(_tally(n, k, frozenset(), gap, growth), k, n, diffs))
+def _marginal(n, k, gap, growth, banned, first, second):
+    """`_read` of one family's tally, rows as q-polynomials, once per argument tuple."""
+    return tuple(map(QPoly, _read(_tally(n, k, banned, gap, growth), k, n, first, second)))
 
 
 def distribution_mu(k, s, n, cap=DEFAULT_CAP) -> QPoly:
     """Distribution of the count of rises by exactly s (pairs a, a+s)."""
     _profiles(k, n, cap)
-    return _marginal(n, k, 1, (s,), False)
+    return _marginal(n, k, 1, False, frozenset(), (), (s,))[0]
 
 
 def distribution_nu(k, s, n, cap=DEFAULT_CAP) -> QPoly:
     """Distribution of the count of jumps of absolute size s."""
     _profiles(k, n, cap)
-    return _marginal(n, k, 1, tuple(sorted({s, -s})) if s >= 0 else (), False)
+    jumps = tuple(sorted({s, -s})) if s >= 0 else ()
+    return _marginal(n, k, 1, False, frozenset(), (), jumps)[0]
 
 
 def distribution_gap(k, s, r, n, cap=DEFAULT_CAP) -> QPoly:
@@ -181,29 +190,20 @@ def distribution_gap(k, s, r, n, cap=DEFAULT_CAP) -> QPoly:
     if r < 1:
         raise ValueError("gap must be >= 1")
     _profiles(k, n, cap, gap=r)
-    return _marginal(n, k, r, (s,), False)
-
-
-def _joint(n, second, cap):
-    """p^level q^read over 3-ary words avoiding 1-3, where `read` counts
-    the differences in `second`, in one pass over their tally."""
-    base = max(n, 2)
-    level, u, v = (base ** (d + 2) for d in (0,) + second)
-    rows = [[0] * base for _ in range(base)]
-    for key, count in _profiles(3, n, cap, frozenset({(1, 3)})).items():
-        rows[key // level % base][key // u % base + key // v % base] += count
-    return PQPoly(map(QPoly, rows))
+    return _marginal(n, k, r, False, frozenset(), (), (s,))[0]
 
 
 def joint_lev_asc(n, cap=DEFAULT_CAP) -> PQPoly:
     """Joint (level, ascent) distribution over 3-ary words avoiding 1-3,
     as a bivariate polynomial with p marking levels and q marking ascents."""
-    return _joint(n, (1, 2), cap)
+    _profiles(3, n, cap, frozenset({(1, 3)}))
+    return PQPoly(_marginal(n, 3, 1, False, frozenset({(1, 3)}), (0,), (1, 2)))
 
 
 def joint_lev_des(n, cap=DEFAULT_CAP) -> PQPoly:
     """Joint (level, descent) distribution over 3-ary words avoiding 1-3."""
-    return _joint(n, (-1, -2), cap)
+    _profiles(3, n, cap, frozenset({(1, 3)}))
+    return PQPoly(_marginal(n, 3, 1, False, frozenset({(1, 3)}), (0,), (-1, -2)))
 
 
 def count_avoiders(k, n, forbidden, cap=DEFAULT_CAP) -> int:
@@ -213,7 +213,7 @@ def count_avoiders(k, n, forbidden, cap=DEFAULT_CAP) -> int:
     for a, b in bad:
         if not (1 <= a <= k and 1 <= b <= k):
             raise ValueError(f"forbidden pair {(a, b)} outside alphabet [1, {k}]")
-    return sum(_profiles(k, n, cap, bad).values())
+    return _profiles(k, n, cap, bad).total()
 
 
 def total_mu_oracle(k, s, n, cap=DEFAULT_CAP) -> int:

@@ -87,7 +87,7 @@ def _at_most(n: int, k: int, s: int, cap: int) -> QPoly:
     visited = _growth_count(n, k)
     if visited != sum(stirling_table(n, k)[n]):
         raise InternalInvariantViolation(f"walk visited {visited} of S({n}, 0..{k}) sequences")
-    return _marginal(n, k, 1, (s,), True)
+    return _marginal(n, k, 1, True, frozenset(), (), (s,))[0]
 
 
 def p_dist_oracle(n: int, k: int, s: int, cap: int = DEFAULT_CAP) -> QPoly:

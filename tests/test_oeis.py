@@ -56,6 +56,24 @@ class TestParse:
             parse_bfile(f"0 {token}\n")
         assert str(err.value).startswith("line 1: non-integer token in ")
 
+    @pytest.mark.parametrize("text", [
+        "1_0 5_000", "1_0 5", "10 5_000", "\u0661\u0662 \u0665", "12 \u0665", "\uff11 1",
+        "0 0x1", "0 1.0", "0 -", "0 ++1", "0 1\u0663", "0 \U0001d7d9", "0 " + "1_1" * 2000,
+    ], ids=["underscores", "index-underscore", "value-underscore", "arabic-indic", "arabic-value",
+            "fullwidth-index", "hex", "decimal-point", "bare-sign", "two-signs", "mixed-digits",
+            "math-digit", "long-underscores"])
+    def test_a_token_must_be_signed_ascii_digits(self, text):
+        # `int` alone reads the tokens with "_" and those with non-ASCII digits
+        with pytest.raises(BFileParseError) as err:
+            parse_bfile(text)
+        assert str(err.value).startswith("line 1: non-integer token in ")
+
+    def test_signed_ascii_digits_are_read_exactly(self):
+        block = 9081726354
+        digits = str(block) * 600
+        assert parse_bfile(f"-3 +0012\n+4 -0\n5 {digits}\n") == (
+            (-3, 12), (4, 0), (5, block * (10**6000 - 1) // (10**10 - 1)))
+
     def test_an_index_past_the_digit_limit_is_a_non_integer_token(self):
         # no generator reaches such an index, and it could not be printed
         with pytest.raises(BFileParseError) as err:

@@ -194,9 +194,9 @@ def test_each_distribution_is_built_once(monkeypatch):
     built = []
     real = oracle._read
 
-    def counting(tally, k, n, diffs):
-        built.append(diffs)
-        return real(tally, k, n, diffs)
+    def counting(tally, k, n, first, second):
+        built.append((first, second))
+        return real(tally, k, n, first, second)
 
     monkeypatch.setattr(oracle, "_read", counting)
     try:
@@ -220,6 +220,28 @@ def test_each_distribution_is_built_once(monkeypatch):
                      distribution_gap(4, 2, 2, 5)]
 
 
+def test_each_joint_is_read_once_per_tally_and_mark_sets(monkeypatch):
+    oracle._marginal.cache_clear()
+    reads = []
+    real = oracle._read
+
+    def counting(tally, k, n, first, second):
+        reads.append((tally, n, first, second))
+        return real(tally, k, n, first, second)
+
+    monkeypatch.setattr(oracle, "_read", counting)
+    try:
+        want = [(joint_lev_asc(n), joint_lev_des(n)) for n in range(6)]
+        for _ in range(3):
+            assert [(joint_lev_asc(n), joint_lev_des(n)) for n in range(6)] == want
+    finally:
+        oracle._marginal.cache_clear()
+    assert [read[1:] for read in reads] == [
+        (n, (0,), marks) for n in range(6) for marks in [(1, 2), (-1, -2)]]
+    for tally, n, _, _ in reads:
+        assert tally is oracle._tally(n, 3, frozenset({(1, 3)}), 1, False)
+
+
 def test_total_mu_oracle():
     # two marked words of length 2 over {1,2,3}: 12 and 23
     assert total_mu_oracle(3, 1, 2) == 2
@@ -237,18 +259,21 @@ def test_enumeration_cap():
         distribution_mu(10, 1, 10, cap=10**6)
 
 
-def _reference_profiles(k, n, banned, gap, growth):
-    """{difference profile: number of sequences}, by filtering
-    `itertools.product` and counting each word's differences directly."""
-    counts = Counter()
+def _reference_family(k, n, banned, gap, growth):
+    """The difference list of each sequence of a family, by filtering
+    `itertools.product` and taking each word's differences directly."""
     for w in itertools.product(range(1, k + 1), repeat=n):
         if any(pair in banned for pair in zip((0,) + w, w)):
             continue
         if growth and any(c > max(w[:i], default=0) + 1 for i, c in enumerate(w)):
             continue
-        diffs = [w[i + gap] - w[i] for i in range(n - gap)]
-        counts[tuple(diffs.count(d) for d in range(1 - k, k))] += 1
-    return counts
+        yield [w[i + gap] - w[i] for i in range(n - gap)]
+
+
+def _reference_profiles(k, n, banned, gap, growth):
+    """{difference profile: number of sequences} over `_reference_family`."""
+    return Counter(tuple(diffs.count(d) for d in range(1 - k, k))
+                   for diffs in _reference_family(k, n, banned, gap, growth))
 
 
 def _tally_profiles(k, n, banned, gap, growth):
@@ -257,13 +282,13 @@ def _tally_profiles(k, n, banned, gap, growth):
 
 
 @st.composite
-def families(draw):
-    """k <= 5, n <= 8, gap <= 3, any banned pairs (first-letter bars (0, b)
-    among them) and growth on or off."""
-    k = draw(st.integers(0, 5))
+def families(draw, kmax=5, nmax=8):
+    """k <= kmax, n <= nmax, gap <= 3, any banned pairs (first-letter bars
+    (0, b) among them) and growth on or off."""
+    k = draw(st.integers(0, kmax))
     pairs = [(a, b) for a in range(k + 1) for b in range(1, k + 1)]
     banned = frozenset(draw(st.lists(st.sampled_from(pairs), max_size=6)) if pairs else ())
-    return k, draw(st.integers(0, 8)), banned, draw(st.integers(1, 3)), draw(st.booleans())
+    return k, draw(st.integers(0, nmax)), banned, draw(st.integers(1, 3)), draw(st.booleans())
 
 
 class TestMeetInTheMiddle:
@@ -392,8 +417,23 @@ class TestOnePassRead:
     def test_marginal_matches_a_product_scan(self, k, n, gap, growth, both, data):
         s = data.draw(st.integers(0, k + 1))
         diffs = tuple(sorted({-s, s})) if both else (s,)
-        assert oracle._marginal(n, k, gap, diffs, growth) == _scan_marginal(
+        assert oracle._marginal(n, k, gap, growth, frozenset(), (), diffs)[0] == _scan_marginal(
             k, n, gap, diffs, growth)
+
+    @given(families(4, 6), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_read_matches_a_product_scan(self, family, data):
+        """rows[i][j] counts the sequences with i differences in `first`
+        and j in `second`, for any family and any two sets of up to three
+        distinct differences, possible or not."""
+        k, n = family[:2]
+        first, second = (data.draw(st.lists(st.integers(-k - 1, k + 1), unique=True,
+                                            max_size=3).map(tuple)) for _ in range(2))
+        rows = oracle._read(oracle._tally(n, k, *family[2:]), k, n, first, second)
+        cells = Counter({(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c})
+        assert cells == Counter(
+            (sum(d in first for d in diffs), sum(d in second for d in diffs))
+            for diffs in _reference_family(*family))
 
     @pytest.mark.parametrize("n", range(8))
     def test_joint_matches_a_product_scan(self, n):
@@ -412,7 +452,7 @@ class TestOnePassRead:
         lambda: distribution_mu(5, 1, 6),
         lambda: distribution_nu(5, 2, 6),
         lambda: distribution_gap(5, 1, 2, 6),
-        lambda: oracle._marginal(7, 3, 1, (2,), True),
+        lambda: oracle._marginal(7, 3, 1, True, frozenset(), (), (2,)),
         lambda: joint_lev_asc(6),
         lambda: joint_lev_des(6),
     ], ids=["mu", "nu", "gap", "growth", "lev-asc", "lev-des"])
