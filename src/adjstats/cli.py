@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from . import absdiff, bijections, kary, oeis, oracle, partitions, verify
-from .algebra import InternalInvariantViolation, QPoly, _decimal
+from .algebra import InternalInvariantViolation, QPoly, _decimal, _expansion
 
 # the most cells a `bijection --composition` may total: its move list and
 # JSON grow with the total, which an argv of a few bytes can make huge
@@ -202,22 +202,21 @@ def _emit(payload: dict, fmt: str, out_path) -> None:
 
 
 def _cmd_dist(args):
-    # one table, and at most one closed-form expansion, at the longest length;
-    # the closed form checks every row, the oracle those within --cap
+    # one table, and at most one stored closed-form expansion, at the longest
+    # length; the closed form checks every row, the oracle those within --cap
     top = args.n[-1]
-    gf = None
+    closed = None
     if args.stat == "mu":
         params = kary.KSParams(args.k, args.s)
         dists = kary.a_table(params, top)
         oracle_dist = oracle.distribution_mu
         if args.verify:
-            gf = kary.gf_A(params)
+            closed = _expansion(kary.gf_A, (params,), top)
     else:
         dists = absdiff.b_table(args.k, args.s, top)
         oracle_dist = oracle.distribution_nu
         if args.verify and absdiff.regime(args.k, args.s) == "small":
-            gf = absdiff.gf_B_small(args.k, args.s)
-    closed = gf.series(top) if gf is not None else None
+            closed = _expansion(absdiff.gf_B_small, (args.k, args.s), top)
     rows = []
     for n in args.n:
         dist = dists[n]

@@ -11,6 +11,7 @@ k, so the distribution for k blocks is bound k's minus bound k - 1's.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import islice
 
 from .algebra import (
@@ -63,6 +64,12 @@ def enumerate_rgf(n: int, k: int | None = None, cap: int = DEFAULT_CAP):
             yield w
 
 
+@lru_cache(maxsize=256)
+def _stirling_sum(n: int, k: int) -> int:
+    """S(n, 0) + ... + S(n, k), the growth sequences of length n with maximum at most k."""
+    return sum(stirling_table(n, k)[n])
+
+
 def _check_cap(n: int, cap: int) -> None:
     """Raise when B_n exceeds cap.  Bell numbers never decrease, so the
     triangle stops at the first one above cap."""
@@ -85,7 +92,7 @@ def _at_most(n: int, k: int, s: int, cap: int) -> QPoly:
         return QPoly(())
     k = min(k, max(n, 1))
     visited = _growth_count(n, k)
-    if visited != sum(stirling_table(n, k)[n]):
+    if visited != _stirling_sum(n, k):
         raise InternalInvariantViolation(f"walk visited {visited} of S({n}, 0..{k}) sequences")
     return _marginal(n, k, 1, True, frozenset(), (), (s,))[0]
 

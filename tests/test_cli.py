@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjstats import absdiff, bijections, cli, kary, oeis, oracle, partitions, transfer
+from adjstats import (
+    absdiff, algebra, bijections, cli, kary, oeis, oracle, partitions, transfer,
+)
 from adjstats.algebra import RatFunc, XPoly
 from adjstats.cli import main
 
@@ -64,10 +66,10 @@ class TestDist:
         assert any(row.get("oracle_agrees") for row in rows)
 
     def test_closed_form_disagreement_fails_verify(self, capsys, monkeypatch):
+        argv = ("dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "0..3", "--verify")
+        assert run(capsys, *argv)[0] == 0  # the right closed form is stored first
         monkeypatch.setattr(kary, "gf_A", lambda params: RatFunc(XPoly((2,))))
-        code, out = run(
-            capsys, "dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "0..3", "--verify"
-        )
+        code, out = run(capsys, *argv)
         rows = json.loads(out)["rows"]
         assert all(row["oracle_agrees"] for row in rows)
         assert not all(row["closed_form_agrees"] for row in rows)
@@ -76,23 +78,40 @@ class TestDist:
     @pytest.mark.parametrize("stat,k,s,engine", [("mu", 2, 1, kary), ("nu", 3, 2, absdiff)])
     def test_one_table_and_one_series_per_request(self, capsys, monkeypatch, stat, k, s,
                                                   engine):
-        orders, series_orders = [], []
-        fill, expand = transfer.transfer_dp, RatFunc.series
+        orders, built, expanded = [], [], []
+        gf_name = "gf_A" if engine is kary else "gf_B_small"
+        fill, build, extend = transfer.transfer_dp, getattr(engine, gf_name), \
+            algebra._continue_series
         monkeypatch.setattr(transfer, "_tables", {})
+        monkeypatch.setattr(algebra, "_expansions", {})
         monkeypatch.setattr(engine, "transfer_dp",
                             lambda *a: orders.append(a[2]) or fill(*a))
-        monkeypatch.setattr(RatFunc, "series",
-                            lambda f, order: series_orders.append(order) or expand(f, order))
-        code, out = run(capsys, "dist", "--stat", stat, "--k", str(k), "--s", str(s),
-                        "--n", "0..40", "--verify", "--cap", "5000")
-        rows = json.loads(out)["rows"]
-        assert code == 0
+        monkeypatch.setattr(engine, gf_name, lambda *a: built.append(a) or build(*a))
+        monkeypatch.setattr(algebra, "_continue_series", lambda f, out, order: (
+            expanded.append((len(out), order)) or extend(f, out, order)))
+
+        def request(top):
+            code, out = run(capsys, "dist", "--stat", stat, "--k", str(k), "--s", str(s),
+                            "--n", f"0..{top}", "--verify", "--cap", "5000")
+            assert code == 0
+            return json.loads(out)["rows"]
+
+        rows = request(40)
         assert sum("closed_form_agrees" in row for row in rows) > 1
-        assert orders == [40] and series_orders == [40]
+        assert orders == [40] and len(built) == 1 and expanded == [(0, 40)]
         # within its capacity the store only appends, so 41 stored totals
         # means each length was filled once
         [table] = transfer._tables.values()
         assert table.capacity == 40 and len(table.totals) == 41
+        # a repeat builds no closed form and expands no coefficient
+        assert request(40) == rows
+        assert len(built) == 1 and expanded == [(0, 40)]
+        # a longer one expands only the orders past the stored 0..40
+        longer = request(60)
+        assert longer[:41] == rows and all(row["closed_form_agrees"] for row in longer)
+        assert len(built) == 1 and expanded == [(0, 40), (41, 60)]
+        [(_, coeffs)] = algebra._expansions.values()
+        assert len(coeffs) == 61
 
     def test_closed_form_checks_rows_past_the_cap(self, capsys):
         code, out = run(capsys, "dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "5..7",
@@ -105,6 +124,9 @@ class TestDist:
             assert row["closed_form_agrees"] is True
 
     def test_wrong_closed_form_fails_a_row_past_the_cap(self, capsys, monkeypatch):
+        argv = ("dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "5..7",
+                "--verify", "--cap", "300")
+        assert run(capsys, *argv)[0] == 0  # the right closed form is stored first
         right = kary.gf_A
 
         def wrong_from_6(params):
@@ -113,8 +135,7 @@ class TestDist:
             return RatFunc(XPoly(series))
 
         monkeypatch.setattr(kary, "gf_A", wrong_from_6)
-        code, out = run(capsys, "dist", "--stat", "mu", "--k", "3", "--s", "1", "--n", "5..7",
-                        "--verify", "--cap", "300")
+        code, out = run(capsys, *argv)
         rows = json.loads(out)["rows"]
         assert [row.get("oracle_agrees") for row in rows] == [True, None, None]
         assert [row["closed_form_agrees"] for row in rows] == [True, False, True]
@@ -134,6 +155,8 @@ class TestDist:
             "mu": (kary, "a_table", "distribution_mu", "gf_A"),
             "nu": (absdiff, "b_table", "distribution_nu", "gf_B_small"),
         }[stat]
+        argv = ("dist", "--stat", stat, "--k", "4", "--s", "2", "--n", "0..4", "--verify")
+        assert run(capsys, *argv)[0] == 0  # every right route is stored first
         if route == "table":
             right_table = getattr(engine, table)
 
@@ -156,12 +179,63 @@ class TestDist:
                 return RatFunc(XPoly(series))
 
             monkeypatch.setattr(engine, gf_name, wrong_gf)
-        code, out = run(capsys, "dist", "--stat", stat, "--k", "4", "--s", "2", "--n", "0..4",
-                        "--verify")
+        code, out = run(capsys, *argv)
         rows = json.loads(out)["rows"]
         assert code == 1
         assert [{key for key in ("oracle_agrees", "closed_form_agrees") if not row[key]}
                 for row in rows] == [set(), set(), wrong, set(), set()]
+
+
+class TestClosedFormStore:
+    @pytest.fixture(autouse=True)
+    def empty_store(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_expansions", {})
+
+    # 66 rise shapes (k, s), 1 <= s < k <= 12, each its own closed form
+    SHAPES = [(k, s) for k in range(2, 13) for s in range(1, k)]
+
+    def test_the_store_keeps_at_most_64_entries(self, capsys):
+        assert len(self.SHAPES) > 64
+        for k, s in self.SHAPES:
+            code, out = run(capsys, "dist", "--stat", "mu", "--k", str(k), "--s", str(s),
+                            "--n", "0..3", "--verify")
+            assert code == 0
+            assert all(row["closed_form_agrees"] for row in json.loads(out)["rows"])
+            assert len(algebra._expansions) <= 64
+        assert len(algebra._expansions) == 64
+        # the least recently read go first
+        assert (kary.gf_A, (kary.KSParams(2, 1),)) not in algebra._expansions
+        assert (kary.gf_A, (kary.KSParams(12, 11),)) in algebra._expansions
+
+    def test_an_evicted_entry_is_built_afresh(self, capsys):
+        for k, s in self.SHAPES:
+            algebra._expansion(kary.gf_A, (kary.KSParams(k, s),), 3)
+        params = kary.KSParams(*self.SHAPES[0])
+        assert (kary.gf_A, (params,)) not in algebra._expansions
+        got = algebra._expansion(kary.gf_A, (params,), 9)
+        assert got == tuple(kary.gf_A(params).series(9))
+        code, out = run(capsys, "dist", "--stat", "mu", "--k", str(params.k),
+                        "--s", str(params.s), "--n", "0..9", "--verify")
+        assert code == 0
+        assert all(row["closed_form_agrees"] for row in json.loads(out)["rows"])
+
+    def test_a_read_is_a_tuple_prefix(self):
+        args = (4, 2)
+        longer = algebra._expansion(absdiff.gf_B_small, args, 12)
+        shorter = algebra._expansion(absdiff.gf_B_small, args, 5)
+        assert isinstance(longer, tuple) and shorter == longer[:6]
+        assert longer == tuple(absdiff.gf_B_small(*args).series(12))
+
+    def test_two_threads_store_what_one_thread_does(self, monkeypatch):
+        params = kary.KSParams(5, 2)
+        one = algebra._expansion(kary.gf_A, (params,), 150)
+        monkeypatch.setattr(algebra, "_expansions", {})
+        algebra._expansion(kary.gf_A, (params,), 10)
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            reads = list(pool.map(lambda order: algebra._expansion(kary.gf_A, (params,), order),
+                                  [150, 150]))
+        assert reads == [one, one]
+        assert algebra._expansions[kary.gf_A, (params,)][1] == one
 
 
 class TestFormats:

@@ -139,12 +139,14 @@ def _drop_once(walk, suffix):
 class TestWalkInvariant:
     def test_skipped_word_is_caught(self, monkeypatch):
         oracle._tally.cache_clear()
+        oracle._marginal.cache_clear()
         monkeypatch.setattr(oracle, "_walk", _skip_one(oracle._walk, 7))
         try:
             with pytest.raises(InternalInvariantViolation):
                 distribution_mu(3, 1, 4)
         finally:
             oracle._tally.cache_clear()
+            oracle._marginal.cache_clear()
 
     def test_skipped_growth_sequence_is_caught(self, monkeypatch):
         oracle._tally.cache_clear()
@@ -161,12 +163,14 @@ class TestWalkInvariant:
     @pytest.mark.parametrize("suffix", [False, True], ids=["prefix", "suffix"])
     def test_dropped_prefix_or_suffix_entry_is_caught_in_words(self, monkeypatch, suffix):
         oracle._tally.cache_clear()
+        oracle._marginal.cache_clear()
         monkeypatch.setattr(oracle, "_walk", _drop_once(oracle._walk, suffix))
         try:
             with pytest.raises(InternalInvariantViolation):
                 distribution_mu(2, 1, 10)
         finally:
             oracle._tally.cache_clear()
+            oracle._marginal.cache_clear()
 
     @pytest.mark.parametrize("suffix", [False, True], ids=["prefix", "suffix"])
     def test_dropped_prefix_or_suffix_entry_is_caught_in_growth(self, monkeypatch, suffix):
