@@ -459,8 +459,26 @@ class RatFunc:
         return _power(self, n, RatFunc.one())
 
     def series(self, order):
-        """Coefficients c_0..c_order of the power-series expansion at x = 0."""
-        return _continue_series(self, [], order)
+        """Coefficients c_0..c_order of the power-series expansion at x = 0.
+
+        Computed through the linear recurrence the denominator induces, so
+        each coefficient costs O(deg den) ring operations.
+        """
+        den = self.den.coeffs
+        d0 = den[0] if den else 0
+        while isinstance(d0, Poly) and d0.degree <= 0:  # a constant polynomial
+            d0 = d0.coeff(0)
+        if d0 == 0:
+            raise NotExpandable("denominator has zero constant term")
+        if not isinstance(d0, (int, Fraction)):
+            raise NotExpandable(f"denominator constant term {d0!r} is not invertible")
+        out = []
+        for n in range(order + 1):
+            acc = self.num.coeff(n)
+            for j in range(1, min(n, len(den) - 1) + 1):
+                acc = acc - den[j] * out[n - j]
+            out.append(_div_coeff(acc, d0))
+        return out
 
     def scale_x(self, c):
         """Substitute x -> c*x."""
@@ -472,43 +490,24 @@ class RatFunc:
         return f"RatFunc({self.num!r}, {self.den!r})"
 
 
-def _continue_series(f, out, order):
-    """Append c_len(out)..c_order of f's series to `out`, its coefficients
-    from c_0, and return it: the linear recurrence the denominator induces,
-    O(deg den) ring operations per coefficient."""
-    den = f.den.coeffs
-    d0 = den[0] if den else 0
-    while isinstance(d0, Poly) and d0.degree <= 0:  # a constant polynomial
-        d0 = d0.coeff(0)
-    if d0 == 0:
-        raise NotExpandable("denominator has zero constant term")
-    if not isinstance(d0, (int, Fraction)):
-        raise NotExpandable(f"denominator constant term {d0!r} is not invertible")
-    for n in range(len(out), order + 1):
-        acc = f.num.coeff(n)
-        for j in range(1, min(n, len(den) - 1) + 1):
-            acc = acc - den[j] * out[n - j]
-        out.append(_div_coeff(acc, d0))
-    return out
-
-
-# (build, args) -> (build(*args), its series so far), least recently read
-# first, at most 64 entries.  A replaced builder is another key, so it never
-# reads a stale entry; the lock keeps two threads off one entry at once.
+# (build, args) -> the longest series of build(*args) read, least recently
+# read first, at most 64 entries; only coefficients are kept, no closed form.
+# A replaced builder is another key, but a replaced helper beneath it (say
+# kary.gf_denominator) is not, so whoever replaces one empties the store.
 _expansions: dict = {}
 _expansions_lock = threading.Lock()
 
 
 def _expansion(build, args, order):
     """c_0..c_order of the series of the rational function build(*args), as
-    a tuple: built on a miss, continued from the stored order on a longer
-    request, and a prefix of the stored coefficients on a shorter one."""
+    a tuple: built and expanded to `order` on a miss or a longer request,
+    and a prefix of the stored coefficients otherwise."""
     key = (build, args)
     with _expansions_lock:
-        f, coeffs = _expansions.pop(key, None) or (build(*args), ())
+        coeffs = _expansions.pop(key, ())
         if len(coeffs) <= order:
-            coeffs = tuple(_continue_series(f, list(coeffs), order))
-        _expansions[key] = f, coeffs
+            coeffs = tuple(build(*args).series(order))
+        _expansions[key] = coeffs
         if len(_expansions) > 64:
             del _expansions[next(iter(_expansions))]
     return coeffs[: order + 1]

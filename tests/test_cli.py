@@ -80,15 +80,14 @@ class TestDist:
                                                   engine):
         orders, built, expanded = [], [], []
         gf_name = "gf_A" if engine is kary else "gf_B_small"
-        fill, build, extend = transfer.transfer_dp, getattr(engine, gf_name), \
-            algebra._continue_series
+        fill, build, expand = transfer.transfer_dp, getattr(engine, gf_name), RatFunc.series
         monkeypatch.setattr(transfer, "_tables", {})
         monkeypatch.setattr(algebra, "_expansions", {})
         monkeypatch.setattr(engine, "transfer_dp",
                             lambda *a: orders.append(a[2]) or fill(*a))
         monkeypatch.setattr(engine, gf_name, lambda *a: built.append(a) or build(*a))
-        monkeypatch.setattr(algebra, "_continue_series", lambda f, out, order: (
-            expanded.append((len(out), order)) or extend(f, out, order)))
+        monkeypatch.setattr(RatFunc, "series",
+                            lambda f, order: expanded.append(order) or expand(f, order))
 
         def request(top):
             code, out = run(capsys, "dist", "--stat", stat, "--k", str(k), "--s", str(s),
@@ -98,19 +97,19 @@ class TestDist:
 
         rows = request(40)
         assert sum("closed_form_agrees" in row for row in rows) > 1
-        assert orders == [40] and len(built) == 1 and expanded == [(0, 40)]
+        assert orders == [40] and len(built) == 1 and expanded == [40]
         # within its capacity the store only appends, so 41 stored totals
         # means each length was filled once
         [table] = transfer._tables.values()
         assert table.capacity == 40 and len(table.totals) == 41
         # a repeat builds no closed form and expands no coefficient
         assert request(40) == rows
-        assert len(built) == 1 and expanded == [(0, 40)]
-        # a longer one expands only the orders past the stored 0..40
+        assert len(built) == 1 and expanded == [40]
+        # a longer one builds and expands its closed form once, to its order
         longer = request(60)
         assert longer[:41] == rows and all(row["closed_form_agrees"] for row in longer)
-        assert len(built) == 1 and expanded == [(0, 40), (41, 60)]
-        [(_, coeffs)] = algebra._expansions.values()
+        assert len(built) == 2 and expanded == [40, 60]
+        [coeffs] = algebra._expansions.values()
         assert len(coeffs) == 61
 
     def test_closed_form_checks_rows_past_the_cap(self, capsys):
@@ -235,7 +234,7 @@ class TestClosedFormStore:
             reads = list(pool.map(lambda order: algebra._expansion(kary.gf_A, (params,), order),
                                   [150, 150]))
         assert reads == [one, one]
-        assert algebra._expansions[kary.gf_A, (params,)][1] == one
+        assert algebra._expansions[kary.gf_A, (params,)] == one
 
 
 class TestFormats:

@@ -14,7 +14,7 @@ import json
 
 import pytest
 
-from adjstats import cli, fibwords, kary, oracle, partitions, transfer, verify
+from adjstats import algebra, cli, fibwords, kary, oracle, partitions, transfer, verify
 from adjstats.algebra import XPoly
 
 ROUTE = "InternalInvariantViolation: "
@@ -175,6 +175,7 @@ def test_a_tripped_avoidance_check_is_one_stderr_line(monkeypatch, capsys):
     monkeypatch.setattr(kary, "gf_denominator",
                         lambda params, *q: long_form(params, *q) + XPoly.monomial(1, 1))
     monkeypatch.setattr(kary, "_avoid_checked", {})
+    monkeypatch.setattr(algebra, "_expansions", {})  # gf_A reads gf_denominator
     _one_internal_line(capsys, ["avoid", "--k", "5", "--s", "2", "--n", "0..10"],
                        "avoidance recurrences disagree for KSParams(k=5, s=2)")
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjstats import kary, oeis, transfer, verify
+from adjstats import algebra, kary, oeis, transfer, verify
 from adjstats.algebra import (
     InternalInvariantViolation,
     QPoly,
@@ -380,6 +380,7 @@ class TestAvoidCheckedOnce:
 
             monkeypatch.setattr(kary, "gf_A_reduced", wrong)
         monkeypatch.setattr(kary, "_avoid_checked", {})
+        monkeypatch.setattr(algebra, "_expansions", {})  # gf_A reads gf_denominator
         params = KSParams(5, 2)
         with pytest.raises(InternalInvariantViolation,
                            match=re.escape(f"avoidance recurrences disagree for {params}")):
