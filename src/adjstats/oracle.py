@@ -6,12 +6,14 @@ integer key.  A family is data: an alphabet 1..k, banned pairs, a gap
 and the growth flag, which gives the restricted growth functions with
 maximum at most k.  `_count` tallies the keys of one length by meeting
 in the middle (Horowitz and Sahni 1974): it counts the keys of the
-prefixes m letters short of the end per junction state, counts once per
-state the key increments of the m-letter suffixes that may follow it,
-and multiplies the two counters out.  Every prefix and every suffix is
+prefixes m letters short of the end per junction state, and once per
+state the key increments of the m-letter suffixes that may follow it.
+The tally keeps the two counters of each state and multiplies them out
+only where the product is small.  Every prefix and every suffix is
 visited; words are combined only by distributivity.  Every statistic is
-read off the packed keys of that tally by `_read`, in one pass over it and
-one layout for words and growth sequences alike.  Nothing comes from a
+read off the packed keys of that tally by `_read`, which reads each
+counter once and multiplies the two small results per state, with one
+layout for words and growth sequences alike.  Nothing comes from a
 recurrence, a closed form or a DP table, so these values are the
 independent reference that every other module is checked against.
 """
@@ -90,23 +92,29 @@ def _walk(k, n, banned=frozenset(), gap=1, growth=False, start=((), 0), stop=Non
 
 
 def _count(k, n, banned, gap, growth):
-    """Counter {key: number of words} over `_walk(k, n, banned, gap, growth)`,
-    met in the middle.
+    """The tally of `_walk(k, n, banned, gap, growth)`: a tuple of one
+    (prefixes, suffixes) pair of key counters per junction state.
 
-    m is the largest length <= n // 2 with k^m <= 1024.  The walk to
-    length n - m gives, per junction state (the last `gap` letters and,
-    with `growth`, the maximum), how many prefixes carry each key.  One
-    walk of the m-letter extensions of each state gives how many suffixes
-    add each key increment.  A word is one prefix and one suffix of the
-    same state, and its key is their sum, so key p + s gains c * d for
-    every prefix entry (p, c) and suffix entry (s, d) of a state.  When
-    n - m <= gap, each state is one whole prefix and meeting saves no
-    walk, so m = 0: the count is one plain walk."""
+    m is the largest length <= (n - gap + 1) // 2 with k^m <= 1024, which
+    balances the walk of n - m letters against k^gap states of k^m
+    suffixes.  The walk to length n - m gives, per junction state (the
+    last `gap` letters and, with `growth`, the maximum), how many
+    prefixes carry each key.  One walk of the m-letter extensions of each
+    state gives how many suffixes add each key increment.  A word is one
+    prefix and one suffix of the same state, and its key is their sum, so
+    a state's words are its two counters multiplied out, which is left to
+    the reader.  Where that product is small, sum |P| |S| <= 8 sum (|P| +
+    |S|) over the states, the count multiplies out itself: key p + s
+    gains c * d for every prefix entry (p, c) and suffix entry (s, d) of a
+    state, and the joined keys are one state with suffix counter {0: 1}.
+    When n - m <= gap each state is one whole prefix, and when k^m < 8
+    each has too few suffixes for their walks to pay; then the count is
+    one plain walk, stored the same way."""
     m = 0
-    while m < n // 2 and k ** (m + 1) <= 1024:
+    while m < (n - gap + 1) // 2 and k ** (m + 1) <= 1024:
         m += 1
-    if n - m <= gap:
-        return Counter(key for _, key, _ in _walk(k, n, banned, gap, growth))
+    if n - m <= gap or k ** m < 8:
+        return ((Counter(key for _, key, _ in _walk(k, n, banned, gap, growth)), {0: 1}),)
     prefixes = {}
     for word, key, top in _walk(k, n, banned, gap, growth, stop=n - m):
         state = word[-gap:], top if growth else 0
@@ -114,16 +122,24 @@ def _count(k, n, banned, gap, growth):
         if keys is None:
             keys = prefixes[state] = {}
         keys[key] = keys.get(key, 0) + 1
-    counts = Counter()
+    tally = tuple((keys, Counter(inc for _, inc, _ in _walk(
+        k, n, banned, gap, growth, start=(tail, top), stop=len(tail) + m)))
+        for (tail, top), keys in prefixes.items())
+    if sum(len(p) * len(s) for p, s in tally) > 8 * sum(len(p) + len(s) for p, s in tally):
+        return tally
+    counts = {}
     get = counts.get
-    for (tail, top), keys in prefixes.items():
-        suffixes = Counter(inc for _, inc, _ in _walk(
-            k, n, banned, gap, growth, start=(tail, top), stop=len(tail) + m))
+    for keys, suffixes in tally:
         entries = list(keys.items())
         for inc, d in suffixes.items():
             for key, c in entries:
                 counts[key + inc] = get(key + inc, 0) + c * d
-    return counts
+    return ((counts, {0: 1}),)
+
+
+def _mass(tally):
+    """How many sequences a tally counts: total(P) * total(S) summed over its states."""
+    return sum(sum(p.values()) * sum(s.values()) for p, s in tally)
 
 
 def _unpack(key, k, n):
@@ -133,11 +149,16 @@ def _unpack(key, k, n):
 
 
 def _read(tally, k, n, first, second):
-    """rows[i][j] in one pass over a tally of `_walk(k, n, ...)`: how many
-    sequences have i pairs with a difference in `first` (p) and j in
-    `second` (q).  A set's count is the digit at place u of key * m, m adding
-    a key copy per difference shifted to bring its digit to u; a key's digits
-    sum to its pairs, fewer than the base, so the copies add without carry."""
+    """rows[i][j] off a tally of `_walk(k, n, ...)`: how many sequences
+    have i pairs with a difference in `first` (p) and j in `second` (q).
+    A set's count is the digit at place u of key * m, m adding a key copy
+    per difference shifted to bring its digit to u; a key's digits sum to
+    its pairs, fewer than the base, so the copies add without carry.  For
+    the same reason p + s never carries, so the map from a key to its cell
+    i * base + j is additive: each state's suffix and prefix counters are
+    read into cells once each, and the two small results multiplied out.
+    When the suffixes fill one cell, as in a joined tally, the prefixes are
+    added straight in, shifted by it."""
     base, place = _layout(k, n)
     marks = []
     for diffs in (first, second):
@@ -145,19 +166,40 @@ def _read(tally, k, n, first, second):
         u = max(places, default=1)
         marks += [sum(u // v for v in places), u]
     mp, up, mq, uq = marks
-    rows = [[0] * base for _ in range(base if mp else 1)]  # no p-mark: every i is 0
-    for key, count in tally.items():
-        rows[key * mp // up % base][key * mq // uq % base] += count
-    return rows
+    size = base * base if mp else base  # no p-mark: every i is 0
+    cells = [0] * size
+    for prefixes, suffixes in tally:
+        right = {}
+        for key, count in suffixes.items():
+            cell = key * mp // up % base * base + key * mq // uq % base
+            right[cell] = right.get(cell, 0) + count
+        if len(right) == 1:
+            [(shift, times)] = right.items()
+            left = cells
+        else:
+            shift, times, left = 0, 1, [0] * size
+        if mp:
+            for key, count in prefixes.items():
+                left[key * mp // up % base * base + key * mq // uq % base + shift] += count * times
+        else:
+            for key, count in prefixes.items():
+                left[key * mq // uq % base + shift] += count * times
+        if left is not cells:
+            left = [(i, c) for i, c in enumerate(left) if c]
+            for j, d in right.items():
+                for i, c in left:
+                    cells[i + j] += c * d
+    return [cells[i:i + base] for i in range(0, size, base)] if mp else [cells]
 
 
 @lru_cache(maxsize=None)
 def _tally(n, k, banned, gap, growth):
-    """{key: number of sequences} over `_walk(k, n, banned, gap, growth)`."""
-    counts = _count(k, n, banned, gap, growth)
-    if not (banned or growth) and counts.total() != max(k, 0) ** n:
-        raise InternalInvariantViolation(f"walk visited {counts.total()} of {k}^{n} words")
-    return counts
+    """`_count(k, n, banned, gap, growth)`, stored; for plain words its
+    `_mass` must be k^n."""
+    tally = _count(k, n, banned, gap, growth)
+    if not (banned or growth) and _mass(tally) != max(k, 0) ** n:
+        raise InternalInvariantViolation(f"walk visited {_mass(tally)} of {k}^{n} words")
+    return tally
 
 
 def _profiles(k, n, cap, banned=frozenset(), gap=1):
@@ -213,7 +255,7 @@ def count_avoiders(k, n, forbidden, cap=DEFAULT_CAP) -> int:
     for a, b in bad:
         if not (1 <= a <= k and 1 <= b <= k):
             raise ValueError(f"forbidden pair {(a, b)} outside alphabet [1, {k}]")
-    return _profiles(k, n, cap, bad).total()
+    return _mass(_profiles(k, n, cap, bad))
 
 
 def total_mu_oracle(k, s, n, cap=DEFAULT_CAP) -> int:

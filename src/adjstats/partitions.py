@@ -23,7 +23,7 @@ from .algebra import (
     XPoly,
 )
 from .kary import KSParams, _q_minus_one_pow, gf_A, gf_denominator, unit_column_det
-from .oracle import DEFAULT_CAP, _marginal, _tally, _walk
+from .oracle import DEFAULT_CAP, _marginal, _mass, _tally, _walk
 
 
 def _bell_numbers():
@@ -80,7 +80,7 @@ def _check_cap(n: int, cap: int) -> None:
 def _growth_count(n: int, bound: int) -> int:
     """The number of growth sequences of length n with maximum at most
     `bound`, read off their oracle tally; 0 below bound 0."""
-    return _tally(n, bound, frozenset(), 1, True).total() if bound >= 0 else 0
+    return _mass(_tally(n, bound, frozenset(), 1, True)) if bound >= 0 else 0
 
 
 def _at_most(n: int, k: int, s: int, cap: int) -> QPoly:

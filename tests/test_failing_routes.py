@@ -1,11 +1,11 @@
 """A route whose own self-check trips is a failed check, never a traceback.
 
-Each case breaks one self-checking route: the oracle tally (one word
-dropped from every tally of one length), the Lucas numbers behind the
-fibwords totals, the Bell numbers behind the partition grand totals, or
-the avoidance recurrences; or one value, a letter of the per-letter DP
-rows.  A suite records a failed check at each point
-that reads the broken route and passes every other check; `verify` on the
+Each case breaks one self-checking route: the oracle tally (one count
+dropped from a prefix or suffix counter of every tally of one length),
+the Lucas numbers behind the fibwords totals, the Bell numbers behind the
+partition grand totals, or the avoidance recurrences; or one value, a
+letter of the per-letter DP rows.  A suite records a failed check at each
+point that reads the broken route and passes every other check; `verify` on the
 command line reports those failures and exits 1; any other command prints
 one `internal check failed: ` line and exits 1.
 """
@@ -29,17 +29,27 @@ def fresh_tallies():
     oracle._marginal.cache_clear()
 
 
-def _drop_a_word_at(monkeypatch, length):
-    """Every oracle tally of sequences of `length` loses one sequence."""
+def _drop_a_word_at(monkeypatch, length, half=0):
+    """Every oracle tally of sequences of `length` loses one count from the
+    first entry of its first state's prefix counter (`half` 0) or suffix
+    counter (`half` 1).  That takes out as many sequences as the state's
+    other counter holds, one for a prefix entry of a joined tally.  Returns
+    {(k, banned, gap, growth): sequences taken out}, filled as tallies are
+    counted."""
     count = oracle._count
+    lost = {}
 
     def dropping(k, n, banned, gap, growth):
-        counts = count(k, n, banned, gap, growth)
+        tally = count(k, n, banned, gap, growth)
         if n == length:
+            tally = [[dict(counts) for counts in state] for state in tally]
+            counts = tally[0][half]
             counts[next(iter(counts))] -= 1
-        return counts
+            lost[k, banned, gap, growth] = sum(tally[0][1 - half].values())
+        return tally
 
     monkeypatch.setattr(oracle, "_count", dropping)
+    return lost
 
 
 def _break_last_entry(monkeypatch, module, name):
@@ -69,8 +79,8 @@ def _failed_in_suite_and_cli(capsys, suite, **bounds):
     return failed
 
 
-def _walk_short(k, n):
-    return f"{ROUTE}walk visited {k**n - 1} of {k}^{n} words"
+def _walk_short(k, n, lost=1):
+    return f"{ROUTE}walk visited {k**n - lost} of {k}^{n} words"
 
 
 def test_a_short_tally_fails_each_kary_check_that_reads_it(monkeypatch, capsys, fresh_tallies):
@@ -104,6 +114,29 @@ def test_a_short_tally_fails_each_jump_check_that_reads_it(monkeypatch, capsys,
         ("jump DP equals enumeration", {"k": k, "s": s, "n": 3}, _walk_short(k, 3))
         for s in (1, 2) for k in (1, 2, 3)
     ]
+
+
+@pytest.mark.parametrize("suite,bounds", [
+    ("kary", {"kmax": 4, "smax": 2, "nmax": 5}),
+    ("gap", {"kmax": 3, "smax": 2, "nmax": 4}),
+    ("absdiff", {"kmax": 3, "smax": 2, "nmax": 4}),
+])
+def test_a_short_suffix_counter_fails_the_checks_a_short_prefix_counter_fails(
+        monkeypatch, capsys, fresh_tallies, suite, bounds):
+    """A count dropped from a suffix entry takes out every sequence of a
+    prefix counter of its state, and fails the same checks."""
+    with monkeypatch.context() as patch:
+        _drop_a_word_at(patch, 3)
+        by_prefix = _failed_in_suite_and_cli(capsys, suite, **bounds)
+    oracle._tally.cache_clear()
+    oracle._marginal.cache_clear()
+    lost = _drop_a_word_at(monkeypatch, 3, half=1)
+    by_suffix = _failed_in_suite_and_cli(capsys, suite, **bounds)
+    assert by_prefix and [failed[:2] for failed in by_suffix] == [
+        failed[:2] for failed in by_prefix]
+    assert [detail for _, _, detail in by_suffix] == [
+        _walk_short(params["k"], 3, lost[params["k"], frozenset(), params.get("r", 1), False])
+        for _, params, _ in by_suffix]
 
 
 def test_a_wrong_lucas_number_fails_the_totals_that_read_it(monkeypatch, capsys):
@@ -192,6 +225,14 @@ def test_a_short_growth_tally_under_partition_dist_is_one_stderr_line(monkeypatc
     _drop_a_word_at(monkeypatch, 3)
     _one_internal_line(capsys, ["partition-dist", "--n", "0..5", "--k", "2", "--s", "1"],
                        "walk visited 3 of S(3, 0..2) sequences")
+
+
+def test_a_short_growth_suffix_counter_under_partition_dist_is_one_stderr_line(
+        monkeypatch, capsys, fresh_tallies):
+    lost = _drop_a_word_at(monkeypatch, 3, half=1)
+    _one_internal_line(capsys, ["partition-dist", "--n", "0..5", "--k", "2", "--s", "1"],
+                       "walk visited 0 of S(3, 0..2) sequences")
+    assert lost[2, frozenset(), 1, True] == 4
 
 
 def test_a_fractional_grand_total_is_one_stderr_line(monkeypatch, capsys):

@@ -184,6 +184,32 @@ class TestWalkInvariant:
             oracle._tally.cache_clear()
             oracle._marginal.cache_clear()
 
+    @pytest.mark.parametrize("half", [0, 1], ids=["prefix", "suffix"])
+    def test_dropped_count_in_a_factored_tally_is_caught(self, monkeypatch, half):
+        """A (6, 7) tally stays factored; one count dropped from a prefix
+        (suffix) entry of its first state takes out as many words as that
+        state's suffix (prefix) counter holds, and the mass check sees them."""
+        count = oracle._count
+        lost = []
+
+        def dropping(*args):
+            tally = [[dict(counts) for counts in state] for state in count(*args)]
+            counts = tally[0][half]
+            counts[next(iter(counts))] -= 1
+            lost.append(sum(tally[0][1 - half].values()))
+            return tally
+
+        oracle._tally.cache_clear()
+        monkeypatch.setattr(oracle, "_count", dropping)
+        try:
+            with pytest.raises(InternalInvariantViolation) as caught:
+                oracle._tally(7, 6, frozenset(), 1, False)
+        finally:
+            oracle._tally.cache_clear()
+        # each state (last letter) ends 6^3 of the 6^4 prefixes and starts 6^3 suffixes
+        assert lost == [6**3]
+        assert str(caught.value) == f"walk visited {6**7 - 6**3} of 6^7 words"
+
 
 def test_one_tally_serves_mu_nu_and_total():
     oracle._tally.cache_clear()
@@ -280,8 +306,19 @@ def _reference_profiles(k, n, banned, gap, growth):
                    for diffs in _reference_family(k, n, banned, gap, growth))
 
 
+def joined(tally):
+    """{key: number of sequences} of a tally: each state's prefix and
+    suffix counters multiplied out, P (x) S, and summed over the states."""
+    counts = Counter()
+    for prefixes, suffixes in tally:
+        for key, c in prefixes.items():
+            for inc, d in suffixes.items():
+                counts[key + inc] += c * d
+    return counts
+
+
 def _tally_profiles(k, n, banned, gap, growth):
-    tally = oracle._tally(n, k, banned, gap, growth)
+    tally = joined(oracle._tally(n, k, banned, gap, growth))
     return Counter({oracle._unpack(key, k, n): count for key, count in tally.items()})
 
 
@@ -296,8 +333,9 @@ def families(draw, kmax=5, nmax=8):
 
 
 class TestMeetInTheMiddle:
-    """`_tally` joins prefix and suffix counters per junction state; it must
-    count exactly the words a plain product scan counts."""
+    """`_tally` keeps a prefix and a suffix counter per junction state, or
+    their join; multiplied out, they must count exactly the words a plain
+    product scan counts."""
 
     @given(families())
     @settings(max_examples=100, deadline=None)
@@ -314,12 +352,12 @@ class TestMeetInTheMiddle:
         (1, 5, frozenset({(1, 1)}), 2, True),
         (3, 2, frozenset(), 3, False),  # gap past the word: every profile empty
         (2, 3, frozenset({(0, 1)}), 5, True),
-        (3, 6, frozenset(), 2, False),  # prefix and suffix of 3 letters
+        (3, 6, frozenset(), 2, False),  # prefix of 4 letters, suffix of 2
         (3, 7, frozenset(), 2, False),  # prefix of 4, suffix of 3
         (2, 9, frozenset({(1, 2)}), 3, False),
         (2, 10, frozenset({(0, 2), (2, 2)}), 1, True),
-        (4, 5, frozenset(), 3, False),  # n - m <= gap: one plain walk
-        (4, 6, frozenset(), 3, False),
+        (4, 5, frozenset(), 3, False),  # k^m < 8: one plain walk
+        (4, 6, frozenset(), 3, False),  # prefix of 4, suffix of 2
         (4, 4, frozenset(), 2, False),
     ])
     def test_edge_cases(self, k, n, banned, gap, growth):
@@ -343,13 +381,16 @@ class TestMeetInTheMiddle:
             tally = oracle._tally(7, 6, frozenset(), 1, False)
         finally:
             oracle._tally.cache_clear()
-        assert tally.total() == 6**7
+        assert joined(tally).total() == 6**7
         assert len(visits) == 6**4 + 6 * 6**3 < 0.03 * 6**7
 
-    @pytest.mark.parametrize("k,n,gap", [(4, 5, 3), (4, 6, 3), (4, 4, 2), (3, 2, 3)])
+    @pytest.mark.parametrize("k,n,gap", [(4, 5, 3), (8, 3, 2), (4, 4, 2), (3, 2, 3),
+                                         (1, 12, 1), (2, 5, 1)])
     def test_a_state_that_is_a_whole_prefix_is_walked_plainly(self, monkeypatch, k, n, gap):
         """With m letters met, n - m <= gap leaves one prefix per junction
-        state, so the count walks the words once and starts no suffix walk."""
+        state ((8, 3, 2), (3, 2, 3)), and k^m < 8 leaves too few suffixes
+        per state for their walks to pay (the rest), so the count walks the
+        words once, starts no suffix walk and stores them as one state."""
         calls = []
         walk = oracle._walk
 
@@ -358,22 +399,23 @@ class TestMeetInTheMiddle:
             return walk(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "_walk", recording)
-        counts = oracle._count(k, n, frozenset(), gap, False)
-        assert counts.total() == k**n
+        tally = oracle._count(k, n, frozenset(), gap, False)
+        assert joined(tally).total() == k**n
         assert calls == [{}]
+        assert len(tally) == 1 and tally[0][1] == {0: 1}
 
     def test_a_cap_scale_count_holds_states_and_keys_not_words(self):
         """3^16 words (43 million, under the default cap): a count keeps
-        one key counter per junction state and the suffix counter of one
-        state at a time, a few MiB, where one int per word would take over
+        one prefix-key counter and one suffix-increment counter per
+        junction state, a few MiB, where one int per word would take over
         300 MiB."""
         tracemalloc.start()
         try:
-            counts = oracle._count(3, 16, frozenset(), 1, False)
+            tally = oracle._count(3, 16, frozenset(), 1, False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert counts.total() == 3**16
+        assert joined(tally).total() == 3**16
         assert peak < 16 * 2**20
 
 
@@ -389,10 +431,10 @@ def _scan_marginal(k, n, gap, diffs, growth):
 
 
 class _CountedTally(Counter):
-    """A tally that records every pass over it."""
+    """A prefix or suffix counter of a tally that records every pass over it."""
 
-    def __init__(self, tally, passes):
-        super().__init__(tally)
+    def __init__(self, counts, passes):
+        super().__init__(counts)
         self.passes = passes
 
     def items(self):
@@ -412,8 +454,14 @@ class _CountedTally(Counter):
         return super().__iter__()
 
 
+def _marks(k):
+    """Up to three distinct differences, possible or not, for an alphabet of k."""
+    return st.lists(st.integers(-k - 1, k + 1), unique=True, max_size=3).map(tuple)
+
+
 class TestOnePassRead:
-    """A statistic is read off its tally's keys in one pass over them."""
+    """A statistic is read off its tally's keys in one pass over each
+    prefix and suffix counter."""
 
     @given(st.integers(0, 5), st.integers(0, 7), st.integers(1, 3), st.booleans(),
            st.booleans(), st.data())
@@ -431,8 +479,7 @@ class TestOnePassRead:
         and j in `second`, for any family and any two sets of up to three
         distinct differences, possible or not."""
         k, n = family[:2]
-        first, second = (data.draw(st.lists(st.integers(-k - 1, k + 1), unique=True,
-                                            max_size=3).map(tuple)) for _ in range(2))
+        first, second = (data.draw(_marks(k)) for _ in range(2))
         rows = oracle._read(oracle._tally(n, k, *family[2:]), k, n, first, second)
         cells = Counter({(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if c})
         assert cells == Counter(
@@ -461,13 +508,46 @@ class TestOnePassRead:
         lambda: joint_lev_des(6),
     ], ids=["mu", "nu", "gap", "growth", "lev-asc", "lev-des"])
     def test_a_read_iterates_its_tally_once(self, monkeypatch, read):
-        passes = []
+        passes, states = [], []
         tally = oracle._tally
-        monkeypatch.setattr(oracle, "_tally",
-                            lambda *args: _CountedTally(tally(*args), passes))
+
+        def counted(*args):
+            states.append(len(tally(*args)))
+            return tuple((_CountedTally(prefixes, passes), _CountedTally(suffixes, passes))
+                         for prefixes, suffixes in tally(*args))
+
+        monkeypatch.setattr(oracle, "_tally", counted)
         oracle._marginal.cache_clear()
         try:
             read()
         finally:
             oracle._marginal.cache_clear()
-        assert passes == ["items"]
+        [size] = set(states)  # the cap check reads the same stored tally
+        assert passes == ["items"] * 2 * size
+
+    @given(families(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_stored_tally_reads_as_its_join(self, family, data):
+        """Read off the stored tally, factored or not, every statistic is
+        the one read off the tally multiplied out in the test."""
+        k, n = family[:2]
+        first, second = (data.draw(_marks(k)) for _ in range(2))
+        tally = oracle._tally(n, k, *family[2:])
+        assert oracle._read(tally, k, n, first, second) == oracle._read(
+            ((joined(tally), {0: 1}),), k, n, first, second)
+
+    @pytest.mark.parametrize("k,n,growth,factored", [
+        (6, 7, False, True), (5, 7, False, True), (2, 12, False, False), (7, 7, True, False)])
+    def test_both_sides_of_the_join_rule_read_as_the_join(self, k, n, growth, factored):
+        """(6, 7) and (5, 7) words stay factored, with fewer entries than
+        their join; (2, 12) words and (7, 7) growth sequences are joined."""
+        tally = oracle._tally(n, k, frozenset(), 1, growth)
+        whole = joined(tally)
+        assert (tally[0][1] != {0: 1}) == factored
+        if factored:
+            assert sum(len(p) + len(s) for p, s in tally) < len(whole)
+        else:
+            assert tally == ((whole, {0: 1}),)
+        for first, second in [((), (1,)), ((), (-2, 2)), ((0,), (1, 2)), ((0, 3), (-1, -2))]:
+            assert oracle._read(tally, k, n, first, second) == oracle._read(
+                ((whole, {0: 1}),), k, n, first, second)

@@ -152,27 +152,41 @@ class TestBoundRead:
             p_dist_oracle(7, 2, 1)
 
 
+def _failed_with_a_dropped_count(monkeypatch, half):
+    """The failed partition checks when the growth tally for n = 7 and
+    maximum at most 6 loses one count from the first entry of its first
+    state's prefix counter (`half` 0) or suffix counter (`half` 1)."""
+    # monkeypatch is set up after fresh_tallies, so the real store is
+    # back before its caches are cleared
+    tally = oracle._tally
+
+    def dropping(n, k, banned, gap, growth):
+        states = tally(n, k, banned, gap, growth)
+        if (n, k, growth) == (7, 6, True):
+            states = [[dict(counts) for counts in state] for state in states]
+            counts = states[0][half]
+            counts[next(iter(counts))] -= 1
+        return states
+
+    monkeypatch.setattr(oracle, "_tally", dropping)
+    monkeypatch.setattr(partitions, "_tally", dropping)
+    return [(c.name, c.params) for c in verify.suite_partitions(nmax=7) if not c.passed]
+
+
 class TestSuiteCounts:
     def test_dropped_sequence_fails_its_stirling_checks(self, fresh_tallies, monkeypatch):
         """The suite's Bell and Stirling counts are read off the growth
         tallies, so one sequence missing from the tally for n = 7 and
         maximum at most 6 fails S(7, 6) and S(7, 7), and the suite returns."""
-        # monkeypatch is set up after fresh_tallies, so the real store is
-        # back before its caches are cleared
-        tally = oracle._tally
+        assert _failed_with_a_dropped_count(monkeypatch, 0) == [
+            ("filtered count is the Stirling number", {"n": 7, "k": 6}),
+            ("filtered count is the Stirling number", {"n": 7, "k": 7})]
 
-        def dropping(n, k, banned, gap, growth):
-            counts = tally(n, k, banned, gap, growth)
-            if (n, k, growth) == (7, 6, True):
-                counts = counts.copy()
-                counts[next(iter(counts))] -= 1
-            return counts
-
-        monkeypatch.setattr(oracle, "_tally", dropping)
-        monkeypatch.setattr(partitions, "_tally", dropping)
-        failed = [(c.name, c.params) for c in verify.suite_partitions(nmax=7) if not c.passed]
-        assert failed == [("filtered count is the Stirling number", {"n": 7, "k": 6}),
-                          ("filtered count is the Stirling number", {"n": 7, "k": 7})]
+    def test_dropped_suffix_count_fails_the_same_stirling_checks(self, fresh_tallies,
+                                                                 monkeypatch):
+        assert _failed_with_a_dropped_count(monkeypatch, 1) == [
+            ("filtered count is the Stirling number", {"n": 7, "k": 6}),
+            ("filtered count is the Stirling number", {"n": 7, "k": 7})]
 
 
 class TestClosedForm:

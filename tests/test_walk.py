@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adjstats import oracle
-from adjstats.algebra import PQPoly, QPoly
+from adjstats.algebra import QPoly
 from adjstats.bijections import (
     is_level_free_no13_start2,
     is_v_word,
@@ -26,12 +26,11 @@ from adjstats.oracle import (
     distribution_gap,
     distribution_mu,
     distribution_nu,
-    joint_lev_asc,
-    joint_lev_des,
     total_mu_oracle,
     words,
 )
 from adjstats.partitions import enumerate_rgf, p_dist_oracle, p_total_all_oracle
+from test_oracle import joined
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 
@@ -94,20 +93,6 @@ def test_gap_matches_scan(k, s, r, n):
     assert distribution_gap(k, s, r, n) == scan(k, n, lambda w: rises(w, s, r))
 
 
-@given(st.integers(0, 7))
-@settings(max_examples=8, deadline=None)
-def test_joint_matches_scan(n):
-    asc = des = PQPoly()
-    p, q = PQPoly.p(), PQPoly.q()
-    for w in itertools.product((1, 2, 3), repeat=n):
-        if avoids(w, {(1, 3)}):
-            lev = rises(w, 0)
-            asc += p**lev * q ** (rises(w, 1) + rises(w, 2))
-            des += p**lev * q ** (rises(w, -1) + rises(w, -2))
-    assert joint_lev_asc(n) == asc
-    assert joint_lev_des(n) == des
-
-
 @given(banned_sets(), small_n)
 @EXAMPLES
 def test_count_avoiders_matches_scan(case, n):
@@ -131,14 +116,17 @@ def test_walk_visits_the_family_in_order_with_its_profile(case, gap, n):
 
 
 def per_word_count(k, n, banned, gap, growth):
-    """The tally `oracle._count` must give: one key per visited word."""
+    """The tally `oracle._count` must give, multiplied out: one key per
+    visited word."""
     return Counter(key for _, key, _ in oracle._walk(k, n, banned, gap, growth))
 
 
 def block_length(k):
-    """The least n with k^n >= 256.  The counts at n - 1, n and n + 1 split
-    words of both parities into a suffix of m = n // 2 letters (k^m stays
-    within the count's bound of 1024) and a prefix of the rest."""
+    """The least n with k^n >= 256.  The counts at n - 1, n and n + 1 take
+    words of both parities across the meeting rule, m = (n - gap + 1) // 2
+    letters met while k^m stays within the count's bound of 1024: with
+    k^m < 8 the count walks plainly, and otherwise it meets a suffix of m
+    letters with a prefix of the rest."""
     return next(n for n in itertools.count() if k**n >= 256)
 
 
@@ -146,7 +134,8 @@ def block_length(k):
 @settings(max_examples=40, deadline=None)
 def test_count_matches_a_per_word_tally(case, gap, n, growth):
     k, banned = case
-    assert oracle._count(k, n, banned, gap, growth) == per_word_count(k, n, banned, gap, growth)
+    assert joined(oracle._count(k, n, banned, gap, growth)) == per_word_count(
+        k, n, banned, gap, growth)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -157,7 +146,8 @@ def test_count_around_the_block_length(k, shift, gap, growth):
     n = block_length(k) + shift
     banned = frozenset({(0, 2), (1, 1)})
     for bans in (frozenset(), banned):
-        assert oracle._count(k, n, bans, gap, growth) == per_word_count(k, n, bans, gap, growth)
+        assert joined(oracle._count(k, n, bans, gap, growth)) == per_word_count(
+            k, n, bans, gap, growth)
 
 
 @given(banned_sets(first_letter=True), st.integers(1, 4), st.integers(0, 6), st.booleans(),
