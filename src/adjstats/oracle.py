@@ -13,9 +13,11 @@ only where the product is small.  Every prefix and every suffix is
 visited; words are combined only by distributivity.  Every statistic is
 read off the packed keys of that tally by `_read`, which reads each
 counter once and multiplies the two small results per state, with one
-layout for words and growth sequences alike.  Nothing comes from a
-recurrence, a closed form or a DP table, so these values are the
-independent reference that every other module is checked against.
+layout for words and growth sequences alike.  `_marginal` checks that a
+read of plain words counts all k^n of them and stores it; a family's size
+is its read with no marks.  Nothing comes from a recurrence, a closed
+form or a DP table, so these values are the independent reference that
+every other module is checked against, and no other module sees a tally.
 """
 
 from __future__ import annotations
@@ -137,11 +139,6 @@ def _count(k, n, banned, gap, growth):
     return ((counts, {0: 1}),)
 
 
-def _mass(tally):
-    """How many sequences a tally counts: total(P) * total(S) summed over its states."""
-    return sum(sum(p.values()) * sum(s.values()) for p, s in tally)
-
-
 def _unpack(key, k, n):
     """The difference profile packed in a key of `_walk`."""
     base, place = _layout(k, n)
@@ -194,58 +191,54 @@ def _read(tally, k, n, first, second):
 
 @lru_cache(maxsize=None)
 def _tally(n, k, banned, gap, growth):
-    """`_count(k, n, banned, gap, growth)`, stored; for plain words its
-    `_mass` must be k^n."""
-    tally = _count(k, n, banned, gap, growth)
-    if not (banned or growth) and _mass(tally) != max(k, 0) ** n:
-        raise InternalInvariantViolation(f"walk visited {_mass(tally)} of {k}^{n} words")
-    return tally
-
-
-def _profiles(k, n, cap, banned=frozenset(), gap=1):
-    if k**n > cap:
-        raise EnumerationTooLarge(f"{k}^{n} words exceed enumeration cap {cap}")
-    return _tally(n, k, banned, gap, False)
+    """`_count(k, n, banned, gap, growth)`, stored for every read of it."""
+    return _count(k, n, banned, gap, growth)
 
 
 @lru_cache(maxsize=None)
 def _marginal(n, k, gap, growth, banned, first, second):
-    """`_read` of one family's tally, rows as q-polynomials, once per argument tuple."""
-    return tuple(map(QPoly, _read(_tally(n, k, banned, gap, growth), k, n, first, second)))
+    """`_read` of one family's tally, rows as q-polynomials, once per
+    argument tuple.  For plain words the rows must count all k^n words."""
+    rows = _read(_tally(n, k, banned, gap, growth), k, n, first, second)
+    visited = sum(map(sum, rows))
+    if not (banned or growth) and visited != max(k, 0) ** n:
+        raise InternalInvariantViolation(f"walk visited {visited} of {k}^{n} words")
+    return tuple(map(QPoly, rows))
+
+
+def _word_rows(k, n, cap, banned=frozenset(), gap=1, first=(), second=()):
+    """`_marginal` of the k-ary words of length n, once k^n is within cap."""
+    if k**n > cap:
+        raise EnumerationTooLarge(f"{k}^{n} words exceed enumeration cap {cap}")
+    return _marginal(n, k, gap, False, banned, first, second)
 
 
 def distribution_mu(k, s, n, cap=DEFAULT_CAP) -> QPoly:
     """Distribution of the count of rises by exactly s (pairs a, a+s)."""
-    _profiles(k, n, cap)
-    return _marginal(n, k, 1, False, frozenset(), (), (s,))[0]
+    return _word_rows(k, n, cap, second=(s,))[0]
 
 
 def distribution_nu(k, s, n, cap=DEFAULT_CAP) -> QPoly:
     """Distribution of the count of jumps of absolute size s."""
-    _profiles(k, n, cap)
-    jumps = tuple(sorted({s, -s})) if s >= 0 else ()
-    return _marginal(n, k, 1, False, frozenset(), (), jumps)[0]
+    return _word_rows(k, n, cap, second=tuple(sorted({s, -s})) if s >= 0 else ())[0]
 
 
 def distribution_gap(k, s, r, n, cap=DEFAULT_CAP) -> QPoly:
     """Distribution of the count of indices i with w[i+r] - w[i] = s."""
     if r < 1:
         raise ValueError("gap must be >= 1")
-    _profiles(k, n, cap, gap=r)
-    return _marginal(n, k, r, False, frozenset(), (), (s,))[0]
+    return _word_rows(k, n, cap, gap=r, second=(s,))[0]
 
 
 def joint_lev_asc(n, cap=DEFAULT_CAP) -> PQPoly:
     """Joint (level, ascent) distribution over 3-ary words avoiding 1-3,
     as a bivariate polynomial with p marking levels and q marking ascents."""
-    _profiles(3, n, cap, frozenset({(1, 3)}))
-    return PQPoly(_marginal(n, 3, 1, False, frozenset({(1, 3)}), (0,), (1, 2)))
+    return PQPoly(_word_rows(3, n, cap, frozenset({(1, 3)}), first=(0,), second=(1, 2)))
 
 
 def joint_lev_des(n, cap=DEFAULT_CAP) -> PQPoly:
     """Joint (level, descent) distribution over 3-ary words avoiding 1-3."""
-    _profiles(3, n, cap, frozenset({(1, 3)}))
-    return PQPoly(_marginal(n, 3, 1, False, frozenset({(1, 3)}), (0,), (-1, -2)))
+    return PQPoly(_word_rows(3, n, cap, frozenset({(1, 3)}), first=(0,), second=(-1, -2)))
 
 
 def count_avoiders(k, n, forbidden, cap=DEFAULT_CAP) -> int:
@@ -255,7 +248,7 @@ def count_avoiders(k, n, forbidden, cap=DEFAULT_CAP) -> int:
     for a, b in bad:
         if not (1 <= a <= k and 1 <= b <= k):
             raise ValueError(f"forbidden pair {(a, b)} outside alphabet [1, {k}]")
-    return _mass(_profiles(k, n, cap, bad))
+    return _word_rows(k, n, cap, bad)[0].coeff(0)
 
 
 def total_mu_oracle(k, s, n, cap=DEFAULT_CAP) -> int:

@@ -23,7 +23,7 @@ from .algebra import (
     XPoly,
 )
 from .kary import KSParams, _q_minus_one_pow, gf_A, gf_denominator, unit_column_det
-from .oracle import DEFAULT_CAP, _marginal, _mass, _tally, _walk
+from .oracle import DEFAULT_CAP, _marginal, _walk
 
 
 def _bell_numbers():
@@ -79,22 +79,22 @@ def _check_cap(n: int, cap: int) -> None:
 
 def _growth_count(n: int, bound: int) -> int:
     """The number of growth sequences of length n with maximum at most
-    `bound`, read off their oracle tally; 0 below bound 0."""
-    return _mass(_tally(n, bound, frozenset(), 1, True)) if bound >= 0 else 0
+    `bound`, their oracle read with no marks; 0 below bound 0."""
+    return _marginal(n, bound, 1, True, frozenset(), (), ())[0].coeff(0) if bound >= 0 else 0
 
 
 def _at_most(n: int, k: int, s: int, cap: int) -> QPoly:
     """Distribution of adjacent (a, a+s) pairs over the growth sequences of
-    length n with maximum letter at most k, by direct scan.  No sequence
-    has a maximum above max(n, 1), so k is clamped there."""
+    length n with maximum letter at most k, by direct scan; its mass must be
+    S(n, 0) + ... + S(n, k).  No sequence exceeds max(n, 1), so k is clamped there."""
     _check_cap(n, cap)
     if k < 0:
         return QPoly(())
     k = min(k, max(n, 1))
-    visited = _growth_count(n, k)
-    if visited != _stirling_sum(n, k):
-        raise InternalInvariantViolation(f"walk visited {visited} of S({n}, 0..{k}) sequences")
-    return _marginal(n, k, 1, True, frozenset(), (), (s,))[0]
+    dist = _marginal(n, k, 1, True, frozenset(), (), (s,))[0]
+    if dist(1) != _stirling_sum(n, k):
+        raise InternalInvariantViolation(f"walk visited {dist(1)} of S({n}, 0..{k}) sequences")
+    return dist
 
 
 def p_dist_oracle(n: int, k: int, s: int, cap: int = DEFAULT_CAP) -> QPoly:

@@ -200,15 +200,41 @@ class TestWalkInvariant:
             return tally
 
         oracle._tally.cache_clear()
+        oracle._marginal.cache_clear()
         monkeypatch.setattr(oracle, "_count", dropping)
         try:
             with pytest.raises(InternalInvariantViolation) as caught:
-                oracle._tally(7, 6, frozenset(), 1, False)
+                distribution_mu(6, 1, 7)
         finally:
             oracle._tally.cache_clear()
+            oracle._marginal.cache_clear()
         # each state (last letter) ends 6^3 of the 6^4 prefixes and starts 6^3 suffixes
         assert lost == [6**3]
         assert str(caught.value) == f"walk visited {6**7 - 6**3} of 6^7 words"
+
+    @pytest.mark.parametrize("read,message", [
+        (lambda: distribution_mu(3, 1, 4), "walk visited 80 of 3^4 words"),
+        (lambda: partitions.p_dist_oracle(6, 3, 1), "walk visited 121 of S(6, 0..3) sequences"),
+    ], ids=["words", "growth"])
+    def test_a_read_that_loses_a_word_is_caught(self, monkeypatch, read, message):
+        """The check is on the rows a read returns, not on the stored
+        tally, so a sound tally read one word short still trips it."""
+        real = oracle._read
+
+        def losing(*args):
+            rows = real(*args)
+            i, j = next((i, j) for i, row in enumerate(rows) for j, c in enumerate(row) if c)
+            rows[i][j] -= 1
+            return rows
+
+        oracle._marginal.cache_clear()
+        monkeypatch.setattr(oracle, "_read", losing)
+        try:
+            with pytest.raises(InternalInvariantViolation) as caught:
+                read()
+        finally:
+            oracle._marginal.cache_clear()
+        assert str(caught.value) == message
 
 
 def test_one_tally_serves_mu_nu_and_total():

@@ -169,7 +169,6 @@ def _failed_with_a_dropped_count(monkeypatch, half):
         return states
 
     monkeypatch.setattr(oracle, "_tally", dropping)
-    monkeypatch.setattr(partitions, "_tally", dropping)
     return [(c.name, c.params) for c in verify.suite_partitions(nmax=7) if not c.passed]
 
 

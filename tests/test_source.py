@@ -101,6 +101,26 @@ def test_verify_records_a_failing_route_one_way():
     assert sum(isinstance(node, ast.Try) for node in ast.walk(tree)) == 2
 
 
+def test_only_the_oracle_names_its_tally():
+    """A tally's format belongs to `oracle`: no other module imports or
+    reads its `_tally`, `_count` or `_read`, so every read of a tally,
+    a family's size included, goes through `_marginal` and its check."""
+    private = {"_tally", "_count", "_read"}
+    found = []
+    for path in SOURCES:
+        if path.name == "oracle.py":
+            continue
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracle":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value) == "oracle":
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name in private]
+    assert not found, f"tally internals named outside oracle.py: {', '.join(found)}"
+
+
 def test_cli_uses_public_argparse_api_only():
     """`build_parser` builds the parser and `_parse` runs it through
     argparse's public methods alone: cli.py names no private argparse
@@ -139,7 +159,7 @@ def test_cli_public_functions_are_main_and_build_parser():
     assert public == {"main", "build_parser"}
 
 
-# Unbounded stores that bounding the store (ROADMAP item 6) is to replace
+# Unbounded stores that bounding the store (ROADMAP item 4) is to replace
 UNBOUNDED_CACHES = {"oracle._tally", "oracle._marginal"}
 
 
