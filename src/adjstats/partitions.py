@@ -70,6 +70,9 @@ def _stirling_sum(n: int, k: int) -> int:
     return sum(stirling_table(n, k)[n])
 
 
+# every `p_dist_oracle` call, cached or not, checks its cap twice; a cap
+# that holds is remembered, and one that fails raises again on each call
+@lru_cache(maxsize=256)
 def _check_cap(n: int, cap: int) -> None:
     """Raise when B_n exceeds cap.  Bell numbers never decrease, so the
     triangle stops at the first one above cap."""

@@ -353,66 +353,80 @@ def suite_partitions(kmax=5, nmax=9) -> list[Check]:
     return rec.checks
 
 
+# a move word's letters 1..4 as the base-4 digits 0..3
+_BASE4 = bytes.maketrans(b"\x01\x02\x03\x04", b"0123")
+
+
+def _mark(seen: bytearray, digits: bytes, base: int) -> bool:
+    """Mark the word spelt by `digits` in `seen`, which holds one byte per
+    word of one length over `base` digits, indexed by the word's value.
+    True if it was not marked yet; False if it was, or has another length."""
+    if base ** len(digits) != len(seen):
+        return False
+    index = int(b"0" + digits, base)
+    new = not seen[index]
+    seen[index] = 1
+    return new
+
+
 def suite_bijections(nmax=10) -> list[Check]:
-    """Each map runs once per object; the round trips read its images back.
-    A map that raises on a generated object fails that length's check."""
+    """Each map runs once per object, in one pass per length that stores no
+    family.  If g(f(x)) = x for every x in A, f is injective; if every f(x)
+    also passes the membership guard of B, and an independent count gives
+    |A| = |B|, then f is a bijection onto B and g its inverse.  The guards
+    are the maps' own: the replay and `v_to_w` reject a move word outside
+    the 2-4/3-4 avoiders V, `w_to_v` a word outside the 1-3/2-4 avoiders W,
+    and `tiling_to_jpp` a piece other than a square or a domino.  So the
+    compositions of n + 1 biject onto V, counted by the oracle, and then
+    `v_to_w` onto W, which has as many words.  Each image is marked, one
+    byte per possible word of its length, so a family that yields an object
+    twice in place of another is caught by its images.  A map that raises
+    on a generated object fails that length's check."""
     rec = _Recorder("bijections")
     longest_strip = 12
     fib = fibwords.fib_list(longest_strip + 2)
     avoiders = kary.a_rec_alt(kary.KSParams(4, 2), nmax)
     for n in range(nmax + 1):
         with rec.route("composition and rewriting maps accept their families", {"n": n}):
-            comps = list(bijections.colored_compositions(n + 1))
-            mans = [bijections.composition_to_maneuvers(c) for c in comps]
-            vws = sorted(bijections.v_words(n))
-            wws = sorted(bijections.w_words(n))
-            forward = {v: bijections.v_to_w(v) for v in vws}
-            back = {w: bijections.w_to_v(w) for w in wws}
-            decoded = all(bijections.maneuvers_to_composition(m) == c
-                          for c, m in zip(comps, mans))
-            target = oracle.count_avoiders(4, n, frozenset({(1, 3), (2, 4)}))
-            rec.expect_equal(
-                "compositions biject onto move words",
-                {"n": n},
-                sorted(mans),
-                vws,
-            )
+            seen = bytearray(4 ** n)
+            comps = marked = 0
+            decoded = rewritten = True
+            for comp in bijections.colored_compositions(n + 1):
+                comps += 1
+                moves = bijections.composition_to_maneuvers(comp)
+                decoded &= bijections.maneuvers_to_composition(moves) == comp
+                rewritten &= bijections.w_to_v(bijections.v_to_w(moves)) == moves
+                marked += _mark(seen, bytes(moves).translate(_BASE4), 4)
+            v_count = oracle.count_avoiders(4, n, frozenset({(2, 4), (3, 4)}))
+            w_count = oracle.count_avoiders(4, n, frozenset({(1, 3), (2, 4)}))
+            rec.expect_equal("compositions biject onto move words", {"n": n},
+                             {"compositions": comps, "distinct move words": marked},
+                             {"compositions": v_count, "distinct move words": v_count})
             rec.record("composition round trip is the identity", {"n": n}, decoded)
             rec.expect_equal("rewriting maps onto the 1-3/2-4 avoiders", {"n": n},
-                             sorted(forward.values()), wws)
-            rec.record(
-                "rewriting round trips are the identity",
-                {"n": n},
-                all(back.get(w) == v for v, w in forward.items())
-                and all(forward.get(v) == w for w, v in back.items()),
-            )
-            chain = {len(comps), len(vws), len(wws), target, avoiders[n](0)}
+                             marked, w_count)
+            rec.record("rewriting round trips are the identity", {"n": n}, rewritten)
+            chain = {comps, marked, v_count, w_count, avoiders[n](0)}
             rec.record("all five family sizes coincide", {"n": n}, len(chain) == 1,
                        str(chain))
     for n in range(longest_strip + 1):
         with rec.route("pairing maps accept their families", {"n": n}):
-            jw = list(bijections.jpp_words(n))
-            tl = sorted(bijections.tilings(n))
-            pair = {w: bijections.jpp_to_tiling(w) for w in jw}
-            unpair = {t: bijections.tiling_to_jpp(t) for t in tl}
-            rec.expect_equal(
-                "level-free words are counted by Fibonacci numbers",
-                {"n": n},
-                len(jw),
-                fib[n + 1],
-            )
-            rec.expect_equal(
-                "pairing map is a bijection onto tilings",
-                {"n": n},
-                sorted(pair.values()),
-                tl,
-            )
-            rec.record(
-                "tiling round trips are the identity",
-                {"n": n},
-                all(unpair.get(t) == w for w, t in pair.items())
-                and all(pair.get(w) == t for t, w in unpair.items()),
-            )
+            # a tiling is marked as its cells, 1 where a piece starts and 0
+            # in a domino's second cell, read in base 2
+            seen = bytearray(2 ** n)
+            words = marked = 0
+            paired = True
+            for word in bijections.jpp_words(n):
+                words += 1
+                tiling = bijections.jpp_to_tiling(word)
+                paired &= bijections.tiling_to_jpp(tiling) == word
+                marked += _mark(seen, b"".join(b"10"[:piece] for piece in tiling), 2)
+            rec.expect_equal("level-free words are counted by Fibonacci numbers",
+                             {"n": n}, words, fib[n + 1])
+            rec.expect_equal("pairing map is a bijection onto tilings", {"n": n},
+                             {"words": words, "distinct tilings": marked},
+                             {"words": fib[n + 1], "distinct tilings": fib[n + 1]})
+            rec.record("tiling round trips are the identity", {"n": n}, paired)
     return rec.checks
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -588,3 +589,75 @@ def test_a_raising_map_fails_each_level_and_verify_still_reports(monkeypatch, ca
     report = json.loads(capsys.readouterr().out)
     assert report["failed"] == levels
     assert report["rows"] == [c.to_dict() for c in failed]
+
+
+def _merging(encode):
+    """An encoder that sends each move word ending in 3 to the one ending in 2."""
+    def merged(comp):
+        moves = encode(comp)
+        return moves[:-1] + (2,) if moves[-1:] == (3,) else moves
+    return merged
+
+
+def _first_in_place_of_second(family):
+    """`family` with its second object replaced by a copy of its first."""
+    def repeated(n):
+        objects = family(n)
+        first = next(objects)
+        yield first
+        if next(objects, None) is not None:
+            yield first
+        yield from objects
+    return repeated
+
+
+_COMPOSITION_CHECKS = ("compositions biject onto move words",
+                       "composition round trip is the identity",
+                       "rewriting maps onto the 1-3/2-4 avoiders",
+                       "rewriting round trips are the identity",
+                       "all five family sizes coincide")
+
+
+def _only(*names, levels=range(5)):
+    return [(name, n) for n in levels for name in _COMPOSITION_CHECKS if name in names]
+
+
+@pytest.mark.parametrize("name, mutant, failing", [
+    # two compositions share a move word, so one of them does not decode
+    ("composition_to_maneuvers", _merging, _only(
+        "compositions biject onto move words", "composition round trip is the identity",
+        "rewriting maps onto the 1-3/2-4 avoiders", "all five family sizes coincide",
+        levels=range(1, 5))),
+    # the identity keeps each 1-3, which w_to_v refuses from n = 2 on
+    ("v_to_w", lambda v_to_w: tuple,
+     [("composition and rewriting maps accept their families", n) for n in (2, 3, 4)]),
+    ("colored_compositions", lambda family: lambda n: itertools.islice(family(n), 1, None),
+     _only("compositions biject onto move words", "rewriting maps onto the 1-3/2-4 avoiders",
+           "all five family sizes coincide")),
+    # every object maps and round-trips; only the marks see the repeat
+    ("colored_compositions", _first_in_place_of_second, _only(
+        "compositions biject onto move words", "rewriting maps onto the 1-3/2-4 avoiders",
+        "all five family sizes coincide", levels=range(1, 5))),
+    ("jpp_words", _first_in_place_of_second,
+     [("pairing map is a bijection onto tilings", n) for n in range(2, 13)]),
+], ids=["non-injective encoder", "rewriting outside W", "dropped composition",
+        "repeated composition", "repeated level-free word"])
+def test_a_wrong_map_or_family_fails_a_check(monkeypatch, capsys, name, mutant, failing):
+    monkeypatch.setattr(bijections, name, mutant(getattr(bijections, name)))
+    failed = [c for c in verify.suite_bijections(nmax=4) if not c.passed]
+    assert [(c.name, c.params["n"]) for c in failed] == failing
+    assert cli.main(["verify", "--suite", "bijections", "--nmax", "4"]) == 1
+    assert json.loads(capsys.readouterr().out)["failed"] == len(failing)
+
+
+def test_the_suite_stores_no_family():
+    """One pass per length keeps one byte per possible move word, 64 KiB
+    at n = 8, where the sorted families and their image dicts took 20 MB."""
+    tracemalloc.start()
+    try:
+        checks = verify.suite_bijections(nmax=8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(checks) == 84 and all(c.passed for c in checks)
+    assert peak < 6 * 2**20

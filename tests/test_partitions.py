@@ -69,6 +69,7 @@ class TestEnumeration:
                 yield bell
 
         monkeypatch.setattr(partitions, "_bell_numbers", counted)
+        partitions._check_cap.cache_clear()
         with pytest.raises(EnumerationTooLarge, match=r"^B_1000000000 growth sequences "
                                                        r"exceed cap 100$"):
             p_dist_oracle(10**9, 3, 1, cap=100)
@@ -76,6 +77,21 @@ class TestEnumeration:
         read.clear()
         partitions._check_cap(5, 100)
         assert read == [1, 1, 2, 5, 15, 52]
+        read.clear()
+        partitions._check_cap(5, 100)  # a cap that held is not read again
+        assert read == []
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 13, 40])
+    def test_cap_holds_exactly_up_to_the_bell_number(self, n):
+        bell = bell_list(n)[n]
+        partitions._check_cap.cache_clear()
+        for _ in range(2):  # computed, then remembered
+            partitions._check_cap(n, bell)
+            partitions._check_cap(n, bell + 1)
+            with pytest.raises(EnumerationTooLarge, match=rf"^B_{n} growth sequences "
+                                                          rf"exceed cap {bell - 1}$"):
+                partitions._check_cap(n, bell - 1)
+        assert partitions._check_cap.cache_info().hits == 2
 
 
 class TestStirlingBell:

@@ -159,7 +159,7 @@ def test_cli_public_functions_are_main_and_build_parser():
     assert public == {"main", "build_parser"}
 
 
-# Unbounded stores that bounding the store (ROADMAP item 4) is to replace
+# Unbounded stores that bounding the store (ROADMAP item 7) is to replace
 UNBOUNDED_CACHES = {"oracle._tally", "oracle._marginal"}
 
 
