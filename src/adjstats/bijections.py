@@ -15,8 +15,11 @@ Each word family is an alphabet size and a set of banned adjacent pairs,
 streamed by the oracle's pruned walk and tested against the same data: a
 word is read as bytes, and one compiled pattern per family, built from
 that data, finds a letter outside 1..k, a banned pair or a banned first
-letter.  The two rewriting maps are one substitution each over the bytes,
-one match per run, so their time is linear in the word.
+letter; the guards take bytes as they are.  The two rewriting maps make
+their input bytes once, test and rewrite those bytes, and test the bytes
+they produce.  Each is one substitution over the bytes, one match per run,
+so its time is linear in the word, and a word with no run to rewrite
+skips it.
 
 A colored composition is drawn as a row of dots separated by bars, with
 the colored cells circled; every gap between bars holds at least one
@@ -38,6 +41,12 @@ So a move sequence is one segment per part, the segments joined by move
 1, and a part's segment depends on the part alone.  The encoder joins
 segments read from a table keyed by part, and the replay splits the moves
 at each 1 and reads each part from a table keyed by segment.
+
+Every part of at most 11 cells is one shared object, built and checked
+once: the menus of `colored_compositions` and the replay's segment table
+hand out that object, and `ColoredComposition` accepts a part that is it
+with one lookup of its id.  Any other part, equal to a shared one or not,
+is checked in full, and larger parts are never stored.
 """
 
 from __future__ import annotations
@@ -87,13 +96,18 @@ class ColoredComposition(_Frozen):
     def __post_init__(self):
         if not self.parts:
             raise InvalidComposition("a composition has at least one part")
-        # one quick test per part: a tuple of an int size >= 1 and a nonempty
-        # frozenset of cells whose sum is an int (a float or Fraction cell
-        # makes it a float or Fraction) and that lies in the size's entry of
-        # _CELLS.  If a part fails it, or breaks it, every part is read
-        # exactly: a part that is malformed, has a cell past 32 or holds its
-        # cells in another container is stored as (size, frozenset of cells)
+        # a shared part passed _check_part when its table entry was built,
+        # and the table keeps it alive, so a part whose id it holds is that
+        # part.  Any other part takes one quick test: a tuple of an int size
+        # >= 1 and a nonempty frozenset of cells whose sum is an int (a float
+        # or Fraction cell makes it a float or Fraction) and that lies in the
+        # size's entry of _CELLS.  If a part fails it, or breaks it, every
+        # part is read exactly: a part that is malformed, has a cell past 32
+        # or holds its cells in another container is stored as (size,
+        # frozenset of cells)
         for part in self.parts:
+            if id(part) in _SHARED:
+                continue
             try:
                 if type(part) is tuple:
                     size, colored = part
@@ -141,9 +155,19 @@ def _check_part(part) -> Part:
     return size, frozenset(cells)
 
 
-# The part tables below hold 4096 parts each, which is every part of the
-# compositions of at most 11 cells, the default `verify` grid; an entry is
-# as long as its part.
+# Every part of at most 11 cells, 4,083 parts, which is every part of the
+# compositions of the default `verify` grid, is built once, checked by
+# _check_part and shared: the menus of colored_compositions and the replay
+# hand out that one object, and the composition guard accepts it by its id.
+# Larger parts are never put in these tables.
+_SHARED_CELLS = 11
+_MENUS: dict[int, tuple[Part, ...]] = {}  # size -> its shared parts, in menu order
+_PARTS: dict[bytes, Part] = {}  # a shared part's moves -> the part
+_SHARED: dict[int, Part] = {}  # id of a shared part -> the part
+
+
+# Holds 4096 parts, room for every shared part; an entry is as long as its
+# part.
 @lru_cache(maxsize=4096)
 def _part_moves(size: int, cells: frozenset) -> bytes:
     """The moves of one part after it is opened: a 4 for each plain dot
@@ -157,9 +181,34 @@ def _part_moves(size: int, cells: frozenset) -> bytes:
     return bytes(moves)
 
 
-@lru_cache(maxsize=4096)
+def _colorings(size: int) -> list[Part]:
+    """Every part of `size` cells, one per nonempty color set, in a fixed
+    order."""
+    cells = range(1, size + 1)
+    return [(size, frozenset(sub)) for r in cells for sub in itertools.combinations(cells, r)]
+
+
+def _menu(size: int):
+    """Every part of `size` cells: up to _SHARED_CELLS cells the shared
+    parts, built and checked on the first call; past it new, unchecked
+    ones."""
+    if size > _SHARED_CELLS:
+        return _colorings(size)
+    menu = _MENUS.get(size)
+    if menu is None:
+        menu = _MENUS[size] = tuple(map(_check_part, _colorings(size)))
+        for part in menu:
+            _PARTS[_part_moves(*part)] = _SHARED[id(part)] = part
+    return menu
+
+
 def _segment_part(moves: bytes) -> Part:
-    """The part that one segment of moves builds: inverse of _part_moves."""
+    """The part that one segment of moves builds: inverse of _part_moves.
+    A part of at most _SHARED_CELLS cells is its shared object."""
+    if len(moves) < _SHARED_CELLS:
+        _menu(len(moves) + 1)
+        if moves in _PARTS:
+            return _PARTS[moves]
     first = len(moves) - len(moves.lstrip(b"\x04")) + 1
     return len(moves) + 1, frozenset([first, *(cell for cell, move in enumerate(moves, 2)
                                                if move == 2)])
@@ -173,18 +222,28 @@ def composition_to_maneuvers(comp: ColoredComposition) -> tuple[int, ...]:
 
 def maneuvers_to_composition(ops) -> ColoredComposition:
     """Replay construction moves from the single circled dot, one part per
-    segment between moves 1."""
-    ops = maneuvers_to_v_word(ops)
-    return ColoredComposition(map(_segment_part, bytes(ops).split(b"\x01")))
+    segment between moves 1.  The moves are made bytes once, and the guard
+    and the segments read those bytes."""
+    ops = tuple(ops)
+    moves = _as_bytes(ops)
+    try:
+        maneuvers_to_v_word(moves)
+    except InvalidSequence:
+        maneuvers_to_v_word(ops)  # the refusal names the letters as given
+        raise
+    return ColoredComposition([_PARTS.get(segment) or _segment_part(segment)
+                               for segment in moves.split(b"\x01")])
 
 
 def maneuvers_to_v_word(ops) -> tuple[int, ...]:
     """A move sequence read letter-for-letter as a 4-ary word; valid
-    sequences are exactly the words avoiding adjacent 2-4 and 3-4."""
-    ops = tuple(ops)
-    if not is_v_word(ops):
-        raise InvalidSequence(f"moves must be in 1..4, with no 4 right after a 2 or 3: {ops}")
-    return ops
+    sequences are exactly the words avoiding adjacent 2-4 and 3-4.  Bytes
+    are read as their letters."""
+    letters = ops if type(ops) is bytes else tuple(ops)
+    if not is_v_word(letters):
+        raise InvalidSequence(f"moves must be in 1..4, with no 4 right after a 2 or 3: "
+                              f"{tuple(letters)}")
+    return tuple(letters)
 
 
 # Each word family: alphabet 1..k and its banned adjacent pairs, where a
@@ -206,16 +265,24 @@ def _flaw_pattern(k, banned) -> re.Pattern:
 _V_FLAW, _W_FLAW, _JPP_FLAW = (_flaw_pattern(**f) for f in (_V_FAMILY, _W_FAMILY, _JPP_FAMILY))
 
 
-def _in_family(word, flaw) -> bool:
-    # the word is made a tuple first, so that bytes() never reads a number
-    # as a length or a buffer as raw bytes.  A letter that bytes() cannot
-    # take, a float, a string or an int outside 0..255, is in no family
-    letters = tuple(word)
+def _as_bytes(word: tuple):
+    """The letters of `word` as bytes, or `word` itself if bytes() cannot
+    take one of them: a float, a string or an int outside 0..255."""
     try:
-        letters = bytes(letters)
+        return bytes(word)
     except (TypeError, ValueError):
-        return False
-    return flaw.search(letters) is None
+        return word
+
+
+def _in_family(word, flaw) -> bool:
+    # bytes are read as they are.  Any other word is made a tuple first, so
+    # that bytes() never reads a number as a length or a buffer as raw
+    # bytes; a letter that bytes() cannot take is in no family
+    if type(word) is not bytes:
+        word = _as_bytes(tuple(word))
+        if type(word) is not bytes:
+            return False
+    return flaw.search(word) is None
 
 
 def _not_in_family(word, flaw, pairs) -> InvalidWord:
@@ -254,23 +321,27 @@ def v_to_w(word) -> tuple[int, ...]:
     """Rewrite each maximal run 1^d 3 as 3 4^d (d >= 0), mapping words
     avoiding 2-4/3-4 onto words avoiding 1-3/2-4."""
     word = tuple(word)
-    if not is_v_word(word):
+    letters = _as_bytes(word)
+    if not is_v_word(letters):
         raise _not_in_family(word, _V_FLAW, "2-4 or 3-4")
-    result = tuple(_ONES_THEN_3.sub(_to_3_fours, bytes(word)))
-    if not is_w_word(result):
-        raise InternalInvariantViolation(f"v_to_w produced {result}, not a w-word")
-    return result
+    if b"\x01\x03" in letters:  # a word with no 1-3 has no run to rewrite
+        letters = _ONES_THEN_3.sub(_to_3_fours, letters)
+    if not is_w_word(letters):
+        raise InternalInvariantViolation(f"v_to_w produced {tuple(letters)}, not a w-word")
+    return tuple(letters)
 
 
 def w_to_v(word) -> tuple[int, ...]:
     """Inverse of v_to_w: rewrite each maximal run 3 4^d as 1^d 3."""
     word = tuple(word)
-    if not is_w_word(word):
+    letters = _as_bytes(word)
+    if not is_w_word(letters):
         raise _not_in_family(word, _W_FLAW, "1-3 or 2-4")
-    result = tuple(_3_THEN_FOURS.sub(_to_ones_3, bytes(word)))
-    if not is_v_word(result):
-        raise InternalInvariantViolation(f"w_to_v produced {result}, not a v-word")
-    return result
+    if b"\x03\x04" in letters:  # a word with no 3-4 has no run to rewrite
+        letters = _3_THEN_FOURS.sub(_to_ones_3, letters)
+    if not is_v_word(letters):
+        raise InternalInvariantViolation(f"w_to_v produced {tuple(letters)}, not a v-word")
+    return tuple(letters)
 
 
 def is_level_free_no13_start2(word) -> bool:
@@ -328,7 +399,7 @@ def colored_compositions(total: int):
     if total < 1:
         raise ValueError("need total >= 1")
 
-    menus = {}  # part size -> every (size, color) part, built once per call
+    menus = {}  # part size -> every (size, color) part, read once per call
     # the part sizes, as a word over {1, 2} saying after each of the first
     # total - 1 cells whether a part ends (1) or goes on (2)
     for cuts in words(2, total - 1):
@@ -343,9 +414,7 @@ def colored_compositions(total: int):
         sizes.append(size)
         for size in sizes:
             if size not in menus:
-                cells = range(1, size + 1)
-                menus[size] = [(size, frozenset(sub)) for r in cells
-                               for sub in itertools.combinations(cells, r)]
+                menus[size] = _menu(size)
         for parts in itertools.product(*map(menus.__getitem__, sizes)):
             yield ColoredComposition(parts)
 

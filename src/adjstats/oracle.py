@@ -99,8 +99,11 @@ def _count(k, n, banned, gap, growth):
 
     m is the largest length <= (n - gap + 1) // 2 with k^m <= 1024, which
     balances the walk of n - m letters against k^gap states of k^m
-    suffixes.  The walk to length n - m gives, per junction state (the
-    last `gap` letters and, with `growth`, the maximum), how many
+    suffixes.  A growth family, whose states also carry the maximum, meets
+    one letter shorter where the half length set m, unless that leaves
+    fewer than 8 suffixes per state: its suffix walks cost more and its
+    prefixes are fewer.  The walk to length n - m gives, per junction
+    state (the last `gap` letters and, with `growth`, the maximum), how many
     prefixes carry each key.  One walk of the m-letter extensions of each
     state gives how many suffixes add each key increment.  A word is one
     prefix and one suffix of the same state, and its key is their sum, so
@@ -112,9 +115,12 @@ def _count(k, n, banned, gap, growth):
     When n - m <= gap each state is one whole prefix, and when k^m < 8
     each has too few suffixes for their walks to pay; then the count is
     one plain walk, stored the same way."""
+    half = (n - gap + 1) // 2
     m = 0
-    while m < (n - gap + 1) // 2 and k ** (m + 1) <= 1024:
+    while m < half and k ** (m + 1) <= 1024:
         m += 1
+    if growth and m == half > 1 and k ** (m - 1) >= 8:
+        m -= 1
     if n - m <= gap or k ** m < 8:
         return ((Counter(key for _, key, _ in _walk(k, n, banned, gap, growth)), {0: 1}),)
     prefixes = {}
@@ -137,12 +143,6 @@ def _count(k, n, banned, gap, growth):
             for key, c in entries:
                 counts[key + inc] = get(key + inc, 0) + c * d
     return ((counts, {0: 1}),)
-
-
-def _unpack(key, k, n):
-    """The difference profile packed in a key of `_walk`."""
-    base, place = _layout(k, n)
-    return tuple(key // place(d) % base for d in range(1 - k, k))
 
 
 def _read(tally, k, n, first, second):

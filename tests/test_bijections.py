@@ -1,5 +1,6 @@
 import itertools
 import json
+import random
 import re
 import tracemalloc
 from collections import Counter
@@ -186,6 +187,99 @@ class TestCompositions:
         expected = [v(0) for v in a_rec_alt(KSParams(4, 2), 6)]
         for n in range(7):
             assert sum(1 for _ in colored_compositions(n + 1)) == expected[n]
+
+
+class Pair(tuple):
+    """A tuple subclass: equal to a part, but not a plain tuple."""
+
+
+class TestSharedParts:
+    """Parts of at most 11 cells are built once, checked once and shared by
+    the menus and the replay; the guard accepts one by its identity."""
+
+    def test_menus_and_the_replay_hand_out_the_same_checked_objects(self):
+        for comp in colored_compositions(5):
+            again = maneuvers_to_composition(composition_to_maneuvers(comp))
+            assert all(a is b for a, b in zip(again.parts, comp.parts))
+        for size in range(1, 6):
+            for shared in bijections._menu(size):
+                assert bijections._SHARED[id(shared)] is shared
+                assert _check_part_outcome(shared) == shared
+
+    @pytest.mark.parametrize("twin", [
+        (True, frozenset({1})),
+        (1, frozenset({True})),
+        (1, frozenset({1.0})),
+        Pair((1, frozenset({1}))),
+        (1, {1}),
+    ], ids=["bool size", "bool cell", "float cell", "tuple subclass", "set of cells"])
+    def test_a_part_equal_to_a_shared_one_takes_the_exact_path(self, twin):
+        [shared] = bijections._menu(1)
+        assert twin == shared and twin is not shared
+        for parts in ((twin,), (shared, twin), (twin, shared)):
+            want = [_check_part_outcome(part) for part in parts]
+            refusals = [w for w in want if w[0] is InvalidComposition]
+            if refusals:
+                assert _outcome(ColoredComposition, parts) == refusals[0]
+            else:
+                comp = ColoredComposition(parts)
+                assert [repr(p) for p in comp.parts] == [repr(w) for w in want]
+                assert all(type(p) is tuple and type(p[0]) is int and type(p[1]) is frozenset
+                           for p in comp.parts)
+
+    def test_a_malformed_part_in_the_tables_source_is_refused(self, monkeypatch, capsys):
+        # fresh tables, built from a source that plants a color outside its part
+        for name in ("_MENUS", "_PARTS", "_SHARED"):
+            monkeypatch.setattr(bijections, name, {})
+        colorings = bijections._colorings
+        monkeypatch.setattr(bijections, "_colorings", lambda size: colorings(size) + (
+            [(2, frozenset({3}))] if size == 2 else []))
+        refusal = re.escape("colors {3} outside [1, 2]")
+        with pytest.raises(InvalidComposition, match=refusal):
+            list(colored_compositions(2))
+        with pytest.raises(InvalidComposition, match=refusal):
+            maneuvers_to_composition((2,))
+        failed = [c for c in verify.suite_bijections(nmax=3) if not c.passed]
+        assert [(c.name, c.params["n"], c.detail) for c in failed] == [
+            ("composition and rewriting maps accept their families", n,
+             "InvalidComposition: colors {3} outside [1, 2]") for n in (1, 2, 3)]
+        assert cli.main(["verify", "--suite", "bijections", "--nmax", "3"]) == 1
+        assert json.loads(capsys.readouterr().out)["failed"] == 3
+        # only the checked menu of size 1 was ever shared
+        assert list(bijections._SHARED.values()) == [(1, frozenset({1}))]
+
+    def test_the_tables_stay_bounded(self):
+        # every part of at most 11 cells, then thousands of larger ones
+        menus = [bijections._menu(size) for size in range(1, 13)]
+        assert [len(menu) for menu in menus] == [2 ** size - 1 for size in range(1, 13)]
+        assert menus[-1] is not bijections._menu(12)  # past the bound, never stored
+        held = len(bijections._SHARED), len(bijections._PARTS), len(bijections._MENUS)
+        assert held == (4083, 4083, 11)
+        rng = random.Random(12)
+        tracemalloc.start()
+        try:
+            for _ in range(3000):
+                parts = []
+                for _ in range(rng.randint(1, 3)):
+                    size = rng.randint(12, 40)
+                    parts.append((size, frozenset(rng.sample(range(1, size + 1),
+                                                             rng.randint(1, size)))))
+                comp = ColoredComposition(parts)
+                assert maneuvers_to_composition(composition_to_maneuvers(comp)) == comp
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (len(bijections._SHARED), len(bijections._PARTS), len(bijections._MENUS)) == held
+        assert peak < 8 * 2**20
+
+
+def _check_part_outcome(part):
+    """What `_check_part` returns for `part`, or the class and message of
+    what it raises."""
+    try:
+        return bijections._check_part(part)
+    except InvalidComposition as exc:
+        return type(exc), str(exc)
 
 
 class TestManeuvers:

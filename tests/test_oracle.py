@@ -21,6 +21,13 @@ from adjstats.oracle import (
 )
 
 
+def unpack(key, k, n):
+    """The difference profile packed in a key of `oracle._walk`: its digit
+    at `oracle._layout` place d counts the pairs with difference d."""
+    base, place = oracle._layout(k, n)
+    return tuple(key // place(d) % base for d in range(1 - k, k))
+
+
 class TestDistributionMu:
     def test_examples(self):
         assert distribution_mu(3, 1, 2) == QPoly((7, 2))  # words 12 and 23
@@ -97,7 +104,7 @@ class TestProfiles:
     def test_single_word(self):
         # 1 3 3 2: one rise by 2, one level, one fall by 1
         [(word, key, top)] = [v for v in oracle._walk(3, 4) if v[0] == (1, 3, 3, 2)]
-        assert oracle._unpack(key, 3, 4) == (0, 1, 1, 0, 1)
+        assert unpack(key, 3, 4) == (0, 1, 1, 0, 1)
         assert top == 3
 
     @pytest.mark.parametrize("k,n,gap", [(3, 5, 1), (2, 6, 2), (4, 3, 3), (3, 2, 4), (2, 0, 1)])
@@ -105,12 +112,12 @@ class TestProfiles:
         visited = list(oracle._walk(k, n, gap=gap))
         assert len(visited) == k**n
         for _, key, _ in visited:
-            assert sum(oracle._unpack(key, k, n)) == max(n - gap, 0)
+            assert sum(unpack(key, k, n)) == max(n - gap, 0)
 
     def test_growth_profiles_count_each_index_once(self):
         for n in range(7):
             for _, key, _ in oracle._walk(max(n, 1), n, growth=True):
-                assert sum(oracle._unpack(key, max(n, 1), n)) == max(n - 1, 0)
+                assert sum(unpack(key, max(n, 1), n)) == max(n - 1, 0)
 
 
 def _skip_one(walk, index):
@@ -345,7 +352,7 @@ def joined(tally):
 
 def _tally_profiles(k, n, banned, gap, growth):
     tally = joined(oracle._tally(n, k, banned, gap, growth))
-    return Counter({oracle._unpack(key, k, n): count for key, count in tally.items()})
+    return Counter({unpack(key, k, n): count for key, count in tally.items()})
 
 
 @st.composite

@@ -30,7 +30,7 @@ from adjstats.oracle import (
     words,
 )
 from adjstats.partitions import enumerate_rgf, p_dist_oracle, p_total_all_oracle
-from test_oracle import joined
+from test_oracle import joined, unpack
 
 EXAMPLES = settings(max_examples=60, deadline=None)
 
@@ -110,7 +110,7 @@ def test_walk_visits_the_family_in_order_with_its_profile(case, gap, n):
     visited = list(oracle._walk(k, n, banned, gap))
     assert [w for w, _, _ in visited] == want
     for w, key, top in visited:
-        profile = oracle._unpack(key, k, n)
+        profile = unpack(key, k, n)
         assert profile == tuple(rises(w, d, gap) for d in range(1 - k, k))
         assert top == max(w, default=0)
 
