@@ -43,17 +43,18 @@ segments read from a table keyed by part, and the replay splits the moves
 at each 1 and reads each part from a table keyed by segment.
 
 Every part of at most 11 cells is one shared object, built and checked
-once: the menus of `colored_compositions` and the replay's segment table
-hand out that object, and `ColoredComposition` accepts a part that is it
-with one lookup of its id.  Any other part, equal to a shared one or not,
-is checked in full, and larger parts are never stored.
+once, the first time its size is needed; the two tables hold it and its
+segment, and are never evicted.  The menus of `colored_compositions` and
+the replay hand out that object, and `ColoredComposition` accepts a part
+that is it with one lookup of its id.  Any other part, equal to a shared
+one or not, is checked in full, and its segment or part is computed on
+each read and never stored.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from functools import lru_cache
 from operator import itemgetter
 
 from .algebra import InternalInvariantViolation, _Frozen
@@ -74,11 +75,6 @@ class InvalidWord(ValueError):
 
 Part = tuple[int, frozenset]
 
-# the cells 1..s of a part of size s, for s <= 32: a part whose cells all
-# lie in its entry passes the guard's quick test.  Parts of larger sizes
-# read the entry for 32, so the table stays small whatever a size is.
-_CELLS = tuple(frozenset(range(1, size + 1)) for size in range(33))
-
 
 class ColoredComposition(_Frozen):
     """A composition whose part of size i carries a nonempty subset of
@@ -98,27 +94,13 @@ class ColoredComposition(_Frozen):
             raise InvalidComposition("a composition has at least one part")
         # a shared part passed _check_part when its table entry was built,
         # and the table keeps it alive, so a part whose id it holds is that
-        # part.  Any other part takes one quick test: a tuple of an int size
-        # >= 1 and a nonempty frozenset of cells whose sum is an int (a float
-        # or Fraction cell makes it a float or Fraction) and that lies in the
-        # size's entry of _CELLS.  If a part fails it, or breaks it, every
-        # part is read exactly: a part that is malformed, has a cell past 32
-        # or holds its cells in another container is stored as (size,
+        # part.  Any other part is checked in full and stored as (size,
         # frozenset of cells)
         for part in self.parts:
-            if id(part) in _SHARED:
-                continue
-            try:
-                if type(part) is tuple:
-                    size, colored = part
-                    if (type(size) is int and size >= 1 and type(colored) is frozenset
-                            and colored and type(sum(colored)) is int
-                            and _CELLS[size if size < 32 else 32].issuperset(colored)):
-                        continue
-            except (TypeError, ValueError):
-                pass
-            object.__setattr__(self, "parts", tuple(map(_check_part, self.parts)))
-            return
+            if id(part) not in _SHARED:
+                object.__setattr__(self, "parts", tuple(
+                    p if id(p) in _SHARED else _check_part(p) for p in self.parts))
+                return
 
     @property
     def total(self) -> int:
@@ -155,20 +137,6 @@ def _check_part(part) -> Part:
     return size, frozenset(cells)
 
 
-# Every part of at most 11 cells, 4,083 parts, which is every part of the
-# compositions of the default `verify` grid, is built once, checked by
-# _check_part and shared: the menus of colored_compositions and the replay
-# hand out that one object, and the composition guard accepts it by its id.
-# Larger parts are never put in these tables.
-_SHARED_CELLS = 11
-_MENUS: dict[int, tuple[Part, ...]] = {}  # size -> its shared parts, in menu order
-_PARTS: dict[bytes, Part] = {}  # a shared part's moves -> the part
-_SHARED: dict[int, Part] = {}  # id of a shared part -> the part
-
-
-# Holds 4096 parts, room for every shared part; an entry is as long as its
-# part.
-@lru_cache(maxsize=4096)
 def _part_moves(size: int, cells: frozenset) -> bytes:
     """The moves of one part after it is opened: a 4 for each plain dot
     before its first circled dot, then a 2 for each later circled dot and
@@ -179,6 +147,46 @@ def _part_moves(size: int, cells: frozenset) -> bytes:
         if cell > first:
             moves[cell - 2] = 2
     return bytes(moves)
+
+
+def _segment_part(moves: bytes) -> Part:
+    """The part that one segment of moves builds: inverse of _part_moves."""
+    first = len(moves) - len(moves.lstrip(b"\x04")) + 1
+    return len(moves) + 1, frozenset([first, *(cell for cell, move in enumerate(moves, 2)
+                                               if move == 2)])
+
+
+# Every part of at most 11 cells, 4,083 parts, which is every part of the
+# compositions of the default `verify` grid, is built once, checked by
+# _check_part and shared: the menus of colored_compositions and the replay
+# hand out that one object, and the composition guard accepts it by its id.
+# Larger parts are never put in these tables, which are never evicted.
+_SHARED_CELLS = 11
+
+
+class _Moves(dict):
+    """A shared part -> its moves.  Any other part's moves are computed on
+    each read."""
+
+    def __missing__(self, part: Part) -> bytes:
+        return _part_moves(*part)
+
+
+class _Parts(dict):
+    """A shared part's moves -> the part.  A segment it misses builds its
+    size's menu if that size is shared, and is read again; any other
+    segment's part is computed on each read."""
+
+    def __missing__(self, moves: bytes) -> Part:
+        if len(moves) < _SHARED_CELLS:
+            _menu(len(moves) + 1)
+        return self.get(moves) or _segment_part(moves)
+
+
+_MENUS: dict[int, tuple[Part, ...]] = {}  # size -> its shared parts, in menu order
+_MOVES = _Moves()
+_PARTS = _Parts()
+_SHARED: dict[int, Part] = {}  # id of a shared part -> the part
 
 
 def _colorings(size: int) -> list[Part]:
@@ -196,28 +204,19 @@ def _menu(size: int):
         return _colorings(size)
     menu = _MENUS.get(size)
     if menu is None:
-        menu = _MENUS[size] = tuple(map(_check_part, _colorings(size)))
+        menu = tuple(map(_check_part, _colorings(size)))
         for part in menu:
-            _PARTS[_part_moves(*part)] = _SHARED[id(part)] = part
+            moves = _MOVES[part] = _part_moves(*part)
+            _PARTS[moves] = _SHARED[id(part)] = part
+        # published last, so a menu read from _MENUS holds only shared parts
+        _MENUS[size] = menu
     return menu
-
-
-def _segment_part(moves: bytes) -> Part:
-    """The part that one segment of moves builds: inverse of _part_moves.
-    A part of at most _SHARED_CELLS cells is its shared object."""
-    if len(moves) < _SHARED_CELLS:
-        _menu(len(moves) + 1)
-        if moves in _PARTS:
-            return _PARTS[moves]
-    first = len(moves) - len(moves.lstrip(b"\x04")) + 1
-    return len(moves) + 1, frozenset([first, *(cell for cell, move in enumerate(moves, 2)
-                                               if move == 2)])
 
 
 def composition_to_maneuvers(comp: ColoredComposition) -> tuple[int, ...]:
     """Encode a colored composition of n+1 as its n construction moves."""
     # each part's moves, the parts after the first opened by a 1
-    return tuple(b"\x01".join(itertools.starmap(_part_moves, comp.parts)))
+    return tuple(b"\x01".join(map(_MOVES.__getitem__, comp.parts)))
 
 
 def maneuvers_to_composition(ops) -> ColoredComposition:
@@ -231,8 +230,7 @@ def maneuvers_to_composition(ops) -> ColoredComposition:
     except InvalidSequence:
         maneuvers_to_v_word(ops)  # the refusal names the letters as given
         raise
-    return ColoredComposition([_PARTS.get(segment) or _segment_part(segment)
-                               for segment in moves.split(b"\x01")])
+    return ColoredComposition([_PARTS[segment] for segment in moves.split(b"\x01")])
 
 
 def maneuvers_to_v_word(ops) -> tuple[int, ...]:

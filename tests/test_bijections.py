@@ -72,9 +72,9 @@ class TestCompositions:
 
     def test_guard_matches_the_three_reference_checks(self):
         # every part size -1..5 against every subset of -1..6, and every size
-        # 30..35 against every subset of cells around 32, where the quick
-        # test's cell table ends, as each kind of color container, alone and
-        # after a valid part
+        # 30..35 against every subset of cells around 32, far past the shared
+        # parts' 11 cells, as each kind of color container, alone and after a
+        # valid part
         for sizes, cells in ((range(-1, 6), range(-1, 7)),
                              (range(30, 36), (0, 1, 31, 32, 33, 34, 35, 36))):
             for size in sizes:
@@ -147,7 +147,7 @@ class TestCompositions:
         assert hash(listed) == hash(ColoredComposition(((1, frozenset({1})),)))
 
     def test_parts_are_read_once(self):
-        # the part of size 40 fails the quick test, so its check is exact
+        # the part of size 40 is not shared, so its check is exact
         class Counted:
             reads = 0
 
@@ -229,8 +229,8 @@ class TestSharedParts:
 
     def test_a_malformed_part_in_the_tables_source_is_refused(self, monkeypatch, capsys):
         # fresh tables, built from a source that plants a color outside its part
-        for name in ("_MENUS", "_PARTS", "_SHARED"):
-            monkeypatch.setattr(bijections, name, {})
+        for name in ("_MENUS", "_MOVES", "_PARTS", "_SHARED"):
+            monkeypatch.setattr(bijections, name, type(getattr(bijections, name))())
         colorings = bijections._colorings
         monkeypatch.setattr(bijections, "_colorings", lambda size: colorings(size) + (
             [(2, frozenset({3}))] if size == 2 else []))
@@ -253,8 +253,9 @@ class TestSharedParts:
         menus = [bijections._menu(size) for size in range(1, 13)]
         assert [len(menu) for menu in menus] == [2 ** size - 1 for size in range(1, 13)]
         assert menus[-1] is not bijections._menu(12)  # past the bound, never stored
-        held = len(bijections._SHARED), len(bijections._PARTS), len(bijections._MENUS)
-        assert held == (4083, 4083, 11)
+        tables = bijections._SHARED, bijections._MOVES, bijections._PARTS, bijections._MENUS
+        held = tuple(map(len, tables))
+        assert held == (4083, 4083, 4083, 11)
         rng = random.Random(12)
         tracemalloc.start()
         try:
@@ -269,7 +270,7 @@ class TestSharedParts:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert (len(bijections._SHARED), len(bijections._PARTS), len(bijections._MENUS)) == held
+        assert tuple(map(len, tables)) == held
         assert peak < 8 * 2**20
 
 
