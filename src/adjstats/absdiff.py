@@ -49,17 +49,11 @@ def regime(k: int, s: int) -> str:
     return ("trivial", "small", "large")[min(KSParams(k, s).steps, 2)]
 
 
-def _jump_marks(k: int, s: int) -> tuple:
-    """Every jump (i -/+ s, i) marked by q; one mark set covers all three
-    regimes because the out-of-range neighbors simply do not exist."""
-    KSParams(k, s)  # rejects k < 1 and s < 1
-    return tuple(((j, i), QPoly.var()) for i in range(1, k + 1) for j in (i - s, i + s)
-                 if 1 <= j <= k)
-
-
 def b_table(k: int, s: int, order: int) -> Sequence[QPoly]:
-    """The jump distributions of lengths 0..order by the last-letter DP."""
-    return transfer_dp(k, _jump_marks(k, s), order, QPoly.const(1))
+    """The jump distributions of lengths 0..order by the last-letter DP,
+    every jump i -/+ s to i marked by q in all three regimes."""
+    KSParams(k, s)  # rejects k < 1 and s < 1
+    return transfer_dp(k, order, second=(-s, s))
 
 
 def gf_B_small(k: int, s: int) -> RatFunc:

@@ -31,10 +31,9 @@ def lucas_list(n: int) -> list[int]:
 
 def j_dist_dp(order: int) -> list[PQPoly]:
     """Joint (level, ascent) distributions for lengths 0..order, by the
-    last-letter DP with 1-3 forbidden; p marks levels and q marks ascents."""
-    p, q = PQPoly.p(), PQPoly.q()
-    marks = (((1, 1), p), ((2, 2), p), ((3, 3), p), ((1, 2), q), ((2, 3), q), ((1, 3), 0))
-    return list(transfer_dp(3, marks, order, PQPoly.const(1)))
+    last-letter DP; p marks levels and q marks ascents.  Over 1..3 the one
+    pair with difference 2 is 1-3, so banning it bans 1-3."""
+    return list(transfer_dp(3, order, banned=(2,), first=(0,), second=(1, 2)))
 
 
 def gf_f(p_val, q_val) -> RatFunc:

@@ -48,15 +48,10 @@ class KSParams(_Frozen):
         return (self.k - self.rem) // self.s
 
 
-def _rise_marks(params: KSParams, weight) -> tuple:
-    """Every rise (i - s, i) marked with `weight`."""
-    return tuple(((i - params.s, i), weight) for i in range(params.s + 1, params.k + 1))
-
-
 def a_table(params: KSParams, order: int) -> Sequence[QPoly]:
     """The rise distributions of lengths 0..order by the last-letter DP,
     every rise marked by q."""
-    return transfer_dp(params.k, _rise_marks(params, QPoly.var()), order, QPoly.const(1))
+    return transfer_dp(params.k, order, second=(params.s,))
 
 
 def a_rec_alt(params: KSParams, order: int) -> list[QPoly]:
@@ -138,7 +133,7 @@ def avoid_count(params: KSParams, order: int) -> list[int]:
     (k, s), and the denominators are built once: a later call checks only
     the lengths past the longest one checked so far.
     """
-    counts = transfer_dp(params.k, _rise_marks(params, 0), order, 1)
+    counts = transfer_dp(params.k, order, banned=(params.s,))
     checked, dens = _avoid_checked.get(params, (-1, None))
     if order > checked:
         if dens is None:

@@ -1,23 +1,25 @@
 """Last-letter transfer-matrix counting on k-ary words (Stanley, EC1 4.7).
 
-Every adjacent pair (a, b) of a word carries a weight, 1 unless the pair
-is marked, and a word weighs the product of its pairs' weights.  Rises by
-s, jumps of size s, levels and ascents on words avoiding 1-3, and words
-with no rise are all this one count: only the mark set changes, and a
-forbidden pair is a pair marked with weight 0.
+Every adjacent pair (a, b) of a word carries a weight read off its
+difference b - a, and a word weighs the product of its pairs' weights.
+A pair whose difference is banned weighs 0; any other pair weighs p if
+its difference is in `first`, times q if it is in `second`, and 1 if in
+neither.  Rises by s, jumps of size s, levels and ascents on words
+avoiding 1-3, and words with no rise are all this one count: only the
+three sets of differences change.
 
 Row n of the table depends only on row n - 1, so the table for length N
-holds every shorter length too.  One table is stored per mark set and
-ring; it keeps the total of every length and the last row only, grows on
-demand, and a shorter request reads its prefix.
+holds every shorter length too.  One table is stored per (k, banned,
+first, second); it keeps the total of every length and the last row
+only, grows on demand, and a shorter request reads its prefix.
 
 Many letters share one entry in every row: the letters at one place of
 their chains a, a+s, a+2s, ... for rises by s, the outer letters of the
 middle band for jumps.  A table fills one entry per class of such
 letters.  The classes are the coarsest partition of the alphabet on which
 every row is constant: row 1 is all ones, so refinement starts from one
-class, and it splits letters by the summed coefficient of their marks
-from each class, monomial by monomial, until no class splits
+class, and it splits letters by the summed coefficient of their weights
+less 1 from each class, monomial by monomial, until no class splits
 (lumpability, Kemeny and Snell, Finite Markov Chains, 1960, 6.3).  Entry
 C of row n is then total[n-1] plus those summed terms times row n - 1,
 and total n sums |C| entry C.  `fresh_rows` fills the same step over
@@ -36,41 +38,37 @@ import math
 import threading
 from collections.abc import Sequence
 
-from .algebra import Poly, PQPoly, QPoly
+from .algebra import PQPoly, QPoly
 
-# the rings a table can be kept over, with their number of variables
-_VARIABLES = {int: 0, QPoly: 1, PQPoly: 2}
-
-# (k, marks, type(one), one) -> _Table.  type(one) keeps an integer table
-# apart from a QPoly table with the same marks: QPoly.const(1) == 1 and
-# both hash alike.  The lock keeps two threads from appending the same
-# length twice, or decoding the same total twice.
+# (k, banned, first, second) -> _Table.  The lock keeps two threads from
+# appending the same length twice, or decoding the same total twice.
 _tables: dict = {}
 _lock = threading.Lock()
 
 
-def transfer_dp(k: int, marks: tuple, order: int, one) -> Sequence:
+def transfer_dp(k: int, order: int, banned: tuple = (), first: tuple = (),
+                second: tuple = ()) -> Sequence:
     """The summed weights of the words of lengths 0..order, read off the
     last-letter DP.
 
-    `marks` is a tuple of ((a, b), weight) pairs with 1 <= a, b <= k, each
-    pair at most once; `one` is the unit of the weights' ring: int, QPoly
-    or PQPoly.  Appending i to a word ending in j multiplies its weight by
-    weight(j, i), so
+    `banned`, `first` and `second` are tuples of differences b - a; the
+    weights lie in PQPoly when `first` is given, in QPoly when only
+    `second` is, and in int otherwise.  Appending i to a word ending in j
+    multiplies its weight by weight(j, i), so
 
-        row[i] = total[n-1] + sum over marks (j, i) of (weight - 1) row[j],
+        row[i] = total[n-1] + sum over j of (weight(j, i) - 1) row[j],
 
-    which touches only the marked pairs.  An integer table returns a list;
-    a polynomial table returns a sequence that decodes each total the
-    first time it is read.
+    which touches only the pairs whose difference is in one of the sets.
+    An integer table returns a list; a polynomial table returns a sequence
+    that decodes each total the first time it is read.
     """
     if k < 1 or order < 0:
         raise ValueError("need k >= 1 and order >= 0")
-    key = (k, marks, type(one), one)
+    key = (k, banned, first, second)
     with _lock:
         table = _tables.get(key)
         if table is None:
-            table = _tables[key] = _Table(k, marks, one, order)
+            table = _tables[key] = _Table(k, banned, first, second, order)
         elif order > table.capacity:
             table.refill(max(order, 2 * table.capacity))
         table.extend(order)
@@ -79,12 +77,13 @@ def transfer_dp(k: int, marks: tuple, order: int, one) -> Sequence:
     return _Totals(table, order + 1)
 
 
-def fresh_rows(k: int, marks: tuple, order: int, one) -> list:
+def fresh_rows(k: int, order: int, banned: tuple = (), first: tuple = (),
+               second: tuple = ()) -> list:
     """rows[n][i-1] is the summed weight of the words of length n ending in
     the letter i, for n = 0..order; filled fresh and stored nowhere."""
     if k < 1 or order < 0:
         raise ValueError("need k >= 1 and order >= 0")
-    table = _Table(k, marks, one, order, [[i] for i in range(k)])
+    table = _Table(k, banned, first, second, order, [[i] for i in range(k)])
     row, total = table.row, table.totals[-1]
     rows = [(), tuple(map(table.decode, row))]
     for _ in range(2, order + 1):
@@ -111,15 +110,6 @@ def _next_row(into, prev_row, prev_total):
         row.append(entry)
         total += entry if size == 1 else size * entry
     return row, total
-
-
-def _monomials(x, variables):
-    """(exponents, coefficient) for each nonzero term of x, exponents
-    listed from the highest-rank variable down to q."""
-    if not isinstance(x, Poly):
-        return [((0,) * variables, x)] if x else []
-    return [((e,) + rest, c) for e, coeff in enumerate(x.coeffs)
-            for rest, c in _monomials(coeff, variables - 1)]
 
 
 def _classes(k, terms):
@@ -175,46 +165,37 @@ def _classes(k, terms):
 
 
 class _Table:
-    """One mark set over one ring: the packed totals of lengths 0..n, the
-    packed row of length n, one entry per class of letters, and the
+    """One (k, banned, first, second): the packed totals of lengths 0..n,
+    the packed row of length n, one entry per class of letters, and the
     packing they share.
 
     The width w is chosen for every length up to `capacity`.  A word of
-    length m weighs a product of m - 1 weights, so no coefficient of an
-    entry exceeds k^m L^(m-1) in size, L the largest L1 norm of a weight
-    (and of 1); w is that bound's bit length plus a sign bit, in whole
-    bytes.  D is one more than the largest q-degree an entry can reach.
-    Integer tables are not packed and never outgrow their capacity.
+    length m weighs a product of m - 1 weights, each 0 or a monomial, so
+    no coefficient of an entry exceeds k^m; w is that bound's bit length
+    plus a sign bit, in whole bytes.  D is one more than the largest
+    q-degree an entry can reach.  Integer tables are not packed and never
+    outgrow their capacity.
 
     `classes` partitions the letters 0..k-1; by default it is the coarsest
     one on which every row is constant."""
 
-    __slots__ = ("k", "ring", "terms", "norm", "degree", "capacity", "width", "stride",
+    __slots__ = ("k", "ring", "terms", "degree", "capacity", "width", "stride",
                  "into", "row", "totals", "decoded")
 
-    def __init__(self, k, marks, one, capacity, classes=None):
-        self.ring = ring = type(one)
-        if ring not in _VARIABLES or one != 1:
-            raise ValueError(f"{one!r} is not the unit of int, QPoly or PQPoly")
-        variables = _VARIABLES[ring]
-        self.k, terms = k, [[] for _ in range(k)]
-        norms, degrees = [1], [0]
-        for (a, b), weight in marks:
-            if not (1 <= a <= k and 1 <= b <= k):
-                raise ValueError(f"marked pair {(a, b)} outside alphabet [1, {k}]")
-            delta = weight - one
-            if type(delta) is not ring:
-                raise ValueError(f"weight {weight!r} is not in the ring of {one!r}")
-            for exps, c in _monomials(delta, variables):
-                if type(c) is not int:
-                    raise ValueError(f"weight {weight!r} has a non-integer coefficient")
-                terms[b - 1].append((a - 1, exps, c))
-            monomials = _monomials(weight, variables)
-            norms.append(sum(abs(c) for _, c in monomials))
-            degrees += [exps[-1] for exps, _ in monomials if exps]
-        if len({pair for pair, _ in marks}) != len(marks):
-            raise ValueError("a pair is marked more than once")
-        self.norm, self.degree = max(norms), max(degrees)
+    def __init__(self, k, banned, first, second, capacity, classes=None):
+        self.ring = PQPoly if first else QPoly if second else int
+        marked = (first, second) if first else (second,) if second else ()
+        const = (0,) * len(marked)  # the exponents of 1
+        # terms[i]: the (j, exps, c) terms of weight(j, i) - 1, for letters
+        # from 0; a banned pair gives -1, a marked one its monomial less 1
+        self.k, self.degree, terms = k, 0, [[] for _ in range(k)]
+        for d in {*banned, *first, *second}:
+            exps = () if d in banned else tuple(int(d in diffs) for diffs in marked)
+            for i in range(max(0, d), min(k, k + d)):
+                terms[i].append((i - d, const, -1))
+                if exps:
+                    terms[i].append((i - d, exps, 1))
+                    self.degree = max(self.degree, exps[-1])
         if classes is None:
             classes = _classes(k, terms)
         class_of = {i: d for d, letters in enumerate(classes) for i in letters}
@@ -236,8 +217,7 @@ class _Table:
             capacity, strides = math.inf, ()
         else:
             capacity = max(capacity, 1)
-            bound = self.k**capacity * self.norm ** (capacity - 1)
-            self.width = w = (bound.bit_length() + 8) // 8 * 8
+            self.width = w = ((self.k**capacity).bit_length() + 8) // 8 * 8
             self.stride = self.degree * (capacity - 1) + 1
             strides = (w,) if self.ring is QPoly else (w * self.stride, w)
         self.capacity = capacity

@@ -237,7 +237,7 @@ def suite_absdiff(kmax=6, smax=3, nmax=8) -> list[Check]:
                 [t(qv) for t in table],
             )
         # mid-band column collapse: letters below k-s+1 and above s agree
-        rows = transfer.fresh_rows(k, absdiff._jump_marks(k, s), nmax, QPoly.const(1))
+        rows = transfer.fresh_rows(k, nmax, second=(-s, s))
         for n in range(1, nmax + 1):
             row = rows[n]
             outer = [row[i - 1] for i in range(1, k - s + 1)] + [

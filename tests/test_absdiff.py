@@ -10,7 +10,6 @@ from adjstats.absdiff import (
     DegeneratePoint,
     SingularSpecialization,
     WrongRegime,
-    _jump_marks,
     b_closed_chebyshev,
     b_table,
     chebyshev_closed_at_square,
@@ -62,7 +61,7 @@ class TestBTable:
 
     def test_outer_letter_collapse(self):
         # in the middle band all letters outside [k-s+1, s] share one column
-        rows = fresh_rows(5, _jump_marks(5, 3), 6, QPoly.const(1))
+        rows = fresh_rows(5, 6, second=(-3, 3))
         for n in range(1, 7):
             row = rows[n]
             outer = [row[0], row[1], row[3], row[4]]  # letters 1, 2, 4, 5

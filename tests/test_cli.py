@@ -84,7 +84,7 @@ class TestDist:
         monkeypatch.setattr(transfer, "_tables", {})
         monkeypatch.setattr(algebra, "_expansions", {})
         monkeypatch.setattr(engine, "transfer_dp",
-                            lambda *a: orders.append(a[2]) or fill(*a))
+                            lambda *a, **kw: orders.append(a[1]) or fill(*a, **kw))
         monkeypatch.setattr(engine, gf_name, lambda *a: built.append(a) or build(*a))
         monkeypatch.setattr(RatFunc, "series",
                             lambda f, order: expanded.append(order) or expand(f, order))

@@ -182,8 +182,8 @@ def test_one_letter_off_in_the_fresh_rows_fails_the_outer_letter_check(monkeypat
     other check of the suite still passes."""
     fill = transfer.fresh_rows
 
-    def letter_one_off(k, marks, order, one):
-        rows = fill(k, marks, order, one)
+    def letter_one_off(*args, **kwargs):
+        rows = fill(*args, **kwargs)
         rows[2] = (rows[2][0] + 1,) + rows[2][1:]
         return rows
 

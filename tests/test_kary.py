@@ -69,7 +69,7 @@ class TestATable:
     def test_structure(self):
         params = KSParams(4, 2)
         tab = a_table(params, 5)
-        rows = fresh_rows(4, kary._rise_marks(params, QPoly.var()), 5, QPoly.const(1))
+        rows = fresh_rows(4, 5, second=(params.s,))
         assert tab[0] == 1
         assert all(entry == 1 for entry in rows[1])
         for n in range(1, 6):
@@ -232,7 +232,7 @@ def _avoid_recheck(params, order):
     """Avoidance counts for 0..order with both recurrences rebuilt from
     their seeds over the whole range and compared in full."""
     k, s, m = params.k, params.s, params.steps
-    table = list(transfer_dp(k, kary._rise_marks(params, 0), order, 1))
+    table = list(transfer_dp(k, order, banned=(s,)))
     alt = table[: m + 1]
     for n in range(m + 1, order + 1):
         alt.append(sum((-1) ** i * (k - i * s) * alt[n - i - 1] for i in range(m + 1)))
@@ -266,8 +266,8 @@ class TestAvoidCheckedOnce:
         avoid_count(params, 20)
         real = kary.transfer_dp
 
-        def wrong_at_25(*args):
-            totals = real(*args)
+        def wrong_at_25(*args, **kwargs):
+            totals = real(*args, **kwargs)
             if len(totals) > 25:
                 totals[25] += 1
             return totals

@@ -4,97 +4,137 @@ import math
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
-from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from adjstats import absdiff, kary, transfer
-from adjstats.algebra import Poly, PQPoly, QPoly, XPoly
-from adjstats.oracle import count_avoiders
+from adjstats import absdiff, kary, oracle, transfer
+from adjstats.algebra import Poly, PQPoly, QPoly
 from adjstats.transfer import fresh_rows, transfer_dp
+
+
+SETS = ("banned", "first", "second")
+
+# the sets whose differences carry a weight other than 1 in each ring:
+# banned 0, first p, second q
+RINGS = {"int": ("banned",), "QPoly": ("banned", "second"), "PQPoly": SETS}
 
 
 @st.composite
 def mark_sets(draw, weights):
-    """(k, marks): distinct pairs inside [1, k], each with a drawn weight."""
+    """(k, banned, first, second): each set named in `weights` any subset
+    of the differences -(k-1)..k-1 of letters 1..k, the others empty.  A
+    difference may sit in several sets."""
     k = draw(st.integers(1, 5))
-    pairs = draw(st.sets(st.tuples(st.integers(1, k), st.integers(1, k)), max_size=k * k))
-    return k, tuple((pair, draw(weights)) for pair in sorted(pairs))
+    diffs = st.sets(st.integers(1 - k, k - 1)).map(sorted).map(tuple)
+    return (k, *(draw(diffs) if name in weights else () for name in SETS))
 
 
-def brute_force(k, marks, n):
+def pair_weights(k, banned, first, second):
+    """Each pair (a, b) of letters 1..k with its weight, and the unit of
+    the weights' ring: PQPoly if `first` is given, QPoly if only `second`
+    is, int otherwise.  A pair weighs 0 if b - a is banned, else p if b - a
+    is in `first`, times q if it is in `second`: the rule of
+    `transfer_dp`, restated pair by pair as the reference."""
+    if first:
+        one, p, q = PQPoly.const(1), PQPoly.p(), PQPoly.q()
+    else:
+        one, p, q = (QPoly.const(1) if second else 1), None, QPoly.var()
+    weights = {}
+    for a, b in itertools.product(range(1, k + 1), repeat=2):
+        d, weight = b - a, one
+        if d in banned:
+            weight = 0 * one
+        else:
+            if d in first:
+                weight = weight * p
+            if d in second:
+                weight = weight * q
+        weights[a, b] = weight
+    return weights, one
+
+
+def brute_force(k, weights, one, n):
     """Summed weight of all words of length n, and of those ending in each
     letter, as a product of pair weights over every word."""
-    weight = dict(marks)
-    by_last = [0] * k
+    by_last = [0 * one] * k
     for word in itertools.product(range(1, k + 1), repeat=n):
-        w = math.prod(weight.get(pair, 1) for pair in itertools.pairwise(word))
+        w = math.prod((weights[pair] for pair in itertools.pairwise(word)), start=one)
         by_last[word[-1] - 1] += w
-    return sum(by_last), tuple(by_last)
+    return sum(by_last[1:], by_last[0]), tuple(by_last)
 
 
-@given(mark_sets(st.integers(-2, 3)), st.integers(1, 6))
+def banned_pairs(k, banned):
+    """The pairs (a, b) of letters 1..k whose difference b - a is banned."""
+    return frozenset((a, b) for a, b in itertools.product(range(1, k + 1), repeat=2)
+                     if b - a in banned)
+
+
+@given(mark_sets(RINGS["PQPoly"]), st.integers(1, 6))
 @settings(max_examples=80, deadline=None)
 def test_matches_brute_force_product(case, n):
-    k, marks = case
-    totals = transfer_dp(k, marks, n, 1)
-    assert (totals[n], fresh_rows(k, marks, n, 1)[n]) == brute_force(k, marks, n)
+    k, *sets = case
+    totals = transfer_dp(k, n, *sets)
+    assert (totals[n], fresh_rows(k, n, *sets)[n]) == brute_force(k, *pair_weights(k, *sets), n)
     assert totals[0] == 1
 
 
-@given(mark_sets(st.just(0)), st.integers(0, 6))
+@given(mark_sets(RINGS["int"]), st.integers(0, 6))
 @settings(max_examples=60, deadline=None)
 def test_forbidden_pairs_match_oracle(case, n):
-    k, marks = case
-    forbidden = frozenset(pair for pair, _ in marks)
-    assert transfer_dp(k, marks, n, 1)[n] == count_avoiders(k, n, forbidden)
+    k, banned, _, _ = case
+    assert transfer_dp(k, n, banned)[n] == oracle.count_avoiders(k, n, banned_pairs(k, banned))
+
+
+@given(mark_sets(RINGS["PQPoly"]), st.integers(0, 6))
+@settings(max_examples=80, deadline=None)
+def test_one_key_drives_the_dp_and_the_oracle(key, n):
+    """The DP's total for one (k, banned, first, second) against the
+    oracle's rows for the same sets, its banned differences turned into
+    the oracle's banned pairs.  The ring follows the sets given."""
+    k, banned, first, second = key
+    rows = oracle._word_rows(k, n, oracle.DEFAULT_CAP, banned_pairs(k, banned),
+                             first=first, second=second)
+    got = transfer_dp(k, n, banned, first, second)[n]
+    if first:
+        assert type(got) is PQPoly and got == PQPoly(rows)
+    elif second:
+        assert type(got) is QPoly and got == rows[0]
+    else:
+        assert type(got) is int and got == rows[0](1)
 
 
 FILLS = (transfer_dp, fresh_rows)
-
-
-@pytest.mark.parametrize("pair", [(0, 1), (1, 4), (-1, 2), (2, -3)])
-def test_pair_outside_alphabet_rejected(pair):
-    for fill in FILLS:
-        with pytest.raises(ValueError):
-            fill(3, ((pair, 0),), 4, 1)
-
-
-def test_pair_marked_twice_rejected():
-    for fill in FILLS:
-        with pytest.raises(ValueError):
-            fill(3, (((1, 2), 0), ((1, 2), 5)), 4, 1)
 
 
 @pytest.mark.parametrize("k,order", [(0, 3), (3, -1)])
 def test_empty_alphabet_and_negative_order_rejected(k, order):
     for fill in FILLS:
         with pytest.raises(ValueError):
-            fill(k, (), order, 1)
+            fill(k, order)
 
 
-def fresh_fill(k, marks, order, one):
+def fresh_fill(k, order, *sets):
     """The totals a store holding nothing yet would give."""
     with mock.patch.dict(transfer._tables, clear=True):
-        return list(transfer_dp(k, marks, order, one))
+        return list(transfer_dp(k, order, *sets))
 
 
-poly_weights = st.lists(st.integers(-2, 2), max_size=3).map(QPoly)
-
-
-@pytest.mark.parametrize("weights,one", [(st.integers(-2, 3), 1),
-                                         (poly_weights, QPoly.const(1))])
+@pytest.mark.parametrize("weights,one", [(RINGS["int"], 1), (RINGS["QPoly"], QPoly.const(1))])
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
 def test_stored_table_reads_like_a_fresh_fill(weights, one, data):
-    k, marks = data.draw(mark_sets(weights))
+    """`one` is the unit of the ring the totals lie in once a difference
+    carries q."""
+    k, *sets = data.draw(mark_sets(weights))
     orders = data.draw(st.lists(st.integers(0, 9), min_size=3, max_size=6))
     with mock.patch.dict(transfer._tables, clear=True):
         for order in orders:  # growing, shrinking and growing again
-            assert list(transfer_dp(k, marks, order, one)) == fresh_fill(k, marks, order, one)
+            got = list(transfer_dp(k, order, *sets))
+            assert got == fresh_fill(k, order, *sets)
+            assert all(type(total) is (type(one) if sets[2] else int) for total in got)
 
 
 def schoolbook_times(x, y):
@@ -113,29 +153,22 @@ def schoolbook_times(x, y):
     return type(x)(out)
 
 
-def row_formula(k, marks, order, one):
+def row_formula(k, weights, one, order):
     """Rows and totals by the row formula entry + delta * prev_row[j], one
-    schoolbook product per marked pair."""
+    schoolbook product per pair whose weight is not 1."""
     rows, totals = [(), (one,) * k], [one, one * k]
     while len(rows) <= order:
         row = []
-        for i in range(k):
+        for i in range(1, k + 1):
             entry = totals[-1]
-            for (a, b), weight in marks:
-                if b == i + 1:
-                    entry = entry + schoolbook_times(weight - one, rows[-1][a - 1])
+            for j in range(1, k + 1):
+                delta = weights[j, i] - one
+                if delta != 0:
+                    entry = entry + schoolbook_times(delta, rows[-1][j - 1])
             row.append(entry)
         rows.append(tuple(row))
         totals.append(sum(row[1:], row[0]))
     return rows[: order + 1], totals[: order + 1]
-
-
-P, Q = PQPoly.p(), PQPoly.q()
-RINGS = {
-    "int": (st.sampled_from([0, 2]), 1),
-    "QPoly": (st.sampled_from([0, 2, QPoly.var(), 2 * QPoly.var() - 1]), QPoly.const(1)),
-    "PQPoly": (st.sampled_from([0, 2, Q, 2 * Q - 1, P]), PQPoly.const(1)),
-}
 
 
 @pytest.mark.parametrize("ring", RINGS)
@@ -144,42 +177,42 @@ RINGS = {
 def test_matches_the_row_formula(ring, data):
     """The packed fill against the schoolbook one: stored totals over
     requests that outgrow the stored capacity and then shrink, and rows
-    filled fresh.  2q - 1 gives the packed entries negative digits."""
-    weights, one = RINGS[ring]
-    k, marks = data.draw(mark_sets(weights))
+    filled fresh."""
+    k, *sets = data.draw(mark_sets(RINGS[ring]))
     growing = data.draw(st.lists(st.integers(0, 10), min_size=2, max_size=4, unique=True))
     orders = sorted(growing) + data.draw(st.lists(st.integers(0, max(growing)), max_size=2))
-    rows, totals = row_formula(k, marks, max(orders), one)
+    weights, one = pair_weights(k, *sets)
+    rows, totals = row_formula(k, weights, one, max(orders))
     with mock.patch.dict(transfer._tables, clear=True):
         for i, order in enumerate(orders):
-            got = transfer_dp(k, marks, order, one)
+            got = transfer_dp(k, order, *sets)
             assert list(got) == totals[: order + 1]
             assert all(type(total) is type(one) for total in got)
             [table] = transfer._tables.values()
             assert table.capacity >= max(orders[: i + 1])
-    got = fresh_rows(k, marks, max(orders), one)
+    got = fresh_rows(k, max(orders), *sets)
     assert got == rows
     assert all(type(entry) is type(one) for row in got for entry in row)
 
 
 @st.composite
 def shaped_mark_sets(draw, weights):
-    """(k, marks): every rise by s or every jump of size s under one drawn
-    weight, whose letters fall into few classes, or a random mark set."""
+    """(k, banned, first, second): every rise by s or every jump of size s
+    in a drawn choice of the sets named in `weights`, whose letters fall
+    into few classes, or a random mark set."""
     shape = draw(st.sampled_from(["rise", "jump", "random"]))
     if shape == "random":
         return draw(mark_sets(weights))
-    k, s, weight = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(weights)
-    pairs = {(i - s, i) for i in range(s + 1, k + 1)}
-    if shape == "jump":
-        pairs |= {(i + s, i) for i in range(1, k - s + 1)}
-    return k, tuple((pair, weight) for pair in sorted(pairs))
+    k, s = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    names = draw(st.sets(st.sampled_from(weights), min_size=1))
+    diffs = (s,) if shape == "rise" else (-s, s)
+    return (k, *(diffs if name in names else () for name in SETS))
 
 
-def letter_terms(k, marks, one):
+def letter_terms(k, banned=(), first=(), second=()):
     """The (j, exps, c) terms of each letter: those of a table whose
     classes are the single letters."""
-    table = transfer._Table(k, marks, one, 1, [[i] for i in range(k)])
+    table = transfer._Table(k, banned, first, second, 1, [[i] for i in range(k)])
     return [terms for _, terms in table.terms]
 
 
@@ -210,29 +243,28 @@ def test_class_totals_match_every_letter(ring, data):
     one by one and against every word.  The classes are the coarsest
     partition refined by whole rounds, and the letters of one class share
     every entry."""
-    weights, one = RINGS[ring]
-    k, marks = data.draw(shaped_mark_sets(weights))
+    k, *sets = data.draw(shaped_mark_sets(RINGS[ring]))
     n = data.draw(st.integers(1, 4))
-    rows = fresh_rows(k, marks, n, one)
-    totals = fresh_fill(k, marks, n, one)
+    rows = fresh_rows(k, n, *sets)
+    totals = fresh_fill(k, n, *sets)
     for m in range(1, n + 1):
         assert totals[m] == sum(rows[m][1:], rows[m][0])
-    assert totals[n] == brute_force(k, marks, n)[0]
-    terms = letter_terms(k, marks, one)
+    assert totals[n] == brute_force(k, *pair_weights(k, *sets), n)[0]
+    terms = letter_terms(k, *sets)
     classes = transfer._classes(k, terms)
     assert classes == classes_by_rounds(k, terms)
     for letters in classes:
         assert all(rows[m][i] == rows[m][letters[0]] for m in range(1, n + 1) for i in letters)
-    assert len(transfer._Table(k, marks, one, n).row) == len(classes)
+    assert len(transfer._Table(k, *sets, n).row) == len(classes)
 
 
 @pytest.mark.parametrize("marks,k,classes", [
-    (kary._rise_marks(kary.KSParams(7, 3), QPoly.var()), 7, [[0, 1, 2], [3, 4, 5], [6]]),
-    (absdiff._jump_marks(8, 2), 8, [[0, 1, 6, 7], [2, 3, 4, 5]]),
-    (absdiff._jump_marks(5, 3), 5, [[0, 1, 3, 4], [2]]),
+    ({"second": (3,)}, 7, [[0, 1, 2], [3, 4, 5], [6]]),  # rises by 3
+    ({"second": (-2, 2)}, 8, [[0, 1, 6, 7], [2, 3, 4, 5]]),  # jumps of size 2
+    ({"second": (-3, 3)}, 5, [[0, 1, 3, 4], [2]]),
 ])
 def test_letters_sharing_an_entry_form_one_class(marks, k, classes):
-    assert transfer._classes(k, letter_terms(k, marks, QPoly.const(1))) == classes
+    assert transfer._classes(k, letter_terms(k, **marks)) == classes
 
 
 @pytest.mark.parametrize("k,s", [(1, 1), (4, 1), (6, 2), (7, 3), (9, 4), (12, 5), (20, 3)])
@@ -258,7 +290,7 @@ def test_fresh_rows_fill_every_letter_apart():
     """Twenty letters of seven classes give twenty entries a row, and no
     classes are formed for them."""
     with mock.patch.object(transfer, "_classes", side_effect=AssertionError):
-        rows = fresh_rows(20, absdiff._jump_marks(20, 3), 6, QPoly.const(1))
+        rows = fresh_rows(20, 6, second=(-3, 3))
     assert rows[0] == () and all(len(row) == 20 for row in rows[1:])
 
 
@@ -266,62 +298,46 @@ def test_a_long_chain_splits_into_single_letters():
     """Every letter of a chain of rises by 1 over 3,000 letters is its own
     class, the deepest refinement there is."""
     k = 3000
-    marks = kary._rise_marks(kary.KSParams(k, 1), QPoly.var())
-    assert transfer._classes(k, letter_terms(k, marks, QPoly.const(1))) == [[i] for i in range(k)]
-
-
-def test_weight_outside_the_ring_of_one_rejected():
-    cases = [(PQPoly.p(), QPoly.const(1)), (QPoly.var(), 1),
-             (QPoly((0, Fraction(1, 2))), QPoly.const(1)),  # not an integer coefficient
-             (XPoly.x(), XPoly.const(1)), (0, 1.0)]  # rings no table is kept over
-    for weight, one in cases:
-        for fill in FILLS:
-            with pytest.raises(ValueError):
-                fill(2, (((1, 2), weight),), 3, one)
+    assert transfer._classes(k, letter_terms(k, second=(1,))) == [[i] for i in range(k)]
 
 
 @pytest.mark.parametrize("first,second", [(1, QPoly.const(1)), (QPoly.const(1), 1)])
 def test_integer_and_polynomial_tables_stay_apart(first, second):
-    marks = (((1, 2), 0),)
+    """A banned-only key gives an int table and a key with `second` a
+    QPoly table, stored apart; `first` and `second` are the units of the
+    rings asked for first and second.  Over 1..2 banning the difference 1
+    bans 12, and the q on that difference marks no pair left."""
+    sets = {int: ((1,),), QPoly: ((1,), (), (1,))}
     with mock.patch.dict(transfer._tables, clear=True):
         for one in (first, second):
-            totals = transfer_dp(2, marks, 6, one)
+            totals = transfer_dp(2, 6, *sets[type(one)])
             assert all(type(total) is type(one) for total in totals)
             assert totals[6] == 7  # 2..21..1 are the words avoiding 12
         assert len(transfer._tables) == 2
 
 
-@pytest.mark.parametrize("marks", [(((0, 1), 0),), (((1, 2), 0), ((1, 2), 5))])
-def test_invalid_marks_raise_on_every_call(marks):
-    for order in (4, 2, 6):
-        with pytest.raises(ValueError):
-            transfer_dp(3, marks, order, 1)
-
-
 def test_longer_request_extends_the_stored_rows():
     """Within its capacity a table appends to its totals; past it, the
     table refills at twice the capacity.  A total is decoded once."""
-    marks = (((1, 2), QPoly.var()), ((2, 3), QPoly.var()))
-    one = QPoly.const(1)
+    rises = (1,)
     with mock.patch.dict(transfer._tables, clear=True):
-        short = transfer_dp(3, marks, 10, one)
+        short = transfer_dp(3, 10, second=rises)
         [table] = transfer._tables.values()
         assert table.capacity == 10 and len(table.totals) == 11
         first = short[10]
-        long = transfer_dp(3, marks, 15, one)
+        long = transfer_dp(3, 15, second=rises)
         assert table.capacity == 20 and len(table.totals) == 16
         stored = table.totals
-        longer = transfer_dp(3, marks, 20, one)
+        longer = transfer_dp(3, 20, second=rises)
         assert table.capacity == 20 and table.totals is stored and len(stored) == 21
         assert long[10] is longer[10] is first
-        assert list(transfer_dp(3, marks, 10, one)) == list(short) == list(longer)[:11]
+        assert list(transfer_dp(3, 10, second=rises)) == list(short) == list(longer)[:11]
         assert len(table.row) == 3
 
 
 def test_threads_extending_one_table_append_each_row_once():
-    marks = tuple(((i, i + 1), QPoly.var()) for i in range(1, 4))
     orders = [15, 40, 25, 40, 30, 10]
-    expected = [fresh_fill(4, marks, order, QPoly.const(1)) for order in orders]
+    expected = [fresh_fill(4, order, (), (), (1,)) for order in orders]
     fill = transfer._next_row
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -337,7 +353,7 @@ def test_threads_extending_one_table_append_each_row_once():
             with mock.patch.dict(transfer._tables, clear=True), \
                     mock.patch.object(transfer, "_next_row", step):
                 with ThreadPoolExecutor(4) as pool:
-                    got = list(pool.map(lambda n: list(transfer_dp(4, marks, n, QPoly.const(1))),
+                    got = list(pool.map(lambda n: list(transfer_dp(4, n, second=(1,))),
                                         orders))
                 [table] = transfer._tables.values()
                 assert len(table.totals) == 41
@@ -366,12 +382,11 @@ def _tracked_from(root):
 
 
 def test_a_longer_fill_tracks_no_more_objects():
-    marks = tuple(((i, i + 1), QPoly.var()) for i in range(1, 4))
     with mock.patch.dict(transfer._tables, clear=True):
-        transfer_dp(4, marks, 200, QPoly.const(1))
+        transfer_dp(4, 200, second=(1,))
         [table] = transfer._tables.values()
         at_200 = _tracked_from(table)
-        transfer_dp(4, marks, 400, QPoly.const(1))
+        transfer_dp(4, 400, second=(1,))
         assert table.capacity == 400
         assert _tracked_from(table) == at_200
 
