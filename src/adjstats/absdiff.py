@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import (
     QPoly,
@@ -110,9 +111,11 @@ def _triple_numerator(vs: list, ell: int) -> XPoly:
     return total
 
 
-def _band_sweep(d: int) -> tuple[list, list]:
+@lru_cache(maxsize=16)
+def _band_sweep(d: int) -> tuple[tuple, tuple]:
     """Both band-sum forms for every level up to d, in one pass, as
-    integer polynomials in y = x(1-q).
+    integer polynomials in y = x(1-q).  The sweep is q-free, so it is
+    made once per level and shared, as tuples, by every q.
 
     Returns (vs, levels): vs holds V_0..V_{d+1}, levels[0] is the empty
     sum, and levels[l+1] = (P_l, T_l, D_l) for l = 0..d, with the common
@@ -138,7 +141,7 @@ def _band_sweep(d: int) -> tuple[list, list]:
         t = t * vs[ell + 1] + _triple_numerator(vs, ell) * den_back
         den_back, den = den, den * vs[ell + 1]
         levels.append((p, t, den))
-    return vs, levels
+    return tuple(vs), tuple(levels)
 
 
 def _one_minus(q_val, message) -> Fraction:

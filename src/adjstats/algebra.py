@@ -14,6 +14,7 @@ here too.
 from __future__ import annotations
 
 import decimal
+import math
 import threading
 from fractions import Fraction
 from operator import attrgetter
@@ -293,7 +294,11 @@ class Poly:
 
         An integer polynomial at a Fraction a/b is evaluated as
         b^d p(a/b) in integers and divided once, which gives the same
-        normalized Fraction without a gcd at every step."""
+        normalized Fraction without a gcd at every step.  So is a
+        polynomial whose coefficients are ints or, at every depth,
+        polynomials of lower rank over the ints, when every value is a
+        Fraction: each rank's denominator is cleared with its power at
+        that rank's highest degree (see `_cleared`)."""
         coeffs = self.coeffs
         if (coeffs and not inner and isinstance(value, Fraction)
                 and all(isinstance(c, int) for c in coeffs)):
@@ -303,6 +308,17 @@ class Poly:
                 scale *= den
                 acc = acc * num + c * scale
             return Fraction(acc, scale)
+        if (coeffs and inner and isinstance(value, Fraction)
+                and all(isinstance(v, Fraction) for v in inner)):
+            bounds = {}
+            if _degree_bounds(self, len(inner), bounds):
+                points, scales, scale = {}, {}, 1
+                for rank in sorted(bounds):
+                    point = value if rank == self.rank else inner[-1 - rank]
+                    points[rank] = point.numerator, point.denominator
+                    below, scale = scale, scale * point.denominator ** bounds[rank]
+                    scales[rank] = below, scale
+                return Fraction(_cleared(self, points, scales), scale)
         acc = 0
         for c in reversed(coeffs):
             if inner and isinstance(c, Poly):
@@ -312,6 +328,49 @@ class Poly:
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self.coeffs)})"
+
+
+def _degree_bounds(poly, depth, bounds):
+    """Record in `bounds` the highest power of each variable in `poly`, by
+    rank.  False unless every coefficient, at every depth, is an int or a
+    polynomial of lower rank than its parent's and below `depth`, the
+    number of values given for the ranks below the top one."""
+    rank = poly.rank
+    bounds[rank] = max(bounds.get(rank, 0), len(poly.coeffs) - 1)
+    for c in poly.coeffs:
+        if isinstance(c, Poly):
+            if not (c.rank < rank and c.rank < depth and _degree_bounds(c, depth, bounds)):
+                return False
+        elif type(c) is not int:
+            return False
+    return True
+
+
+def _cleared(poly, points, scales):
+    """poly at the points, times the cleared denominators, in integers.
+
+    points[r] is the value of the rank-r variable as (numerator,
+    denominator b); scales[r] is (S, S b^e), with e that variable's
+    highest power and S the same product over the ranks below r.  The
+    result is poly's value times scales[poly.rank][1], by Horner's rule."""
+    coeffs = poly.coeffs
+    if not coeffs:
+        return 0
+    below, full = scales[poly.rank]
+    num, den = points[poly.rank]
+
+    def lifted(c):
+        # a coefficient's value times S; a polynomial's own scale covers
+        # only the ranks up to its own
+        if isinstance(c, Poly):
+            return _cleared(c, points, scales) * (below // scales[c.rank][1])
+        return c * below
+
+    acc, step = lifted(coeffs[-1]), 1
+    for c in coeffs[-2::-1]:
+        step *= den
+        acc = acc * num + lifted(c) * step
+    return acc * (full // (below * step))
 
 
 class QPoly(Poly):
@@ -462,7 +521,11 @@ class RatFunc:
         """Coefficients c_0..c_order of the power-series expansion at x = 0.
 
         Computed through the linear recurrence the denominator induces, so
-        each coefficient costs O(deg den) ring operations.
+        each coefficient costs O(deg den) ring operations.  When every
+        coefficient is an int or a Fraction and at least one is a Fraction,
+        the recurrence runs in integers (`_series_in_ints`) and each term
+        is made a Fraction once, at the end; its value and type are those
+        the recurrence in Fractions gives.
         """
         den = self.den.coeffs
         d0 = den[0] if den else 0
@@ -472,6 +535,9 @@ class RatFunc:
             raise NotExpandable("denominator has zero constant term")
         if not isinstance(d0, (int, Fraction)):
             raise NotExpandable(f"denominator constant term {d0!r} is not invertible")
+        kinds = set(map(type, self.num.coeffs + den))
+        if Fraction in kinds and kinds <= {int, Fraction}:
+            return _series_in_ints(self.num.coeffs, den, order)
         out = []
         for n in range(order + 1):
             acc = self.num.coeff(n)
@@ -481,13 +547,75 @@ class RatFunc:
         return out
 
     def scale_x(self, c):
-        """Substitute x -> c*x."""
+        """Substitute x -> c*x.
+
+        What is kept is the ratio, not the pair (num, den).  At a Fraction
+        c = a/b over int and Fraction coefficients, both are multiplied by
+        L b^m, where L is the coefficients' common denominator and m the
+        larger degree, so that coefficient i becomes the int
+        co L a^i b^(m-i)."""
+        num, den = self.num.coeffs, self.den.coeffs
+        if isinstance(c, Fraction) and set(map(type, num + den)) <= {int, Fraction}:
+            m = max(len(num), len(den)) - 1
+            weights = [c.numerator**i * c.denominator ** (m - i) for i in range(m + 1)]
+            num, den = _integral(num, den)
+            return RatFunc(XPoly(co * w for co, w in zip(num, weights)),
+                           XPoly(co * w for co, w in zip(den, weights)))
         scale_num = tuple(co * c**i for i, co in enumerate(self.num.coeffs))
         scale_den = tuple(co * c**i for i, co in enumerate(self.den.coeffs))
         return RatFunc(XPoly(scale_num), XPoly(scale_den))
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
+
+
+def _integral(num, den):
+    """The int and Fraction coefficients num and den, both times their
+    common denominator, as lists of ints."""
+    scale = math.lcm(*(co.denominator for co in num + den))
+    return ([co.numerator * (scale // co.denominator) for co in num],
+            [co.numerator * (scale // co.denominator) for co in den])
+
+
+def _series_in_ints(num, den, order):
+    """c_0..c_order of the series of num/den, for int and Fraction
+    coefficient tuples with den[0] != 0, in integers.
+
+    Both are scaled by their common denominator to N and D.  With c = D_0
+    the recurrence runs on b_n = c^(n+1) a_n,
+
+        b_n = c^n N_n - sum_j D_j c^(j-1) b_(n-j),
+
+    and a_n is made from b_n once.  A term has the type the recurrence in
+    Fractions gives it.  That recurrence subtracts D_j a_(n-j) from N_n for
+    1 <= j <= min(n, deg D), a Fraction when N_n, one of those D_j or one
+    of those a_(n-j) is; once a term is a Fraction, the j = 1 product makes
+    every later one a Fraction.  It then divides by d0, which keeps an int
+    an int only when d0 is 1 or -1, or an int that divides it."""
+    d0 = den[0]
+    unit, int_d0 = d0 == 1 or d0 == -1, type(d0) is int
+    nums, dens = _integral(num, den)
+    c = dens[0]
+    weighted, power = [0], 1  # D_j c^(j-1) at index j
+    for d in dens[1:]:
+        weighted.append(d * power)
+        power *= c
+    last = len(den) - 1
+    first_fraction = next((j for j in range(1, last + 1) if type(den[j]) is Fraction),
+                          order + 1)
+    bs, out, power, fraction = [], [], 1, False  # power is c^n, then c^(n+1)
+    for n in range(order + 1):
+        acc = nums[n] * power if n < len(nums) else 0
+        for j in range(1, min(n, last) + 1):
+            acc -= weighted[j] * bs[n - j]
+        bs.append(acc)
+        power *= c
+        fraction = ((n < len(num) and type(num[n]) is Fraction)
+                    or (0 < n and 0 < last and (fraction or first_fraction <= n)))
+        if not (fraction or unit):
+            fraction = not int_d0 or acc % power != 0
+        out.append(Fraction(acc, power) if fraction else acc // power)
+    return out
 
 
 # (build, args) -> the longest series of build(*args) read, least recently
@@ -645,6 +773,8 @@ def det_exact(m: SquareMatrix):
 
 
 def mat_mul(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
+    """The product a b.  A product with a zero factor is skipped, so an
+    entry with no other product is the int 0."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     n = a.n
@@ -654,7 +784,9 @@ def mat_mul(a: SquareMatrix, b: SquareMatrix) -> SquareMatrix:
         for j in range(n):
             acc = 0
             for k in range(n):
-                acc = acc + a.rows[i][k] * b.rows[k][j]
+                x, y = a.rows[i][k], b.rows[k][j]
+                if x and y:
+                    acc = acc + x * y
             row.append(acc)
         out.append(row)
     return SquareMatrix(out)

@@ -220,6 +220,22 @@ def _one_wrong_sign(level):
     return one_wrong_sign
 
 
+@pytest.fixture
+def flip_triple_term(monkeypatch):
+    """flip(level) puts `_one_wrong_sign(level)` in place of the real
+    triple numerator.  The band sweep is cached per level, so the cache is
+    emptied before the test, at the flip and after the test: no sweep made
+    before the flip hides it, and none made with it outlives the test."""
+
+    def flip(level):
+        monkeypatch.setattr(absdiff, "_triple_numerator", _one_wrong_sign(level))
+        absdiff._band_sweep.cache_clear()
+
+    absdiff._band_sweep.cache_clear()
+    yield flip
+    absdiff._band_sweep.cache_clear()
+
+
 _rationals_not_one = st.fractions(max_denominator=9).filter(lambda q: q != 1)
 
 
@@ -261,15 +277,31 @@ class TestLargeBand:
                     assert gf_B_large(k, s, q).series(20) == [t(q) for t in table], (k, s, q)
 
     @pytest.mark.parametrize("k,s,level", [(8, 1, 7), (8, 1, 6), (7, 2, 3), (7, 2, 2)])
-    def test_a_wrong_triple_term_is_caught(self, monkeypatch, k, s, level):
+    def test_a_wrong_triple_term_is_caught(self, flip_triple_term, k, s, level):
         # k = d*s + r gives d = 7 at (8, 1) and d = 3 at (7, 2); flip the
         # sign of the (j, m) = (0, 0) term at level d, then at level d-1:
         # the two band-sum forms differ there, and so do the closed form
         # and the DP
-        monkeypatch.setattr(absdiff, "_triple_numerator", _one_wrong_sign(level))
+        flip_triple_term(level)
         q = Fraction(1, 2)
         assert h_sum_squared(level, q) != h_sum_triple(level, q)
         assert gf_B_large(k, s, q).series(12) != [t(q) for t in b_table(k, s, 12)]
+
+    def test_a_flip_after_a_clean_call_is_caught(self, flip_triple_term):
+        """The clean sweep of a level, once stored, does not hide a flip
+        made after it."""
+        q = Fraction(1, 2)
+        assert h_sum_squared(3, q) == h_sum_triple(3, q)
+        assert gf_B_large(7, 2, q).series(12) == [t(q) for t in b_table(7, 2, 12)]
+        flip_triple_term(3)
+        assert h_sum_squared(3, q) != h_sum_triple(3, q)
+        assert gf_B_large(7, 2, q).series(12) != [t(q) for t in b_table(7, 2, 12)]
+
+    def test_the_stored_sweep_is_immutable(self):
+        vs, levels = absdiff._band_sweep(3)
+        assert type(vs) is tuple and type(levels) is tuple
+        assert all(type(level) is tuple for level in levels)
+        assert absdiff._band_sweep(3)[1] is levels
 
     # the wide pairs of suite_absdiff have d = 2, 3, 4, 2, 2, 2 with k = d*s + r,
     # and each reads the triple form at levels d and d-1
@@ -277,12 +309,12 @@ class TestLargeBand:
         (2, [(3, 1), (4, 1), (5, 1), (5, 2), (7, 3), (6, 2)]),
         (4, [(5, 1)]),
     ])
-    def test_a_wrong_triple_term_fails_exactly_its_suite_checks(self, monkeypatch, level,
-                                                                 pairs):
+    def test_a_wrong_triple_term_fails_exactly_its_suite_checks(self, flip_triple_term,
+                                                                 level, pairs):
         """The flip fails the band check at its level and above, and the
         wide-band checks of every pair that reads one of those levels; the
         suite still returns."""
-        monkeypatch.setattr(absdiff, "_triple_numerator", _one_wrong_sign(level))
+        flip_triple_term(level)
         failed = [(c.name, *c.params.values())
                   for c in verify.suite_absdiff(nmax=4) if not c.passed]
         band = [("squared and triple band sums agree", d, "1/2") for d in range(level, 5)]

@@ -39,6 +39,13 @@ fraction_qpolys = st.lists(st.fractions(min_value=-5, max_value=5, max_denominat
                            max_size=6).map(QPoly)
 
 
+# p-polynomials whose coefficients mix plain integers and q-polynomials,
+# and x-polynomials over all three, zero polynomials among them
+int_pqpolys = st.lists(st.one_of(st.integers(-5, 5), qpolys), max_size=4).map(PQPoly)
+deep_xpolys = st.lists(st.one_of(st.integers(-5, 5), qpolys, int_pqpolys),
+                       max_size=4).map(XPoly)
+
+
 def _horner(poly, value, *inner):
     """Horner's rule one coefficient at a time in the arithmetic of `value`,
     evaluating each polynomial coefficient at the values of its rank."""
@@ -91,6 +98,33 @@ class TestEvaluation:
     @settings(max_examples=60, deadline=None)
     def test_p_over_q(self, poly, p, q):
         assert _same(poly(p, q), _horner(poly, p, q))
+
+    @given(int_pqpolys, rationals, rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_p_over_q_with_int_coefficients(self, poly, p, q):
+        assert _same(poly(p, q), _horner(poly, p, q))
+
+    @given(deep_xpolys, rationals, rationals, rationals)
+    @settings(max_examples=100, deadline=None)
+    def test_x_over_p_over_q(self, poly, x, p, q):
+        assert _same(poly(x, p, q), _horner(poly, x, p, q))
+
+    @given(deep_xpolys, rationals, rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_x_over_q_with_p_coefficients(self, poly, x, q):
+        # XPoly(x, q) has no p value: a p-polynomial coefficient is read at
+        # p = q and keeps its q-polynomial coefficients
+        assert _same(poly(x, q), _horner(poly, x, q))
+
+    def test_nested_zero_polynomials(self):
+        p, q, x = Fraction(2, 3), Fraction(-5, 7), Fraction(1, 4)
+        assert _same(PQPoly()(p, q), 0)
+        assert _same(XPoly()(x, q), 0)
+        assert _same(XPoly()(x, p, q), 0)
+        zero_inside = PQPoly((QPoly(), 0, QPoly((0, 1))))
+        assert _same(zero_inside(p, q), p * p * q)
+        assert _same(XPoly((PQPoly(), QPoly(), 3))(x, p, q), 3 * x * x)
+        assert _same(PQPoly((QPoly(), QPoly()) + (QPoly((1,)),))(Fraction(0), q), Fraction(0))
 
 
 def _schoolbook(a, b, out=()):
@@ -354,6 +388,83 @@ class TestSeries:
         assert scaled.series(3) == [1, 2, 4, 8]
 
 
+def _fraction_series(f, order):
+    """The series recurrence one operation at a time in the coefficients'
+    own arithmetic: each term divided by d0, an int kept an int when d0
+    is 1 or -1 or an int that divides it."""
+    num, den = f.num.coeffs, f.den.coeffs
+    d0, out = den[0], []
+    for n in range(order + 1):
+        acc = num[n] if n < len(num) else 0
+        for j in range(1, min(n, len(den) - 1) + 1):
+            acc = acc - den[j] * out[n - j]
+        if d0 == 1 or d0 == -1:
+            out.append(acc if d0 == 1 else -acc)
+        elif type(acc) is int and type(d0) is int and acc % d0 == 0:
+            out.append(acc // d0)
+        else:
+            out.append(Fraction(acc) / d0)
+    return out
+
+
+# ints and Fractions, with zeros, units and integral Fractions among them
+scalar_coeffs = st.one_of(
+    st.sampled_from([0, 1, -1, Fraction(0), Fraction(1), Fraction(-1), Fraction(4)]),
+    st.integers(-9, 9), st.fractions(min_value=-9, max_value=9, max_denominator=7))
+invertible = st.one_of(
+    st.sampled_from([1, -1, Fraction(1), Fraction(-1), 2, -3, Fraction(2), Fraction(2, 3)]),
+    st.integers(-6, 6), st.fractions(min_value=-6, max_value=6, max_denominator=5),
+).filter(lambda d: d != 0)
+scalar_ratfuncs = st.builds(lambda num, d0, tail: RatFunc(XPoly(num), XPoly([d0] + tail)),
+                            st.lists(scalar_coeffs, max_size=6), invertible,
+                            st.lists(scalar_coeffs, max_size=8))
+
+
+class TestSeriesAtRationalPoints:
+    """A series or an x-scaling over int and Fraction coefficients runs in
+    integers; the terms are those of the recurrence in Fractions, value
+    and type."""
+
+    @given(scalar_ratfuncs, st.integers(0, 9))
+    @settings(max_examples=300, deadline=None)
+    def test_series_matches_the_fraction_recurrence(self, f, order):
+        got, want = f.series(order), _fraction_series(f, order)
+        assert len(got) == len(want) == order + 1
+        assert all(_same(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("num,den,order", [
+        ((1, Fraction(1, 2)), (3, -1), 4),  # d0 not 1 or -1
+        ((1,), (Fraction(2, 3), 1, Fraction(1, 5)), 5),  # a Fraction d0
+        ((2, 1), (Fraction(-1), 3), 4),  # a Fraction d0 of -1
+        ((), (Fraction(1, 2), 1), 3),  # a zero numerator
+        ((Fraction(1, 3),), (2, 0, 0, 0, 0, 0, 0, 1), 3),  # a denominator past the order
+        ((4, 0, 2), (2, Fraction(0), 2), 5),  # an integral Fraction
+    ])
+    def test_examples(self, num, den, order):
+        f = RatFunc(XPoly(num), XPoly(den))
+        got, want = f.series(order), _fraction_series(f, order)
+        assert all(_same(g, w) for g, w in zip(got, want)) and len(got) == order + 1
+
+    @given(scalar_ratfuncs,
+           st.one_of(st.just(Fraction(0)), st.integers(-5, 5).map(Fraction),
+                     st.fractions(min_value=-5, max_value=5, max_denominator=6)),
+           st.integers(0, 8))
+    @settings(max_examples=200, deadline=None)
+    def test_scale_x_keeps_the_ratio(self, f, c, order):
+        want = RatFunc(XPoly(co * c**i for i, co in enumerate(f.num.coeffs)),
+                       XPoly(co * c**i for i, co in enumerate(f.den.coeffs)))
+        got = f.scale_x(c)
+        assert all(type(co) is int for co in got.num.coeffs + got.den.coeffs)
+        assert got == want
+        assert got.series(order) == want.series(order)
+
+    def test_scale_x_examples(self):
+        f = RatFunc(XPoly((1, Fraction(1, 2))), XPoly((Fraction(1, 3), -1)))
+        for c in (Fraction(0), Fraction(-2), Fraction(3), Fraction(-3, 4)):
+            assert f.scale_x(c) == RatFunc(XPoly((1, c / 2)), XPoly((Fraction(1, 3), -c)))
+        assert f.scale_x(Fraction(0)).series(3) == [3, 0, 0, 0]
+
+
 class TestRatFuncArithmetic:
     def test_equality_by_cross_multiplication(self):
         a = RatFunc(XPoly((1, 1)), XPoly((1, -1)))
@@ -493,6 +604,37 @@ class TestDeterminant:
         a = SquareMatrix([[1, 2], [3, 4]])
         b = SquareMatrix([[0, 1], [1, 0]])
         assert mat_mul(a, b) == SquareMatrix([[2, 1], [4, 3]])
+
+
+class TestMatMul:
+    """mat_mul against the plain triple loop: the same values, with the
+    products that have a zero factor skipped."""
+
+    @pytest.mark.parametrize("coeffs", [int_coeffs, fraction_coeffs, qpoly_coeffs,
+                                        mixed_coeffs], ids=["int", "Fraction", "QPoly", "mixed"])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_plain_product(self, coeffs, data):
+        n = data.draw(st.integers(0, 4))
+        square = st.lists(st.lists(coeffs, min_size=n, max_size=n), min_size=n, max_size=n)
+        a, b = data.draw(square), data.draw(square)
+        got = mat_mul(SquareMatrix(a), SquareMatrix(b))
+        for i in range(n):
+            for j in range(n):
+                want = 0
+                for k in range(n):
+                    want = want + a[i][k] * b[k][j]
+                assert got.entry(i, j) == want
+                if all(not (a[i][k] and b[k][j]) for k in range(n)):
+                    assert _same(got.entry(i, j), 0)
+
+    def test_a_bidiagonal_product_keeps_its_fractions(self):
+        half = Fraction(1, 2)
+        lower = SquareMatrix([[1, 0], [half, 1]])
+        upper = SquareMatrix([[Fraction(3), half], [Fraction(0), Fraction(2)]])
+        got = mat_mul(lower, upper)
+        assert got == SquareMatrix([[3, half], [Fraction(3, 2), Fraction(9, 4)]])
+        assert _same(got.entry(0, 0), Fraction(3)) and _same(got.entry(0, 1), half)
 
 
 def test_specialize_q():
